@@ -4,18 +4,21 @@ Subcommands: parse, synth, embed, eval, encode. Exit codes: 0 success,
 1 usage error, 2 data/validation error, 3 I/O error. Angles are degrees at
 this boundary and radians inside the library. Output files are written to a
 temp file in the destination directory and renamed into place, so a failed
-run never leaves a partial artifact.
+run never leaves a partial artifact; the four feature files of ``encode``
+are renamed only once all four are written.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import math
 import os
 import sys
 import tempfile
+from typing import BinaryIO, Callable
 
 import numpy as np
 
@@ -38,17 +41,32 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+def _atomic_write_all(outputs: list[tuple[str, Callable[[BinaryIO], object]]]) -> None:
+    """Write each (path, write) pair to a temp file beside its path, then
+    rename them all into place.
+
+    Nothing is renamed until every write has succeeded; on failure the temp
+    files are removed and existing files keep their contents.
+    """
+    tmps = []
     try:
-        with os.fdopen(fd, "wb") as f:
-            f.write(data)
-        os.replace(tmp, path)
+        for path, write in outputs:
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".tmp-", suffix=os.path.basename(path))
+            tmps.append(tmp)
+            with os.fdopen(fd, "wb") as f:
+                write(f)
+        for tmp, (path, _) in zip(tmps, outputs):
+            os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in tmps:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
+
+
+def _atomic_write_bytes(path: str, data: bytes) -> None:
+    _atomic_write_all([(path, lambda f: f.write(data))])
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -155,11 +173,10 @@ def cmd_encode(args) -> int:
     )
     feats = encoder.encoder_forward(seq, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
-    for i, feat in enumerate(feats, start=1):
-        buf = io.BytesIO()
-        npyio.write_npy(np.ascontiguousarray(feat, dtype=np.float32), buf)
-        path = os.path.join(args.out_dir, f"scale{i}.npy")
-        _atomic_write_bytes(path, buf.getvalue())
+    paths = [os.path.join(args.out_dir, f"scale{i}.npy") for i in range(1, len(feats) + 1)]
+    _atomic_write_all([(path, functools.partial(npyio.write_npy, feat))
+                       for path, feat in zip(paths, feats)])
+    for i, (path, feat) in enumerate(zip(paths, feats), start=1):
         print(f"scale{i} {feat.shape} -> {path}")
     return EXIT_OK
 

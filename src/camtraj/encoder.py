@@ -7,21 +7,38 @@ starts with a stride-2 downsample residual block; each residual block is
 followed by a temporal attention block that attends over the frame axis only,
 treating each (batch, y, x) position as an independent token row.
 
-There is no training here. Weights are drawn once from
+There is no training here. Weights are drawn from
 ``numpy.random.default_rng(cfg.seed)`` (PCG64) as float32 in a fixed,
 documented order, so the whole forward pass is reproducible bit-for-bit from
 the seed. Biases start at zero, LayerNorm affine at identity.
+
+The draw order is the forward order, so ``encoder_forward`` without explicit
+weights draws them block by block: a single helper thread draws the next
+block while the current one runs (PCG64 releases the GIL, so drawing overlaps
+compute), and each block's weights are dropped once it has run. Only the
+running block and the one being drawn are held, at most about 0.2 GB at the
+default config instead of the full 0.9 GB. ``build_encoder_weights`` draws
+the same stream and still returns the full set, for callers that reuse or
+modify weights.
+
+Every attention linear runs as one 2-D GEMM on the flattened (rows * n, c)
+tokens, with Q, K and V from a single (c, 3c) product; bias and residual adds
+and the SiLU, LayerNorm and softmax steps work in place on their own
+temporaries.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import IndivisibleDims, ShapeMismatch
+from .errors import IndivisibleDims, NonFiniteInput, ShapeMismatch
 
 LN_EPS = 1e-5
 # cap per-chunk im2col buffers (bytes) so convolutions stay memory-bounded
@@ -126,21 +143,31 @@ class MultiScaleCameraFeatures:
 
 def silu(x: np.ndarray) -> np.ndarray:
     # x * sigmoid(x), written via tanh so large |x| cannot overflow exp
-    return x * (0.5 * (1.0 + np.tanh(0.5 * x)))
+    out = x * 0.5
+    np.tanh(out, out=out)
+    out += 1.0
+    out *= 0.5
+    out *= x
+    return out
 
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    shifted = x - x.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=axis, keepdims=True)
+    e = x - x.max(axis=axis, keepdims=True)
+    np.exp(e, out=e)
+    e /= e.sum(axis=axis, keepdims=True)
+    return e
 
 
 def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
                eps: float = LN_EPS) -> np.ndarray:
     """Normalize over the last axis, then apply the affine parameters."""
-    mean = x.mean(axis=-1, keepdims=True)
-    var = ((x - mean) ** 2).mean(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gamma + beta
+    out = x - x.mean(axis=-1, keepdims=True)
+    var = np.square(out).mean(axis=-1, keepdims=True)
+    var += eps
+    out /= np.sqrt(var, out=var)
+    out *= gamma
+    out += beta
+    return out
 
 
 def sinusoidal_posemb(n: int, c: int) -> np.ndarray:
@@ -228,18 +255,24 @@ def multi_head_self_attention(x: np.ndarray, p: AttentionParams, heads: int,
                               return_weights: bool = False):
     """Self-attention over axis 1 of an (R, n, c) tensor.
 
+    Q, K and V come from one (c, 3c) GEMM on the flattened (R * n, c) rows.
     Returns the projected output, plus the (R, heads, n, n) softmax matrix
     when ``return_weights`` is set.
     """
     r, n, c = x.shape
     hd = c // heads
     scale = 1.0 / math.sqrt(hd)
-    q = (x @ p.wq + p.bq).reshape(r, n, heads, hd).transpose(0, 2, 1, 3)
-    k = (x @ p.wk + p.bk).reshape(r, n, heads, hd).transpose(0, 2, 1, 3)
-    v = (x @ p.wv + p.bv).reshape(r, n, heads, hd).transpose(0, 2, 1, 3)
-    weights = softmax(q @ k.transpose(0, 1, 3, 2) * scale, axis=-1)
-    out = (weights @ v).transpose(0, 2, 1, 3).reshape(r, n, c)
-    out = out @ p.wo + p.bo
+    qkv = x.reshape(r * n, c) @ np.concatenate((p.wq, p.wk, p.wv), axis=1)
+    qkv += np.concatenate((p.bq, p.bk, p.bv))
+    q, k, v = qkv.reshape(r, n, 3, heads, hd).transpose(2, 0, 3, 1, 4)
+    scores = q @ k.transpose(0, 1, 3, 2)
+    scores *= scale
+    weights = softmax(scores, axis=-1)
+    heads_out = np.empty((r, n, heads, hd), dtype=weights.dtype)
+    np.matmul(weights, v, out=heads_out.transpose(0, 2, 1, 3))
+    out = heads_out.reshape(r * n, c) @ p.wo
+    out += p.bo
+    out = out.reshape(r, n, c)
     if return_weights:
         return out, weights
     return out
@@ -254,7 +287,8 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
     out = MLP(LayerNorm(z2)) + z2
 
     With the attention output projection and the MLP final layer at zero,
-    both branches vanish and out is exactly x + PosEmb.
+    both branches vanish and out is exactly x + PosEmb. The MLP runs on the
+    flattened (R * n, c) rows.
 
     Raises:
         ShapeMismatch: for non-3D input, a width not matching the weights,
@@ -268,11 +302,16 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
     if c % heads:
         raise ShapeMismatch(f"heads={heads} must divide width {c}")
     z = x + sinusoidal_posemb(n, c) if use_posemb else x
-    z1 = layer_norm(z, p.ln1_gamma, p.ln1_beta)
-    z2 = multi_head_self_attention(z1, p, heads) + z
-    z3 = layer_norm(z2, p.ln2_gamma, p.ln2_beta)
-    h = silu(z3 @ p.mlp_w1 + p.mlp_b1)
-    return h @ p.mlp_w2 + p.mlp_b2 + z2
+    z2 = multi_head_self_attention(layer_norm(z, p.ln1_gamma, p.ln1_beta), p, heads)
+    z2 += z
+    del z  # free the posemb sum before the MLP's wide temporaries
+    h = layer_norm(z2, p.ln2_gamma, p.ln2_beta).reshape(r * n, c) @ p.mlp_w1
+    h += p.mlp_b1
+    h = silu(h)
+    out = h @ p.mlp_w2
+    out += p.mlp_b2
+    out += z2.reshape(r * n, c)
+    return out.reshape(r, n, c)
 
 
 def fuse(z: np.ndarray, c: np.ndarray, weight: np.ndarray,
@@ -304,15 +343,14 @@ def fuse(z: np.ndarray, c: np.ndarray, weight: np.ndarray,
 # --- weight construction ----------------------------------------------------
 
 def _init_conv(rng, cout: int, cin: int, k: int) -> ConvParams:
-    std = 1.0 / math.sqrt(cin * k * k)
-    w = (rng.standard_normal((cout, cin, k, k), dtype=np.float32)
-         * np.float32(std))
+    w = rng.standard_normal((cout, cin, k, k), dtype=np.float32)
+    w *= np.float32(1.0 / math.sqrt(cin * k * k))
     return ConvParams(w, np.zeros(cout, dtype=np.float32))
 
 
 def _init_linear(rng, din: int, dout: int) -> tuple[np.ndarray, np.ndarray]:
-    std = 1.0 / math.sqrt(din)
-    w = rng.standard_normal((din, dout), dtype=np.float32) * np.float32(std)
+    w = rng.standard_normal((din, dout), dtype=np.float32)
+    w *= np.float32(1.0 / math.sqrt(din))
     return w, np.zeros(dout, dtype=np.float32)
 
 
@@ -338,6 +376,29 @@ def _init_res_block(rng, cin: int, cout: int, stride: int) -> ResBlockParams:
     return ResBlockParams(conv1, conv2, skip, stride)
 
 
+def _draw_blocks(cfg: EncoderConfig) -> Iterator:
+    """Draw the weights of :func:`build_encoder_weights` one block at a time.
+
+    Yields the stem conv, then per scale the four fields of ScaleParams in
+    order: downsample block and its attention (None for the first scale),
+    plain block, its attention. This is both the draw order and the forward
+    order.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    r = cfg.unshuffle_factor
+    yield _init_conv(rng, cfg.scale_channels[0], cfg.in_channels * r * r, 3)
+    prev = cfg.scale_channels[0]
+    for i, c in enumerate(cfg.scale_channels):
+        if i == 0:
+            yield from (None, None)
+        else:
+            yield _init_res_block(rng, prev, c, stride=2)
+            yield _init_attention(rng, c, cfg.mlp_ratio)
+        yield _init_res_block(rng, c, c, stride=1)
+        yield _init_attention(rng, c, cfg.mlp_ratio)
+        prev = c
+
+
 def build_encoder_weights(cfg: EncoderConfig) -> EncoderWeights:
     """Draw all weights from PCG64 seeded with cfg.seed.
 
@@ -345,25 +406,39 @@ def build_encoder_weights(cfg: EncoderConfig) -> EncoderWeights:
     present, its attention, plain block, its attention). Weight std is
     1/sqrt(fan_in); biases zero; LayerNorm affine at identity. Changing any
     architectural field changes the stream, so weights are only comparable
-    across identical configs.
+    across identical configs. :func:`encoder_forward` draws the same stream
+    block by block when no weights are passed.
     """
-    rng = np.random.default_rng(cfg.seed)
-    r = cfg.unshuffle_factor
-    stem = _init_conv(rng, cfg.scale_channels[0], cfg.in_channels * r * r, 3)
-    scales = []
-    prev = cfg.scale_channels[0]
-    for i, c in enumerate(cfg.scale_channels):
-        if i == 0:
-            down = None
-            down_attn = None
-        else:
-            down = _init_res_block(rng, prev, c, stride=2)
-            down_attn = _init_attention(rng, c, cfg.mlp_ratio)
-        res = _init_res_block(rng, c, c, stride=1)
-        res_attn = _init_attention(rng, c, cfg.mlp_ratio)
-        scales.append(ScaleParams(down, down_attn, res, res_attn))
-        prev = c
-    return EncoderWeights(stem, tuple(scales))
+    blocks = _draw_blocks(cfg)
+    stem = next(blocks)
+    fields = list(blocks)
+    scales = tuple(ScaleParams(*fields[i:i + 4]) for i in range(0, len(fields), 4))
+    return EncoderWeights(stem, scales)
+
+
+def _blocks(weights: EncoderWeights) -> Iterator:
+    """The blocks of ``weights`` in the order :func:`_draw_blocks` yields them."""
+    yield weights.stem
+    for sw in weights.scales:
+        yield from (sw.down, sw.down_attn, sw.res, sw.res_attn)
+
+
+_DONE = object()
+
+
+def _drawn_ahead(blocks: Iterator) -> Iterator:
+    """Yield from ``blocks``, drawing each next item on a helper thread.
+
+    The helper thread only advances ``blocks``; the caller runs each item
+    while the next one is drawn. Exceptions from ``blocks`` propagate
+    unchanged, and the thread is joined when the generator finishes or is
+    closed.
+    """
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="camtraj-weights") as pool:
+        pending = pool.submit(next, blocks, _DONE)
+        while (item := pending.result()) is not _DONE:
+            pending = pool.submit(next, blocks, _DONE)
+            yield item
 
 
 # --- full forward -----------------------------------------------------------
@@ -418,13 +493,17 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
                     weights: EncoderWeights | None = None) -> MultiScaleCameraFeatures:
     """Run the full encoder on an (n, c, h, w) or (b, n, c, h, w) input.
 
-    A 4D input is treated as batch size 1. Weights default to
-    :func:`build_encoder_weights`; pass them explicitly to reuse across
-    calls or to probe modified parameters.
+    A 4D input is treated as batch size 1. Without ``weights`` the weights of
+    :func:`build_encoder_weights` are drawn block by block, one block ahead of
+    the forward on a helper thread, so the full set is never held at once.
+    Pass them explicitly to reuse across calls or to probe modified
+    parameters; both run the same loop and give byte-identical features.
 
     Raises:
         IndivisibleDims: spatial dims not divisible by 8 * unshuffle_factor.
-        ShapeMismatch: wrong rank or channel count.
+        ShapeMismatch: wrong rank or channel count, or an empty batch,
+            frame or spatial dim.
+        NonFiniteInput: the input holds NaN or infinity.
     """
     x = np.asarray(p, dtype=np.float32)
     if x.ndim == 4:
@@ -435,17 +514,22 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
         raise ShapeMismatch(
             f"expected {cfg.in_channels} input channels, got {x.shape[2]}")
     b, n, _, h, w = x.shape
+    if 0 in (b, n, h, w):
+        raise ShapeMismatch(f"empty batch, frame or spatial dim in shape {x.shape}")
     shape_schedule(cfg, b, n, h, w)  # validates divisibility up front
-    if weights is None:
-        weights = build_encoder_weights(cfg)
+    bad = x.size - np.count_nonzero(np.isfinite(x))
+    if bad:
+        raise NonFiniteInput(f"input holds {bad} non-finite values")
     x = pixel_unshuffle(x, cfg.unshuffle_factor)
-    x = _conv5(x, weights.stem)
+    blocks = _drawn_ahead(_draw_blocks(cfg)) if weights is None else _blocks(weights)
     feats = []
-    for sw in weights.scales:
-        if sw.down is not None:
-            x = _res_block5(x, sw.down)
-            x = _attend5(x, sw.down_attn, cfg)
-        x = _res_block5(x, sw.res)
-        x = _attend5(x, sw.res_attn, cfg)
-        feats.append(x)
+    with closing(blocks):
+        x = _conv5(x, next(blocks))
+        for i, blk in enumerate(blocks):
+            if isinstance(blk, ResBlockParams):
+                x = _res_block5(x, blk)
+            elif blk is not None:
+                x = _attend5(x, blk, cfg)
+            if i % 4 == 3:  # a scale ends with its plain block's attention
+                feats.append(x)
     return MultiScaleCameraFeatures(tuple(feats))

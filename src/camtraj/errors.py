@@ -129,6 +129,10 @@ class ShapeMismatch(CamTrajError):
     """A tensor did not have the shape an operation requires."""
 
 
+class NonFiniteInput(CamTrajError):
+    """An input tensor held NaN or infinity."""
+
+
 # --- tensor export ----------------------------------------------------------
 
 class BadMagic(CamTrajError):

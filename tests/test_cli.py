@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from camtraj import cli
 from camtraj.cli import main
 from camtraj.geometry import Convention
 from camtraj.npyio import read_npy_file, write_npy_file
@@ -314,6 +315,54 @@ class TestEncode:
                               *ENCODE_FLAGS)
         assert code == 2
         assert stderr
+
+    def test_non_finite_input_rejected(self, tmp_path, capsys):
+        src = tmp_path / "p.npy"
+        write_npy_file(np.full((2, 6, 16, 32), np.nan, dtype=np.float32), src)
+        out_dir = tmp_path / "f"
+        code, _, stderr = run(capsys, "encode", "--plucker", str(src),
+                              "--seed", "0", "--out-dir", str(out_dir),
+                              *ENCODE_FLAGS)
+        assert code == 2
+        assert "non-finite" in stderr
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("shape", [(0, 6, 16, 32), (2, 6, 0, 32), (2, 6, 16, 0)])
+    def test_empty_dims_rejected(self, tmp_path, capsys, shape):
+        src = tmp_path / "p.npy"
+        write_npy_file(np.zeros(shape, dtype=np.float32), src)
+        code, _, stderr = run(capsys, "encode", "--plucker", str(src),
+                              "--seed", "0", "--out-dir", str(tmp_path / "f"),
+                              *ENCODE_FLAGS)
+        assert code == 2
+        assert "empty" in stderr
+
+    def test_failed_write_keeps_previous_set(self, tmp_path, capsys, monkeypatch):
+        rng = np.random.default_rng(2)
+        src = tmp_path / "p.npy"
+        write_npy_file(rng.standard_normal((2, 6, 16, 32)).astype(np.float32), src)
+        out_dir = tmp_path / "feats"
+        args = ("encode", "--plucker", str(src), "--out-dir", str(out_dir), *ENCODE_FLAGS)
+        assert run(capsys, *args, "--seed", "5")[0] == 0
+        before = {i: (out_dir / f"scale{i}.npy").read_bytes() for i in range(1, 5)}
+
+        real_write = cli.npyio.write_npy
+        calls = []
+
+        def write_fails_on_scale3(arr, sink):
+            calls.append(arr.shape)
+            if len(calls) == 3:
+                raise OSError("disk full")
+            real_write(arr, sink)
+
+        monkeypatch.setattr(cli.npyio, "write_npy", write_fails_on_scale3)
+        code, _, stderr = run(capsys, *args, "--seed", "6")
+        assert code == 3
+        assert "disk full" in stderr
+        assert len(calls) == 3
+        for i in range(1, 5):
+            assert (out_dir / f"scale{i}.npy").read_bytes() == before[i]
+        assert no_temp_litter(out_dir)
 
     def test_bad_channels(self, tmp_path, capsys):
         code, _, _ = run(capsys, "encode", "--plucker", "p.npy", "--seed", "0",

@@ -3,6 +3,7 @@ closed forms, residual isolation, and deterministic weight construction."""
 
 import dataclasses
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from camtraj.encoder import (
     softmax,
     temporal_attention_block,
 )
-from camtraj.errors import IndivisibleDims, ShapeMismatch
+from camtraj.errors import IndivisibleDims, NonFiniteInput, ShapeMismatch
 
 SMALL = EncoderConfig(unshuffle_factor=2, scale_channels=(8, 16, 16, 16),
                       heads=2, mlp_ratio=2, seed=7)
@@ -317,6 +318,29 @@ class TestAttention:
             ref[ri] = np.concatenate(outs, axis=-1) @ p.wo + p.bo
         np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-6)
 
+    def test_per_head_loop_oracle_many_rows(self):
+        # the flattened GEMMs must hold the oracle at realistic row counts too
+        rng = np.random.default_rng(31)
+        heads, c = 4, 16
+        hd = c // heads
+        p = small_attention(seed=32, c=c)
+        x = rand(rng, (96, 5, c))
+        got = multi_head_self_attention(x, p, heads=heads)
+        ref = np.zeros_like(got)
+        for ri in range(x.shape[0]):
+            q = x[ri] @ p.wq + p.bq
+            k = x[ri] @ p.wk + p.bk
+            v = x[ri] @ p.wv + p.bv
+            outs = []
+            for h in range(heads):
+                sl = slice(h * hd, (h + 1) * hd)
+                scores = q[:, sl] @ k[:, sl].T / math.sqrt(hd)
+                a = np.exp(scores - scores.max(axis=-1, keepdims=True))
+                a /= a.sum(axis=-1, keepdims=True)
+                outs.append(a @ v[:, sl])
+            ref[ri] = np.concatenate(outs, axis=-1) @ p.wo + p.bo
+        np.testing.assert_allclose(got, ref, rtol=1e-5, atol=1e-6)
+
     def test_constant_query_key_averages(self):
         rng = np.random.default_rng(17)
         p = small_attention()
@@ -546,3 +570,74 @@ class TestEncoderForward:
         feats = encoder_forward(x, SMALL)
         np.testing.assert_array_equal(feats[0], list(feats)[0])
         np.testing.assert_array_equal(feats[-1], feats[3])
+
+    @pytest.mark.parametrize("shape", [
+        (0, 2, 6, 16, 16), (1, 0, 6, 16, 16), (1, 2, 6, 0, 16), (1, 2, 6, 16, 0)])
+    def test_empty_dims_rejected(self, shape):
+        with pytest.raises(ShapeMismatch, match="empty"):
+            encoder_forward(np.zeros(shape, dtype=np.float32), SMALL)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected_before_drawing(self, monkeypatch, bad):
+        def no_draw(*args):
+            raise AssertionError("weights drawn for rejected input")
+
+        monkeypatch.setattr(enc, "_init_conv", no_draw)
+        x = np.zeros((1, 2, 6, 16, 16), dtype=np.float32)
+        x[0, 1, 3, 5, 7] = bad
+        with pytest.raises(NonFiniteInput, match="1 non-finite"):
+            encoder_forward(x, SMALL)
+
+
+class TestWeightStream:
+    CFG = EncoderConfig(unshuffle_factor=2, scale_channels=(8, 16, 16, 16),
+                        heads=4, mlp_ratio=3, seed=11)
+
+    def test_streamed_matches_explicit_second_config(self):
+        rng = np.random.default_rng(33)
+        x = rand(rng, (2, 3, 6, 16, 32))
+        streamed = encoder_forward(x, self.CFG)
+        explicit = encoder_forward(x, self.CFG, weights=build_encoder_weights(self.CFG))
+        assert len(streamed) == len(explicit) == 4
+        for a, b in zip(streamed, explicit):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+    def test_draw_error_propagates_and_thread_joins(self, monkeypatch):
+        boom = RuntimeError("draw failed")
+        real = enc._init_attention
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 3:
+                raise boom
+            return real(*args)
+
+        monkeypatch.setattr(enc, "_init_attention", failing)
+        before = threading.active_count()
+        x = rand(np.random.default_rng(34), (1, 2, 6, 16, 16))
+        with pytest.raises(RuntimeError) as info:
+            encoder_forward(x, SMALL)
+        assert info.value is boom
+        assert len(calls) == 3
+        assert threading.active_count() == before
+
+    def test_compute_error_joins_thread(self, monkeypatch):
+        boom = RuntimeError("forward failed")
+
+        def failing(*args, **kwargs):
+            raise boom
+
+        monkeypatch.setattr(enc, "temporal_attention_block", failing)
+        before = threading.active_count()
+        x = rand(np.random.default_rng(35), (1, 2, 6, 16, 16))
+        with pytest.raises(RuntimeError) as info:
+            encoder_forward(x, SMALL)
+        assert info.value is boom
+        assert threading.active_count() == before
+
+    def test_success_joins_thread(self):
+        before = threading.active_count()
+        encoder_forward(rand(np.random.default_rng(36), (1, 2, 6, 16, 16)), SMALL)
+        assert threading.active_count() == before
