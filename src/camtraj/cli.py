@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import math
 import os
@@ -22,7 +21,7 @@ from typing import BinaryIO, Callable
 
 import numpy as np
 
-from . import encoder, metrics, npyio, plucker, pose_io, synth
+from . import encoder, geometry, metrics, npyio, plucker, pose_io, synth
 from .errors import CamTrajError
 
 EXIT_OK = 0
@@ -93,11 +92,6 @@ def _parse_frames(spec: str, count: int) -> list[int]:
         raise UsageError(f"bad frame list {spec!r}") from None
 
 
-def _rotation_angle_deg(r: np.ndarray) -> float:
-    cos = (float(np.trace(r)) - 1.0) / 2.0
-    return math.degrees(math.acos(min(1.0, max(-1.0, cos))))
-
-
 # --- subcommands ------------------------------------------------------------
 
 def cmd_parse(args) -> int:
@@ -118,9 +112,8 @@ def cmd_synth(args) -> int:
         plan = pose_io.parse_trajectory_spec(f.read())
     traj = synth.synthesize(plan)
     _atomic_write_text(args.out, pose_io.trajectory_to_json(traj))
-    last = traj.poses[-1].extrinsics
-    angle = _rotation_angle_deg(last.rotation)
-    offset = float(np.linalg.norm(plucker.camera_center(last)))
+    angle = math.degrees(float(geometry.rotation_angle(traj.rotations[-1])))
+    offset = float(np.linalg.norm(traj.translations[-1]))  # c2w: t is the center
     print(f"synthesized {len(traj)} frames -> {args.out}")
     print(f"last-frame rotation angle {angle:.9f} deg, center offset {offset:.9f}")
     return EXIT_OK
@@ -130,9 +123,7 @@ def cmd_embed(args) -> int:
     with open(args.traj, "r", encoding="utf-8") as f:
         traj = pose_io.trajectory_from_json(f.read())
     seq = plucker.plucker_sequence(traj, pixel_origin=args.pixel_origin)
-    buf = io.BytesIO()
-    npyio.write_npy(seq, buf)
-    _atomic_write_bytes(args.out, buf.getvalue())
+    _atomic_write_all([(args.out, functools.partial(npyio.write_npy, seq))])
     print(f"embedded {seq.shape} -> {args.out}")
     if args.verify:
         back = npyio.read_npy_file(args.out)

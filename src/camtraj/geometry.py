@@ -4,12 +4,14 @@ Extrinsics are explicitly tagged with their convention (world-to-camera or
 camera-to-world) and every operation checks the tag instead of guessing.
 Rotations are validated on construction: ``R.T @ R == I`` and ``det R == 1``
 within 1e-6, max-abs elementwise.
+
+A :class:`Trajectory` holds its frames as arrays, validated in one pass;
+:func:`convert_extrinsics` is the one place that switches w2c and c2w.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -18,6 +20,7 @@ from .errors import ConventionMismatch, NonUnitAxis, RotationInvalid
 
 ORTHO_TOL = 1e-6
 UNIT_TOL = 1e-9
+INTRINSICS_FIELDS = ("fx", "fy", "cx", "cy")
 
 
 class Convention(Enum):
@@ -31,20 +34,66 @@ def _frozen_array(x, shape) -> np.ndarray:
     a = np.array(x, dtype=np.float64)
     if a.shape != shape:
         raise ValueError(f"expected array of shape {shape}, got {a.shape}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("array contains non-finite entries")
     a.setflags(write=False)
     return a
 
 
-def check_rotation(r: np.ndarray, line: int | None = None) -> None:
-    """Raise RotationInvalid unless r is a proper rotation within ORTHO_TOL."""
-    err = np.abs(r.T @ r - np.eye(3)).max()
-    if err >= ORTHO_TOL:
-        raise RotationInvalid(f"R.T @ R deviates from identity by {err:.3e}", line)
-    det = float(np.linalg.det(r))
-    if abs(det - 1.0) >= ORTHO_TOL:
-        raise RotationInvalid(f"det(R) = {det:.9f}, expected 1", line)
+def unit_vector(vec, exc: type[Exception]) -> np.ndarray:
+    """``vec`` as a float array; raises ``exc`` unless it is a 3-vector of
+    unit length within UNIT_TOL."""
+    v = np.asarray(vec, dtype=np.float64)
+    if v.shape != (3,):
+        raise exc(f"expected a 3-vector, got shape {v.shape}")
+    n = float(np.linalg.norm(v))
+    if abs(n - 1.0) > UNIT_TOL:
+        raise exc(f"norm {n:.12f} deviates from 1 by more than {UNIT_TOL}")
+    return v
+
+
+def first_bad_frame(rotations: np.ndarray, translations: np.ndarray,
+                    intrinsics: np.ndarray) -> tuple[int, str, Exception] | None:
+    """First invalid frame as (index, "intrinsics" or "extrinsics", error),
+    or None. All frames are checked at once, each in this order: intrinsics
+    (n, 4) finite, then fx, fy > 0 (ValueError); rotations (n, 3, 3) and
+    translations (n, 3) finite (ValueError); R.T @ R == I, then det R == 1,
+    within ORTHO_TOL (RotationInvalid). The two stacks may differ in length,
+    as when a parser has read a frame's intrinsics but not its extrinsics."""
+    k = intrinsics
+    finite_k = np.isfinite(k)
+    finite = np.isfinite(rotations).all(axis=(1, 2)) & np.isfinite(translations).all(axis=1)
+    r = np.where(finite[:, None, None], rotations, np.eye(3))
+    dev = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max(axis=(-2, -1))
+    det = np.linalg.det(r)
+    masks = [~finite_k.all(axis=1), (k[:, 0] <= 0) | (k[:, 1] <= 0), ~finite,
+             dev >= ORTHO_TOL, np.abs(det - 1.0) >= ORTHO_TOL]
+    found = [(int(np.argmax(m)), rank) for rank, m in enumerate(masks) if m.any()]
+    if not found:
+        return None
+    i, rank = min(found)
+    if rank == 0:
+        j = int(np.argmin(finite_k[i]))
+        err = ValueError(f"{INTRINSICS_FIELDS[j]} must be finite, got {k[i, j]}")
+    elif rank == 1:
+        err = ValueError(f"focal lengths must be positive, got fx={k[i, 0]} fy={k[i, 1]}")
+    elif rank == 2:
+        err = ValueError("array contains non-finite entries")
+    elif rank == 3:
+        err = RotationInvalid(f"R.T @ R deviates from identity by {dev[i]:.3e}")
+    else:
+        err = RotationInvalid(f"det(R) = {det[i]:.9f}, expected 1")
+    return i, "intrinsics" if rank < 2 else "extrinsics", err
+
+
+def convert_extrinsics(rotations: np.ndarray, translations: np.ndarray,
+                       src: Convention, dst: Convention) -> tuple[np.ndarray, np.ndarray]:
+    """Re-express (..., 3, 3) rotations and (..., 3) translations, one frame
+    or a whole trajectory, from convention ``src`` in ``dst``: as given when
+    the two agree, else each rigid map inverted, (R, t) -> (R.T, -R.T @ t),
+    with R.T a transposed view."""
+    if src is dst:
+        return rotations, translations
+    rt = np.swapaxes(rotations, -1, -2)
+    return rt, (-rt @ translations[..., None])[..., 0]
 
 
 @dataclass(frozen=True)
@@ -61,12 +110,10 @@ class Intrinsics:
     cy: float
 
     def __post_init__(self):
-        for name in ("fx", "fy", "cx", "cy"):
-            v = getattr(self, name)
-            if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-        if self.fx <= 0 or self.fy <= 0:
-            raise ValueError(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
+        bad = first_bad_frame(np.empty((0, 3, 3)), np.empty((0, 3)),
+                              np.array([[self.fx, self.fy, self.cx, self.cy]], dtype=np.float64))
+        if bad is not None:
+            raise bad[2]
 
     def matrix(self) -> np.ndarray:
         """3x3 calibration matrix K."""
@@ -101,7 +148,9 @@ class Extrinsics:
     def __post_init__(self):
         r = _frozen_array(self.rotation, (3, 3))
         t = _frozen_array(self.translation, (3,))
-        check_rotation(r)
+        bad = first_bad_frame(r[None], t[None], np.empty((0, 4)))
+        if bad is not None:
+            raise bad[2]
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
         if not isinstance(self.convention, Convention):
@@ -110,13 +159,6 @@ class Extrinsics:
     @classmethod
     def identity(cls, convention: Convention) -> "Extrinsics":
         return cls(np.eye(3), np.zeros(3), convention)
-
-    def matrix(self) -> np.ndarray:
-        """4x4 homogeneous matrix of the stored map."""
-        m = np.eye(4)
-        m[:3, :3] = self.rotation
-        m[:3, 3] = self.translation
-        return m
 
     def is_identity(self, tol: float = 0.0) -> bool:
         return (np.abs(self.rotation - np.eye(3)).max() <= tol
@@ -132,8 +174,8 @@ def invert_extrinsics(e: Extrinsics) -> Extrinsics:
     other = (Convention.CAMERA_TO_WORLD
              if e.convention is Convention.WORLD_TO_CAMERA
              else Convention.WORLD_TO_CAMERA)
-    rt = e.rotation.T
-    return Extrinsics(rt, -rt @ e.translation, other)
+    return Extrinsics(*convert_extrinsics(e.rotation, e.translation, e.convention, other),
+                      other)
 
 
 def compose(a: Extrinsics, b: Extrinsics) -> Extrinsics:
@@ -157,21 +199,34 @@ def as_convention(e: Extrinsics, convention: Convention) -> Extrinsics:
     return invert_extrinsics(e)
 
 
-def rotation_about_axis(axis, angle_rad: float) -> np.ndarray:
+def rotation_about_axis(axis, angle_rad) -> np.ndarray:
     """Rodrigues rotation matrix about a unit axis.
+
+    An array of angles gives one (3, 3) matrix per angle, stacked along the
+    leading axes.
 
     Raises:
         NonUnitAxis: if ``axis`` deviates from unit length by more than 1e-9.
     """
-    a = np.asarray(axis, dtype=np.float64)
-    if a.shape != (3,):
-        raise NonUnitAxis(f"axis must be a 3-vector, got shape {a.shape}")
-    n = float(np.linalg.norm(a))
-    if abs(n - 1.0) > UNIT_TOL:
-        raise NonUnitAxis(f"axis norm {n:.12f} deviates from 1 by more than {UNIT_TOL}")
-    x, y, z = a
+    x, y, z = unit_vector(axis, NonUnitAxis)
     k = np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
-    return np.eye(3) + math.sin(angle_rad) * k + (1.0 - math.cos(angle_rad)) * (k @ k)
+    angle = np.asarray(angle_rad, dtype=np.float64)[..., None, None]
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def rotation_angle(r: np.ndarray) -> np.ndarray:
+    """Geodesic angle in radians, in [0, pi], of each (..., 3, 3) rotation.
+
+    The cosine is (tr R - 1) / 2 and the sine is read off the skew part of
+    R. atan2(sin, cos) keeps full precision near zero angle, where arccos
+    of the clamped trace loses half its digits, and never NaNs for
+    floating-point traces marginally outside [-1, 3].
+    """
+    cos = (np.trace(r, axis1=-2, axis2=-1) - 1.0) / 2.0
+    sin = 0.5 * np.sqrt((r[..., 2, 1] - r[..., 1, 2]) ** 2
+                        + (r[..., 0, 2] - r[..., 2, 0]) ** 2
+                        + (r[..., 1, 0] - r[..., 0, 1]) ** 2)
+    return np.arctan2(sin, cos)
 
 
 def orthonormalize(e: Extrinsics) -> Extrinsics:
@@ -197,55 +252,90 @@ class CameraPose:
     extrinsics: Extrinsics
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Trajectory:
-    """An ordered pose sequence with shared image dimensions.
+    """An ordered pose sequence with shared image dimensions and convention.
 
-    All poses must carry the same extrinsics convention.
+    Frames are stored as read-only float64 arrays: ``rotations`` (n, 3, 3),
+    ``translations`` (n, 3) and ``intrinsics`` (n, 4) holding fx, fy, cx,
+    cy. ``Trajectory(poses, width, height)`` stacks CameraPose values of one
+    convention; :meth:`from_arrays` takes the arrays. Both validate them.
     """
 
-    poses: tuple[CameraPose, ...] = field()
-    width: int = 0
-    height: int = 0
+    rotations: np.ndarray
+    translations: np.ndarray
+    intrinsics: np.ndarray
+    convention: Convention
+    width: int
+    height: int
 
-    def __post_init__(self):
-        object.__setattr__(self, "poses", tuple(self.poses))
-        if len(self.poses) < 1:
+    def __init__(self, poses, width: int = 0, height: int = 0):
+        poses = tuple(poses)
+        if not poses:
             raise ValueError("trajectory needs at least one pose")
-        if self.width < 1 or self.height < 1:
-            raise ValueError(f"image dims must be positive, got {self.width}x{self.height}")
-        conv = self.poses[0].extrinsics.convention
-        for i, p in enumerate(self.poses):
+        conv = poses[0].extrinsics.convention
+        for i, p in enumerate(poses):
             if p.extrinsics.convention is not conv:
                 raise ConventionMismatch(
                     f"pose {i} is {p.extrinsics.convention.value}, pose 0 is {conv.value}")
+        traj = Trajectory.from_arrays(
+            [p.extrinsics.rotation for p in poses], [p.extrinsics.translation for p in poses],
+            [[getattr(p.intrinsics, f) for f in INTRINSICS_FIELDS] for p in poses],
+            conv, width, height)
+        self.__dict__.update(traj.__dict__)
+
+    @classmethod
+    def from_arrays(cls, rotations, translations, intrinsics, convention: Convention,
+                    width: int, height: int) -> "Trajectory":
+        """Build from (n, 3, 3), (n, 3) and (n, 4) arrays, which are copied;
+        raises ValueError or RotationInvalid on invalid input."""
+        r = np.array(rotations, dtype=np.float64)
+        t = np.array(translations, dtype=np.float64)
+        k = np.array(intrinsics, dtype=np.float64)
+        n = len(r) if r.ndim else 0
+        if r.shape[1:] != (3, 3) or t.shape != (n, 3) or k.shape != (n, 4):
+            raise ValueError("expected rotations (n, 3, 3), translations (n, 3) and "
+                             f"intrinsics (n, 4), got {r.shape}, {t.shape}, {k.shape}")
+        if n < 1:
+            raise ValueError("trajectory needs at least one pose")
+        bad = first_bad_frame(r, t, k)
+        if bad is not None:
+            raise bad[2]
+        if width < 1 or height < 1:
+            raise ValueError(f"image dims must be positive, got {width}x{height}")
+        if not isinstance(convention, Convention):
+            raise TypeError(f"convention must be a Convention, got {convention!r}")
+        for a in (r, t, k):
+            a.setflags(write=False)
+        traj = cls.__new__(cls)
+        traj.__dict__.update(rotations=r, translations=t, intrinsics=k,
+                             convention=convention, width=width, height=height)
+        return traj
 
     def __len__(self) -> int:
-        return len(self.poses)
+        return len(self.rotations)
 
     @property
-    def convention(self) -> Convention:
-        return self.poses[0].extrinsics.convention
+    def poses(self) -> tuple[CameraPose, ...]:
+        """Per-frame CameraPose values, built on each access."""
+        return tuple(CameraPose(Intrinsics(*k), Extrinsics(r, t, self.convention))
+                     for k, r, t in zip(self.intrinsics.tolist(), self.rotations,
+                                        self.translations))
 
 
 def relativize(traj: Trajectory) -> Trajectory:
     """Re-express every frame relative to frame 0.
 
-    Internally works in world-to-camera convention, where the relative
-    transform is E_i @ E_0^-1, then converts back so the output carries the
-    input's convention. Frame 0 of the result is exactly the identity, and a
-    trajectory whose first frame is already the identity comes back with its
-    extrinsics rebuilt from the same values.
+    Works in world-to-camera convention, where the relative transform is
+    E_i @ E_0^-1, then converts back so the output carries the input's
+    convention. Frame 0 of the result is exactly the identity, and a
+    trajectory whose first frame is already the identity comes back
+    unchanged up to roundoff.
     """
-    conv = traj.convention
-    w2c = [as_convention(p.extrinsics, Convention.WORLD_TO_CAMERA) for p in traj.poses]
-    inv0 = invert_extrinsics(w2c[0])  # tagged c2w; same numbers as E_0^-1
-    base = Extrinsics(inv0.rotation, inv0.translation, Convention.WORLD_TO_CAMERA)
-    out = []
-    for p, e in zip(traj.poses, w2c):
-        rel = compose(e, base)
-        rel = as_convention(rel, conv)
-        out.append(CameraPose(p.intrinsics, rel))
-    first = Extrinsics.identity(conv)
-    out[0] = CameraPose(traj.poses[0].intrinsics, first)
-    return Trajectory(tuple(out), traj.width, traj.height)
+    w2c = Convention.WORLD_TO_CAMERA
+    r, t = convert_extrinsics(traj.rotations, traj.translations, traj.convention, w2c)
+    inv_r, inv_t = convert_extrinsics(r[0], t[0], w2c, Convention.CAMERA_TO_WORLD)
+    rel_r, rel_t = convert_extrinsics(r @ inv_r, r @ inv_t + t, w2c, traj.convention)
+    rel_r[0], rel_t[0] = np.eye(3), 0.0
+    return Trajectory.from_arrays(rel_r, rel_t, traj.intrinsics, traj.convention,
+                                  traj.width, traj.height)

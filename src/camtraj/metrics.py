@@ -20,12 +20,11 @@ import numpy as np
 
 from .errors import DegenerateBaseline, LengthMismatch
 from .geometry import (
-    CameraPose,
     Convention,
-    Extrinsics,
     Trajectory,
-    as_convention,
+    convert_extrinsics,
     relativize,
+    rotation_angle,
 )
 
 BASELINE_EPS = 1e-8
@@ -76,28 +75,17 @@ def _check_lengths(gt: Trajectory, gen: Trajectory) -> None:
 def rot_err(gt: Trajectory, gen: Trajectory) -> tuple[float, list[float]]:
     """Summed geodesic rotation error between matching frames.
 
-    Each frame contributes the angle whose cosine is
-    (tr(R_gen @ R_gt.T) - 1) / 2, in radians. Evaluated as
-    atan2(sin, cos) with the sine read off the skew part of the relative
-    rotation: arccos of the clamped trace alone loses half its digits near
-    zero angle, where identical inputs must score ~0, and never NaNs for
-    floating-point traces marginally outside [-1, 3]. Inputs are compared
-    as stored: relativize first if absolute poses would be meaningless to
-    compare.
+    Each frame contributes the angle of R_gen @ R_gt.T in radians, from
+    :func:`~camtraj.geometry.rotation_angle` (atan2, so identical inputs
+    score ~0). Inputs are compared as stored: relativize first if absolute
+    poses would be meaningless to compare.
 
     Raises:
         LengthMismatch: on different frame counts.
     """
     _check_lengths(gt, gen)
-    per_frame = []
-    for pg, pn in zip(gt.poses, gen.poses):
-        m = pn.extrinsics.rotation @ pg.extrinsics.rotation.T
-        cos = (float(np.trace(m)) - 1.0) / 2.0
-        sin = 0.5 * math.sqrt(
-            (m[2, 1] - m[1, 2]) ** 2
-            + (m[0, 2] - m[2, 0]) ** 2
-            + (m[1, 0] - m[0, 1]) ** 2)
-        per_frame.append(math.atan2(sin, cos))
+    per_frame = rotation_angle(
+        gen.rotations @ np.swapaxes(gt.rotations, -1, -2)).tolist()
     return sum(per_frame), per_frame
 
 
@@ -111,10 +99,8 @@ def trans_err(gt: Trajectory, gen: Trajectory) -> tuple[float, list[float]]:
         LengthMismatch: on different frame counts.
     """
     _check_lengths(gt, gen)
-    per_frame = []
-    for pg, pn in zip(gt.poses, gen.poses):
-        diff = pg.extrinsics.translation - pn.extrinsics.translation
-        per_frame.append(float(diff @ diff))
+    diff = gt.translations - gen.translations  # batched dot: the bits of diff @ diff
+    per_frame = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0].tolist()
     return sum(per_frame), per_frame
 
 
@@ -134,27 +120,20 @@ def normalize_scale(gt: Trajectory, gen: Trajectory) -> tuple[Trajectory, float]
     _check_lengths(gt, gen)
     if len(gt) < 2:
         raise DegenerateBaseline("need at least 2 frames to measure the first interval")
-    gap_gt = float(np.linalg.norm(gt.poses[1].extrinsics.translation))
-    gap_gen = float(np.linalg.norm(gen.poses[1].extrinsics.translation))
+    gap_gt = float(np.linalg.norm(gt.translations[1]))
+    gap_gen = float(np.linalg.norm(gen.translations[1]))
     if gap_gt < BASELINE_EPS or gap_gen < BASELINE_EPS:
         raise DegenerateBaseline(
             f"first-interval norms gt={gap_gt:.3e} gen={gap_gen:.3e} below {BASELINE_EPS}")
     factor = gap_gt / gap_gen
-    poses = []
-    for p in gen.poses:
-        e = p.extrinsics
-        scaled = Extrinsics(e.rotation, factor * e.translation, e.convention)
-        poses.append(CameraPose(p.intrinsics, scaled))
-    return Trajectory(tuple(poses), gen.width, gen.height), factor
+    return Trajectory.from_arrays(gen.rotations, factor * gen.translations, gen.intrinsics,
+                                  gen.convention, gen.width, gen.height), factor
 
 
 def _to_w2c(traj: Trajectory) -> Trajectory:
-    if traj.convention is Convention.WORLD_TO_CAMERA:
-        return traj
-    poses = tuple(
-        CameraPose(p.intrinsics, as_convention(p.extrinsics, Convention.WORLD_TO_CAMERA))
-        for p in traj.poses)
-    return Trajectory(poses, traj.width, traj.height)
+    w2c = Convention.WORLD_TO_CAMERA
+    r, t = convert_extrinsics(traj.rotations, traj.translations, traj.convention, w2c)
+    return Trajectory.from_arrays(r, t, traj.intrinsics, w2c, traj.width, traj.height)
 
 
 def evaluate(gt: Trajectory, gen: Trajectory) -> AlignmentReport:

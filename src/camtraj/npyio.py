@@ -14,6 +14,7 @@ little-endian float32 payload.
 from __future__ import annotations
 
 import ast
+import io
 import struct
 from typing import BinaryIO
 
@@ -52,7 +53,7 @@ def write_npy(arr: np.ndarray, sink: BinaryIO) -> None:
     sink.write(VERSION)
     sink.write(struct.pack("<H", len(header)))
     sink.write(header)
-    sink.write(a.tobytes(order="C"))
+    sink.write(a.data)
 
 
 def write_npy_file(arr: np.ndarray, path) -> None:
@@ -67,7 +68,8 @@ def read_npy(source: BinaryIO) -> np.ndarray:
         BadMagic: wrong magic bytes, wrong version, or a malformed header.
         UnsupportedDtype: descr other than '<f4'.
         UnsupportedOrder: fortran_order true.
-        TruncatedPayload: fewer payload bytes than the shape requires.
+        TruncatedPayload: fewer payload bytes than the shape requires;
+            checked before allocating when ``source`` is seekable.
     """
     magic = source.read(len(MAGIC))
     if magic != MAGIC:
@@ -100,11 +102,17 @@ def read_npy(source: BinaryIO) -> np.ndarray:
     for s in shape:
         count *= s
     expected = count * 4
-    payload = source.read(expected)
-    if len(payload) != expected:
-        raise TruncatedPayload(expected, len(payload))
-    arr = np.frombuffer(payload, dtype="<f4").reshape(shape)
-    return arr.copy()  # own the memory; frombuffer views the read-only bytes
+    if source.seekable():
+        here = source.tell()
+        left = source.seek(0, io.SEEK_END) - here
+        source.seek(here)
+        if left < expected:
+            raise TruncatedPayload(expected, left)
+    arr = np.empty(shape, dtype="<f4")
+    got = source.readinto(arr.reshape(-1).view(np.uint8))
+    if got != expected:
+        raise TruncatedPayload(expected, got)
+    return arr
 
 
 def read_npy_file(path) -> np.ndarray:

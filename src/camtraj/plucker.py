@@ -12,11 +12,9 @@ Rays are sampled at pixel centers by default (u + 0.5, v + 0.5); pass
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 
-from .geometry import CameraPose, Convention, Extrinsics, Trajectory
+from .geometry import CameraPose, Convention, Extrinsics, Trajectory, convert_extrinsics
 
 PIXEL_ORIGINS = ("center", "corner")
 
@@ -27,18 +25,16 @@ def _pixel_offset(pixel_origin: str) -> float:
     return 0.5 if pixel_origin == "center" else 0.0
 
 
+def _c2w(e: Extrinsics) -> tuple[np.ndarray, np.ndarray]:
+    """Camera-to-world rotation and camera center of one extrinsics value."""
+    return convert_extrinsics(e.rotation, e.translation, e.convention,
+                              Convention.CAMERA_TO_WORLD)
+
+
 def camera_center(e: Extrinsics) -> np.ndarray:
     """World-space camera center: t itself for camera-to-world, -R.T @ t
     for world-to-camera."""
-    if e.convention is Convention.CAMERA_TO_WORLD:
-        return np.array(e.translation)
-    return -e.rotation.T @ e.translation
-
-
-def _c2w_rotation(e: Extrinsics) -> np.ndarray:
-    if e.convention is Convention.CAMERA_TO_WORLD:
-        return np.array(e.rotation)
-    return e.rotation.T
+    return np.array(_c2w(e)[1])
 
 
 def ray_direction(pose: CameraPose, u: float, v: float,
@@ -47,8 +43,26 @@ def ray_direction(pose: CameraPose, u: float, v: float,
     off = _pixel_offset(pixel_origin)
     kinv = pose.intrinsics.inverse_matrix()
     d_cam = kinv @ np.array([u + off, v + off, 1.0])
-    d_world = _c2w_rotation(pose.extrinsics) @ d_cam
+    d_world = _c2w(pose.extrinsics)[0] @ d_cam
     return d_world / np.linalg.norm(d_world)
+
+
+def _fill_map(out: np.ndarray, intrinsics, r_c2w: np.ndarray, center: np.ndarray,
+              off: float) -> None:
+    """Write the (6, h, w) Plucker map of one camera into ``out``."""
+    fx, fy, cx, cy = intrinsics
+    height, width = out.shape[1:]
+    u = (np.arange(width, dtype=np.float64) + off - cx) / fx
+    v = (np.arange(height, dtype=np.float64) + off - cy) / fy
+    d_cam = np.empty((height, width, 3))
+    d_cam[..., 0] = u[None, :]
+    d_cam[..., 1] = v[:, None]
+    d_cam[..., 2] = 1.0
+    d_world = d_cam @ r_c2w.T
+    d_world /= np.linalg.norm(d_world, axis=-1, keepdims=True)
+    m = np.cross(np.broadcast_to(center, d_world.shape), d_world)
+    out[0:3] = np.moveaxis(m, -1, 0)
+    out[3:6] = np.moveaxis(d_world, -1, 0)
 
 
 def plucker_map(pose: CameraPose, width: int, height: int,
@@ -61,41 +75,23 @@ def plucker_map(pose: CameraPose, width: int, height: int,
     """
     off = _pixel_offset(pixel_origin)
     intr = pose.intrinsics
-    u = (np.arange(width, dtype=np.float64) + off - intr.cx) / intr.fx
-    v = (np.arange(height, dtype=np.float64) + off - intr.cy) / intr.fy
-    d_cam = np.empty((height, width, 3))
-    d_cam[..., 0] = u[None, :]
-    d_cam[..., 1] = v[:, None]
-    d_cam[..., 2] = 1.0
-    d_world = d_cam @ _c2w_rotation(pose.extrinsics).T
-    d_world /= np.linalg.norm(d_world, axis=-1, keepdims=True)
-    o = camera_center(pose.extrinsics)
-    m = np.cross(np.broadcast_to(o, d_world.shape), d_world)
     out = np.empty((6, height, width), dtype=np.float32)
-    out[0:3] = np.moveaxis(m, -1, 0)
-    out[3:6] = np.moveaxis(d_world, -1, 0)
+    _fill_map(out, (intr.fx, intr.fy, intr.cx, intr.cy), *_c2w(pose.extrinsics), off)
     return out
 
 
-def plucker_sequence(traj: Trajectory, pixel_origin: str = "center",
-                     workers: int = 1) -> np.ndarray:
+def plucker_sequence(traj: Trajectory, pixel_origin: str = "center") -> np.ndarray:
     """Stack per-frame maps into an (n, 6, h, w) float32 tensor.
 
-    Frames are independent, so ``workers > 1`` computes them in a thread
-    pool; results are written by frame index and identical regardless of
-    schedule.
+    Frames are computed one at a time, so float64 temporaries stay at one
+    frame's size; frame i equals ``plucker_map`` of pose i bit for bit.
     """
-    _pixel_offset(pixel_origin)  # validate before any work
-    n = len(traj)
-    out = np.empty((n, 6, traj.height, traj.width), dtype=np.float32)
-    if workers > 1:
-        def fill(i):
-            out[i] = plucker_map(traj.poses[i], traj.width, traj.height, pixel_origin)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, range(n)))
-    else:
-        for i, pose in enumerate(traj.poses):
-            out[i] = plucker_map(pose, traj.width, traj.height, pixel_origin)
+    off = _pixel_offset(pixel_origin)  # validate before any work
+    r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention,
+                              Convention.CAMERA_TO_WORLD)
+    out = np.empty((len(traj), 6, traj.height, traj.width), dtype=np.float32)
+    for i in range(len(traj)):
+        _fill_map(out[i], traj.intrinsics[i], r[i], c[i], off)
     return out
 
 

@@ -14,6 +14,7 @@ Parsing is strict and every failure carries a 1-based line number or a
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,12 +33,11 @@ from .errors import (
     SchemaError,
 )
 from .geometry import (
-    CameraPose,
+    INTRINSICS_FIELDS,
     Convention,
-    Extrinsics,
     Intrinsics,
     Trajectory,
-    check_rotation,
+    first_bad_frame,
 )
 from .synth import MotionDirective, MotionKind, SynthesisPlan
 
@@ -56,9 +56,6 @@ class PoseRecord:
     cy_n: float
     w2c: np.ndarray  # (3, 4), read-only
 
-    def w2c_extrinsics(self) -> Extrinsics:
-        return Extrinsics(self.w2c[:, :3], self.w2c[:, 3], Convention.WORLD_TO_CAMERA)
-
 
 @dataclass(frozen=True)
 class PoseFile:
@@ -66,7 +63,9 @@ class PoseFile:
     records: tuple[PoseRecord, ...]
 
 
-def _parse_record(line_no: int, fields: list[str]) -> PoseRecord:
+def _parse_record(line_no: int, fields: list[str]) -> tuple[int, list[float]]:
+    """Timestamp and the 18 numeric fields of one data line; every check
+    but the rotation one, which runs over all lines at once."""
     if len(fields) != POSE_FIELDS:
         raise FieldCountError(line_no, len(fields))
     try:
@@ -79,7 +78,7 @@ def _parse_record(line_no: int, fields: list[str]) -> PoseRecord:
             v = float(text)
         except ValueError:
             raise NumericError(line_no, col, text) from None
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise NumericError(line_no, col, text)
         values.append(v)
     fx_n, fy_n, cx_n, cy_n, k1, k2 = values[:6]
@@ -90,10 +89,18 @@ def _parse_record(line_no: int, fields: list[str]) -> PoseRecord:
     if not (0.0 <= cx_n <= 1.0 and 0.0 <= cy_n <= 1.0):
         raise IntrinsicsInvalid(
             f"normalized principal point must lie in [0,1], got {cx_n} {cy_n}", line_no)
-    w2c = np.array(values[6:], dtype=np.float64).reshape(3, 4)
-    check_rotation(w2c[:, :3], line=line_no)
+    return timestamp, values
+
+
+def _checked_w2c(parsed: list[tuple[int, int, list[float]]]) -> np.ndarray:
+    """Read-only (n, 3, 4) world-to-camera matrices of the parsed (line,
+    timestamp, fields) rows; RotationInvalid names the first bad line."""
+    w2c = np.array([v[6:] for _, _, v in parsed], dtype=np.float64).reshape(-1, 3, 4)
+    bad = first_bad_frame(w2c[:, :, :3], w2c[:, :, 3], np.empty((0, 4)))
+    if bad is not None:
+        raise RotationInvalid(str(bad[2]), parsed[bad[0]][0])
     w2c.setflags(write=False)
-    return PoseRecord(timestamp, fx_n, fy_n, cx_n, cy_n, w2c)
+    return w2c
 
 
 def parse_pose_file(data: bytes | str) -> PoseFile:
@@ -113,17 +120,18 @@ def parse_pose_file(data: bytes | str) -> PoseFile:
     if not lines or lines[0].strip() == "" and len(lines) == 1:
         raise ValueError("empty pose file: missing URL line")
     url = lines[0].strip()
-    records: list[PoseRecord] = []
-    prev_ts: int | None = None
-    for line_no, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        rec = _parse_record(line_no, raw.split())
-        if prev_ts is not None and rec.timestamp <= prev_ts:
-            raise NonMonotonicTimestamp(line_no, rec.timestamp, prev_ts)
-        prev_ts = rec.timestamp
-        records.append(rec)
-    return PoseFile(url, tuple(records))
+    parsed: list[tuple[int, int, list[float]]] = []
+    try:
+        for line_no, raw in enumerate(lines[1:], start=2):
+            if not raw.strip():
+                continue
+            timestamp, values = _parse_record(line_no, raw.split())
+            parsed.append((line_no, timestamp, values))
+            if len(parsed) > 1 and timestamp <= parsed[-2][1]:
+                raise NonMonotonicTimestamp(line_no, timestamp, parsed[-2][1])
+    finally:  # also after a parse error: a bad rotation on an earlier line comes first
+        w2c = _checked_w2c(parsed)
+    return PoseFile(url, tuple(PoseRecord(ts, *v[:4], m) for (_, ts, v), m in zip(parsed, w2c)))
 
 
 def serialize_pose_file(pf: PoseFile) -> str:
@@ -152,24 +160,21 @@ def to_trajectory(pf: PoseFile, width: int, height: int,
     indices = list(frame_indices)
     if not indices:
         raise IndexOutOfRange("frame selection is empty")
-    poses = []
-    for i in indices:
-        if not 0 <= i < len(pf.records):
-            raise IndexOutOfRange(
-                f"index {i} out of range for {len(pf.records)} records")
-        r = pf.records[i]
-        intr = Intrinsics(fx=r.fx_n * width, fy=r.fy_n * height,
-                          cx=r.cx_n * width, cy=r.cy_n * height)
-        poses.append(CameraPose(intr, r.w2c_extrinsics()))
-    return Trajectory(tuple(poses), width, height)
+    n = len(pf.records)
+    out_of_range = [i for i in indices if not 0 <= i < n]
+    if out_of_range:
+        raise IndexOutOfRange(f"index {out_of_range[0]} out of range for {n} records")
+    records = [pf.records[i] for i in indices]
+    w2c = np.array([r.w2c for r in records])
+    normalized = np.array([(r.fx_n, r.fy_n, r.cx_n, r.cy_n) for r in records])
+    return Trajectory.from_arrays(w2c[:, :, :3], w2c[:, :, 3],
+                                  normalized * [width, height, width, height],
+                                  Convention.WORLD_TO_CAMERA, width, height)
 
 
 # --- trajectory JSON --------------------------------------------------------
 
-_CONVENTION_NAMES = {
-    "w2c": Convention.WORLD_TO_CAMERA,
-    "c2w": Convention.CAMERA_TO_WORLD,
-}
+_CONVENTION_NAMES = {c.value: c for c in Convention}
 
 
 def trajectory_to_json(traj: Trajectory) -> str:
@@ -179,13 +184,10 @@ def trajectory_to_json(traj: Trajectory) -> str:
         "width": traj.width,
         "height": traj.height,
         "poses": [
-            {
-                "fx": p.intrinsics.fx, "fy": p.intrinsics.fy,
-                "cx": p.intrinsics.cx, "cy": p.intrinsics.cy,
-                "R": [float(v) for v in p.extrinsics.rotation.reshape(-1)],
-                "t": [float(v) for v in p.extrinsics.translation],
-            }
-            for p in traj.poses
+            {**dict(zip(INTRINSICS_FIELDS, k)), "R": r, "t": t}
+            for k, r, t in zip(traj.intrinsics.tolist(),
+                               traj.rotations.reshape(-1, 9).tolist(),
+                               traj.translations.tolist())
         ],
     }
     return json.dumps(doc, indent=2) + "\n"
@@ -217,6 +219,26 @@ def _as_vector(v, n: int, path: str) -> list[float]:
     return [_as_number(x, f"{path}/{i}") for i, x in enumerate(v)]
 
 
+def _intrinsics_fields(obj, path: str) -> list[float]:
+    """fx, fy, cx, cy of the object at ``path``; values are checked by the
+    caller (a plan's one set, or every pose's at once)."""
+    if not isinstance(obj, dict):
+        raise SchemaError(path, "expected an object")
+    return [_as_number(_require(obj, k, path), f"{path}/{k}") for k in INTRINSICS_FIELDS]
+
+
+def _check_pose_values(intrinsics: list[list[float]], extrinsics: list[list[float]]) -> None:
+    """Raise SchemaError at /poses/{i} (intrinsics) or /poses/{i}/R (R or t
+    values) for the first invalid pose read so far. ``extrinsics`` holds R
+    then t, 12 numbers a pose, and may lag ``intrinsics`` by one pose."""
+    e = np.array(extrinsics, dtype=np.float64).reshape(-1, 12)
+    bad = first_bad_frame(e[:, :9].reshape(-1, 3, 3), e[:, 9:],
+                          np.array(intrinsics, dtype=np.float64).reshape(-1, 4))
+    if bad is not None:
+        i, part, err = bad
+        raise SchemaError(f"/poses/{i}" + ("/R" if part == "extrinsics" else ""), str(err))
+
+
 def trajectory_from_json(text: str) -> Trajectory:
     """Parse the canonical trajectory JSON form.
 
@@ -231,7 +253,7 @@ def trajectory_from_json(text: str) -> Trajectory:
     if not isinstance(doc, dict):
         raise SchemaError("/", "top level must be an object")
     conv_name = _require(doc, "convention", "")
-    if conv_name not in _CONVENTION_NAMES:
+    if not isinstance(conv_name, str) or conv_name not in _CONVENTION_NAMES:
         raise SchemaError("/convention", f"must be one of {sorted(_CONVENTION_NAMES)}")
     conv = _CONVENTION_NAMES[conv_name]
     width = _as_int(_require(doc, "width", ""), "/width", minimum=1)
@@ -239,74 +261,52 @@ def trajectory_from_json(text: str) -> Trajectory:
     raw_poses = _require(doc, "poses", "")
     if not isinstance(raw_poses, list) or not raw_poses:
         raise SchemaError("/poses", "expected a non-empty list")
-    poses = []
-    for i, rp in enumerate(raw_poses):
-        path = f"/poses/{i}"
-        if not isinstance(rp, dict):
-            raise SchemaError(path, "expected an object")
-        try:
-            intr = Intrinsics(
-                fx=_as_number(_require(rp, "fx", path), f"{path}/fx"),
-                fy=_as_number(_require(rp, "fy", path), f"{path}/fy"),
-                cx=_as_number(_require(rp, "cx", path), f"{path}/cx"),
-                cy=_as_number(_require(rp, "cy", path), f"{path}/cy"),
-            )
-        except ValueError as e:
-            raise SchemaError(path, str(e)) from None
-        r = np.array(_as_vector(_require(rp, "R", path), 9, f"{path}/R")).reshape(3, 3)
-        t = np.array(_as_vector(_require(rp, "t", path), 3, f"{path}/t"))
-        try:
-            ext = Extrinsics(r, t, conv)
-        except (RotationInvalid, ValueError) as e:
-            raise SchemaError(f"{path}/R", str(e)) from None
-        poses.append(CameraPose(intr, ext))
-    return Trajectory(tuple(poses), width, height)
+    intrinsics: list[list[float]] = []
+    extrinsics: list[list[float]] = []
+    try:
+        for i, rp in enumerate(raw_poses):
+            path = f"/poses/{i}"
+            intrinsics.append(_intrinsics_fields(rp, path))
+            extrinsics.append(_as_vector(_require(rp, "R", path), 9, f"{path}/R")
+                              + _as_vector(_require(rp, "t", path), 3, f"{path}/t"))
+    finally:  # also after a schema error: an earlier bad value comes first
+        _check_pose_values(intrinsics, extrinsics)
+    e = np.array(extrinsics)
+    return Trajectory.from_arrays(e[:, :9].reshape(-1, 3, 3), e[:, 9:], intrinsics,
+                                  conv, width, height)
 
 
 # --- synthesis plan JSON ----------------------------------------------------
 
-_MOTION_KINDS = {
-    "pan": MotionKind.PAN,
-    "zoom": MotionKind.ZOOM,
-    "rotate": MotionKind.ROTATE,
-    "principal_shift": MotionKind.PRINCIPAL_SHIFT,
-    "focal_zoom": MotionKind.FOCAL_ZOOM,
+_MOTION_KINDS = {k.value: k for k in MotionKind}
+
+# Plan keys of each motion kind, in parse order: (JSON key, MotionDirective
+# field, vector length or None for a single number).
+_MOTION_FIELDS = {
+    MotionKind.PAN: (("direction", "direction", 3), ("interval", "interval", None)),
+    MotionKind.ZOOM: (("interval", "interval", None),),
+    MotionKind.ROTATE: (("axis", "direction", 3), ("degrees", "interval", None)),
+    MotionKind.PRINCIPAL_SHIFT: (("per_frame", "shift", 2),),
+    MotionKind.FOCAL_ZOOM: (("scale", "interval", None),),
 }
 
 
 def _parse_motion(rm, path: str, frames: int) -> MotionDirective:
-    try:
-        return _parse_motion_inner(rm, path, frames)
-    except (NonUnitDirection, NonUnitAxis, NonPositiveScale, ValueError) as e:
-        raise SchemaError(path, str(e)) from None
-
-
-def _parse_motion_inner(rm, path: str, frames: int) -> MotionDirective:
     if not isinstance(rm, dict):
         raise SchemaError(path, "expected an object")
     kind_name = _require(rm, "kind", path)
-    if kind_name not in _MOTION_KINDS:
+    if not isinstance(kind_name, str) or kind_name not in _MOTION_KINDS:
         raise SchemaError(f"{path}/kind", f"must be one of {sorted(_MOTION_KINDS)}")
     kind = _MOTION_KINDS[kind_name]
-    if kind is MotionKind.PAN:
-        direction = _as_vector(_require(rm, "direction", path), 3, f"{path}/direction")
-        interval = _as_number(_require(rm, "interval", path), f"{path}/interval")
-        return MotionDirective(kind=kind, frames=frames,
-                               direction=tuple(direction), interval=interval)
-    if kind is MotionKind.ZOOM:
-        interval = _as_number(_require(rm, "interval", path), f"{path}/interval")
-        return MotionDirective(kind=kind, frames=frames, interval=interval)
-    if kind is MotionKind.ROTATE:
-        axis = _as_vector(_require(rm, "axis", path), 3, f"{path}/axis")
-        degrees = _as_number(_require(rm, "degrees", path), f"{path}/degrees")
-        return MotionDirective(kind=kind, frames=frames,
-                               direction=tuple(axis), interval=degrees)
-    if kind is MotionKind.PRINCIPAL_SHIFT:
-        per_frame = _as_vector(_require(rm, "per_frame", path), 2, f"{path}/per_frame")
-        return MotionDirective(kind=kind, frames=frames, shift=tuple(per_frame))
-    # FOCAL_ZOOM
-    scale = _as_number(_require(rm, "scale", path), f"{path}/scale")
-    return MotionDirective(kind=kind, frames=frames, interval=scale)
+    fields = {}
+    for key, name, n in _MOTION_FIELDS[kind]:
+        v = _require(rm, key, path)
+        fields[name] = (_as_number(v, f"{path}/{key}") if n is None
+                        else tuple(_as_vector(v, n, f"{path}/{key}")))
+    try:
+        return MotionDirective(kind=kind, frames=frames, **fields)
+    except (NonUnitDirection, NonUnitAxis, NonPositiveScale, ValueError) as e:
+        raise SchemaError(path, str(e)) from None
 
 
 def parse_trajectory_spec(text: str) -> SynthesisPlan:
@@ -327,16 +327,9 @@ def parse_trajectory_spec(text: str) -> SynthesisPlan:
     frames = _as_int(_require(doc, "frames", ""), "/frames", minimum=1)
     width = _as_int(_require(doc, "width", ""), "/width", minimum=1)
     height = _as_int(_require(doc, "height", ""), "/height", minimum=1)
-    raw_intr = _require(doc, "intrinsics", "")
-    if not isinstance(raw_intr, dict):
-        raise SchemaError("/intrinsics", "expected an object")
+    fields = _intrinsics_fields(_require(doc, "intrinsics", ""), "/intrinsics")
     try:
-        intr = Intrinsics(
-            fx=_as_number(_require(raw_intr, "fx", "/intrinsics"), "/intrinsics/fx"),
-            fy=_as_number(_require(raw_intr, "fy", "/intrinsics"), "/intrinsics/fy"),
-            cx=_as_number(_require(raw_intr, "cx", "/intrinsics"), "/intrinsics/cx"),
-            cy=_as_number(_require(raw_intr, "cy", "/intrinsics"), "/intrinsics/cy"),
-        )
+        intr = Intrinsics(*fields)
     except ValueError as e:
         raise SchemaError("/intrinsics", str(e)) from None
     if "motion" in doc and "motions" in doc:

@@ -11,23 +11,18 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import reduce
 
 import numpy as np
 
 from .errors import EmptyDirectives, NonPositiveScale, NonUnitAxis, NonUnitDirection
 from .geometry import (
-    CameraPose,
     Convention,
-    Extrinsics,
     Intrinsics,
     Trajectory,
-    compose,
-    invert_extrinsics,
+    convert_extrinsics,
     rotation_about_axis,
+    unit_vector,
 )
-
-UNIT_TOL = 1e-9
 
 
 class MotionKind(Enum):
@@ -36,16 +31,6 @@ class MotionKind(Enum):
     ROTATE = "rotate"
     PRINCIPAL_SHIFT = "principal_shift"
     FOCAL_ZOOM = "focal_zoom"
-
-
-def _check_unit(vec, exc: type[Exception]) -> np.ndarray:
-    v = np.asarray(vec, dtype=np.float64)
-    if v.shape != (3,):
-        raise exc(f"expected a 3-vector, got shape {v.shape}")
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > UNIT_TOL:
-        raise exc(f"norm {n:.12f} deviates from 1 by more than {UNIT_TOL}")
-    return v
 
 
 @dataclass(frozen=True)
@@ -72,14 +57,14 @@ class MotionDirective:
         if self.kind is MotionKind.PAN:
             if self.direction is None or self.interval is None:
                 raise ValueError("pan needs direction and interval")
-            _check_unit(self.direction, NonUnitDirection)
+            unit_vector(self.direction, NonUnitDirection)
         elif self.kind is MotionKind.ZOOM:
             if self.interval is None:
                 raise ValueError("zoom needs interval")
         elif self.kind is MotionKind.ROTATE:
             if self.direction is None or self.interval is None:
                 raise ValueError("rotate needs axis and degrees")
-            _check_unit(self.direction, NonUnitAxis)
+            unit_vector(self.direction, NonUnitAxis)
         elif self.kind is MotionKind.PRINCIPAL_SHIFT:
             if self.shift is None or len(self.shift) != 2:
                 raise ValueError("principal_shift needs a (dx, dy) pair")
@@ -112,12 +97,8 @@ def synth_pan(direction, interval: float, n: int,
     Raises:
         NonUnitDirection: if ``direction`` is not unit length within 1e-9.
     """
-    d = _check_unit(direction, NonUnitDirection)
-    poses = []
-    for i in range(n):
-        ext = Extrinsics(np.eye(3), i * interval * d, Convention.CAMERA_TO_WORLD)
-        poses.append(CameraPose(intrinsics, ext))
-    return Trajectory(tuple(poses), width, height)
+    d = MotionDirective(MotionKind.PAN, n, direction=direction, interval=interval)
+    return compose_motions((d,), n, intrinsics, width, height)
 
 
 def synth_rotation(axis, total_degrees: float, n: int,
@@ -132,19 +113,8 @@ def synth_rotation(axis, total_degrees: float, n: int,
         NonUnitAxis: if ``axis`` is not unit length within 1e-9.
         ValueError: if n == 1 with a nonzero total (no increment exists).
     """
-    a = _check_unit(axis, NonUnitAxis)
-    if n == 1:
-        if total_degrees != 0.0:
-            raise ValueError("single-frame trajectory cannot spread a nonzero angle")
-        step = 0.0
-    else:
-        step = math.radians(total_degrees) / (n - 1)
-    poses = []
-    for i in range(n):
-        r = rotation_about_axis(a, i * step)
-        ext = Extrinsics(r, np.zeros(3), Convention.CAMERA_TO_WORLD)
-        poses.append(CameraPose(intrinsics, ext))
-    return Trajectory(tuple(poses), width, height)
+    d = MotionDirective(MotionKind.ROTATE, n, direction=axis, interval=total_degrees)
+    return compose_motions((d,), n, intrinsics, width, height)
 
 
 def synth_intrinsic_motion(kind: MotionKind, param, n: int,
@@ -159,52 +129,29 @@ def synth_intrinsic_motion(kind: MotionKind, param, n: int,
         NonPositiveScale: for a FOCAL_ZOOM factor <= 0.
         ValueError: for any other kind.
     """
-    ident = Extrinsics.identity(Convention.CAMERA_TO_WORLD)
-    poses = []
     if kind is MotionKind.PRINCIPAL_SHIFT:
-        dx, dy = param
-        for i in range(n):
-            intr = Intrinsics(intrinsics.fx, intrinsics.fy,
-                              intrinsics.cx + i * dx, intrinsics.cy + i * dy)
-            poses.append(CameraPose(intr, ident))
+        d = MotionDirective(kind, n, shift=tuple(param))
     elif kind is MotionKind.FOCAL_ZOOM:
-        s = float(param)
-        if not (s > 0 and math.isfinite(s)):
-            raise NonPositiveScale(f"focal factor must be positive, got {s}")
-        for i in range(n):
-            f = s ** i
-            intr = Intrinsics(intrinsics.fx * f, intrinsics.fy * f,
-                              intrinsics.cx, intrinsics.cy)
-            poses.append(CameraPose(intr, ident))
+        d = MotionDirective(kind, n, interval=float(param))
     else:
         raise ValueError(f"not an intrinsic motion kind: {kind}")
-    return Trajectory(tuple(poses), width, height)
+    return compose_motions((d,), n, intrinsics, width, height)
 
 
-def _directive_extrinsics(d: MotionDirective, i: int) -> Extrinsics:
-    """Frame-i extrinsic contribution of one directive (camera-to-world)."""
+def _directive_extrinsics(d: MotionDirective, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Camera-to-world (n, 3, 3) rotations and (n, 3) translations that one
+    directive contributes at frames 0..n-1."""
+    i = np.arange(n, dtype=np.float64)
+    r = np.tile(np.eye(3), (n, 1, 1))
+    t = np.zeros((n, 3))
     if d.kind is MotionKind.PAN:
-        vec = np.asarray(d.direction, dtype=np.float64)
-        return Extrinsics(np.eye(3), i * d.interval * vec, Convention.CAMERA_TO_WORLD)
-    if d.kind is MotionKind.ZOOM:
-        return Extrinsics(np.eye(3), np.array([0.0, 0.0, i * d.interval]),
-                          Convention.CAMERA_TO_WORLD)
-    if d.kind is MotionKind.ROTATE:
+        t = (i * d.interval)[:, None] * np.asarray(d.direction, dtype=np.float64)
+    elif d.kind is MotionKind.ZOOM:
+        t[:, 2] = i * d.interval
+    elif d.kind is MotionKind.ROTATE:
         step = 0.0 if d.frames == 1 else math.radians(d.interval) / (d.frames - 1)
-        r = rotation_about_axis(np.asarray(d.direction, dtype=np.float64), i * step)
-        return Extrinsics(r, np.zeros(3), Convention.CAMERA_TO_WORLD)
-    return Extrinsics.identity(Convention.CAMERA_TO_WORLD)
-
-
-def _directive_intrinsics(d: MotionDirective, i: int, intr: Intrinsics) -> Intrinsics:
-    """Apply one directive's frame-i intrinsic action to intr."""
-    if d.kind is MotionKind.PRINCIPAL_SHIFT:
-        dx, dy = d.shift
-        return Intrinsics(intr.fx, intr.fy, intr.cx + i * dx, intr.cy + i * dy)
-    if d.kind is MotionKind.FOCAL_ZOOM:
-        f = d.interval ** i
-        return Intrinsics(intr.fx * f, intr.fy * f, intr.cx, intr.cy)
-    return intr
+        r = rotation_about_axis(d.direction, i * step)
+    return r, t
 
 
 def compose_motions(directives, n: int, intrinsics: Intrinsics,
@@ -213,8 +160,8 @@ def compose_motions(directives, n: int, intrinsics: Intrinsics,
 
     Frame i's extrinsic is the matrix product of each directive's frame-i
     transform taken in list order (left-associative); intrinsic directives
-    apply their shifts and factors in the same order. A single-directive
-    list reproduces the corresponding primitive exactly.
+    apply their shifts and factors in the same order. The single-directive
+    primitives above are calls to this function.
 
     Raises:
         EmptyDirectives: on an empty list.
@@ -229,14 +176,19 @@ def compose_motions(directives, n: int, intrinsics: Intrinsics,
     if n == 1 and any(d.kind is MotionKind.ROTATE and d.interval != 0.0
                       for d in directives):
         raise ValueError("single-frame trajectory cannot spread a nonzero angle")
-    poses = []
-    for i in range(n):
-        ext = reduce(compose, [_directive_extrinsics(d, i) for d in directives])
-        intr = intrinsics
-        for d in directives:
-            intr = _directive_intrinsics(d, i, intr)
-        poses.append(CameraPose(intr, ext))
-    return Trajectory(tuple(poses), width, height)
+    r, t = _directive_extrinsics(directives[0], n)
+    for d in directives[1:]:
+        dr, dt = _directive_extrinsics(d, n)
+        r, t = r @ dr, (r @ dt[..., None])[..., 0] + t
+    i = np.arange(n, dtype=np.float64)
+    k = np.tile(np.array([intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy],
+                         dtype=np.float64), (n, 1))
+    for d in directives:
+        if d.kind is MotionKind.PRINCIPAL_SHIFT:
+            k[:, 2:] += i[:, None] * np.asarray(d.shift, dtype=np.float64)
+        elif d.kind is MotionKind.FOCAL_ZOOM:
+            k[:, :2] *= np.array([d.interval ** j for j in range(n)], dtype=np.float64)[:, None]
+    return Trajectory.from_arrays(r, t, k, Convention.CAMERA_TO_WORLD, width, height)
 
 
 def synthesize(plan: SynthesisPlan) -> Trajectory:
@@ -254,20 +206,8 @@ def scale_intensity(traj: Trajectory, k: float) -> Trajectory:
     """
     if not math.isfinite(k):
         raise ValueError(f"scale factor must be finite, got {k}")
-    c2w0 = (traj.poses[0].extrinsics
-            if traj.convention is Convention.CAMERA_TO_WORLD
-            else invert_extrinsics(traj.poses[0].extrinsics))
-    c0 = c2w0.translation
-    poses = []
-    for p in traj.poses:
-        e = p.extrinsics
-        if traj.convention is Convention.CAMERA_TO_WORLD:
-            c = e.translation
-            new_c = c0 + k * (c - c0)
-            new_e = Extrinsics(e.rotation, new_c, e.convention)
-        else:
-            c = -e.rotation.T @ e.translation
-            new_c = c0 + k * (c - c0)
-            new_e = Extrinsics(e.rotation, -e.rotation @ new_c, e.convention)
-        poses.append(CameraPose(p.intrinsics, new_e))
-    return Trajectory(tuple(poses), traj.width, traj.height)
+    c2w = Convention.CAMERA_TO_WORLD
+    r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention, c2w)
+    r, t = convert_extrinsics(r, c[0] + k * (c - c[0]), c2w, traj.convention)
+    return Trajectory.from_arrays(r, t, traj.intrinsics, traj.convention,
+                                  traj.width, traj.height)

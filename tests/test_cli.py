@@ -143,6 +143,20 @@ class TestSynth:
         angle = float(line.split("rotation angle ")[1].split(" deg")[0])
         assert abs(angle - 100.0) < 1e-9
 
+    def test_tiny_rotation_summary_angle(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "frames": 8, "width": 64, "height": 64,
+            "motion": {"kind": "rotate", "axis": [0, 1, 0], "degrees": 1e-5},
+            "intrinsics": {"fx": 32, "fy": 32, "cx": 32, "cy": 32},
+        }))
+        code, stdout, _ = run(capsys, "synth", "--spec", str(spec),
+                              "--out", str(tmp_path / "traj.json"))
+        assert code == 0
+        line = next(l for l in stdout.splitlines() if "rotation angle" in l)
+        angle = float(line.split("rotation angle ")[1].split(" deg")[0])
+        assert abs(angle - 1e-5) < 1e-9
+
     def test_invalid_spec_reports_path(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         bad = dict(PAN_SPEC)
@@ -336,6 +350,19 @@ class TestEncode:
                               *ENCODE_FLAGS)
         assert code == 2
         assert "empty" in stderr
+
+    def test_huge_declared_shape_rejected(self, tmp_path, capsys):
+        # a 70-byte file whose header declares 16 TB of payload
+        text = b"{'descr': '<f4', 'fortran_order': False, 'shape': (4000000000000,), }\n"
+        src = tmp_path / "p.npy"
+        src.write_bytes(b"\x93NUMPY\x01\x00" + len(text).to_bytes(2, "little") + text)
+        out_dir = tmp_path / "f"
+        code, stdout, stderr = run(capsys, "encode", "--plucker", str(src),
+                                   "--seed", "0", "--out-dir", str(out_dir), *ENCODE_FLAGS)
+        assert code == 2
+        assert "payload truncated" in stderr
+        assert "Traceback" not in stdout + stderr
+        assert not out_dir.exists()
 
     def test_failed_write_keeps_previous_set(self, tmp_path, capsys, monkeypatch):
         rng = np.random.default_rng(2)

@@ -213,3 +213,54 @@ class TestReadErrors:
             loads(good[:10 + hlen])
         assert exc.value.expected == 16
         assert exc.value.actual == 0
+
+
+def preamble(shape):
+    """An unpadded NPY v1.0 preamble declaring a float32 array of ``shape``."""
+    text = f"{{'descr': '<f4', 'fortran_order': False, 'shape': {shape!r}, }}\n".encode()
+    return b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text
+
+
+class Unseekable(io.RawIOBase):
+    """A pipe-like byte source: readable, not seekable."""
+
+    def __init__(self, data):
+        self._src = io.BytesIO(data)
+
+    def readable(self):
+        return True
+
+    def readinto(self, b):
+        return self._src.readinto(b)
+
+
+class TestHostileHeader:
+    HUGE = (4_000_000_000_000,)
+
+    def test_huge_declared_shape_is_truncated_payload(self):
+        with pytest.raises(TruncatedPayload) as exc:
+            loads(preamble(self.HUGE) + b"\0" * 8)
+        assert exc.value.expected == 16_000_000_000_000
+        assert exc.value.actual == 8
+
+    def test_huge_declared_shape_from_file(self, tmp_path):
+        path = tmp_path / "hostile.npy"
+        path.write_bytes(preamble(self.HUGE))
+        with pytest.raises(TruncatedPayload):
+            read_npy_file(path)
+
+    def test_unseekable_source(self):
+        arr = np.arange(6, dtype=np.float32).reshape(2, 3)
+        data = dumps(arr)
+        back = read_npy(io.BufferedReader(Unseekable(data)))
+        assert back.tobytes() == arr.tobytes() and back.shape == (2, 3)
+        with pytest.raises(TruncatedPayload) as exc:
+            read_npy(io.BufferedReader(Unseekable(data[:-4])))
+        assert (exc.value.expected, exc.value.actual) == (24, 20)
+
+    def test_reads_from_current_position(self):
+        arr = np.linspace(-1, 1, 7, dtype=np.float32)
+        buf = io.BytesIO(b"junk" + dumps(arr) + b"tail")
+        buf.seek(4)
+        assert read_npy(buf).tobytes() == arr.tobytes()
+        assert buf.read() == b"tail"

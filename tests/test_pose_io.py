@@ -194,6 +194,44 @@ class TestToTrajectory:
             to_trajectory(pf, 10, 10, [-1])
 
 
+class TestErrorPosition:
+    """The rotation check runs over all lines at once; the error reported
+    must still be the one on the earliest line."""
+
+    BAD_ROTATION = "1.1 0 0 0 1 0 0 0 1"
+
+    def lines(self, bad_rotation_line, short_line):
+        out = ["url"]
+        for line_no in range(2, 9):
+            rot = self.BAD_ROTATION if line_no == bad_rotation_line else "1 0 0 0 1 0 0 0 1"
+            r = rot.split()
+            text = (f"{line_no * 1000} 0.5 0.8 0.5 0.5 0 0 "
+                    f"{r[0]} {r[1]} {r[2]} 0 {r[3]} {r[4]} {r[5]} 0 {r[6]} {r[7]} {r[8]} 0")
+            out.append(" ".join(text.split()[:7]) if line_no == short_line else text)
+        return "\n".join(out) + "\n"
+
+    def test_bad_rotation_before_field_count_error(self):
+        with pytest.raises(RotationInvalid) as exc:
+            parse_pose_file(self.lines(bad_rotation_line=5, short_line=7))
+        assert exc.value.line == 5
+
+    def test_field_count_error_before_bad_rotation(self):
+        with pytest.raises(FieldCountError) as exc:
+            parse_pose_file(self.lines(bad_rotation_line=7, short_line=5))
+        assert exc.value.line == 5
+
+    def test_bad_rotation_alone(self):
+        with pytest.raises(RotationInvalid) as exc:
+            parse_pose_file(self.lines(bad_rotation_line=6, short_line=None))
+        assert exc.value.line == 6
+
+    def test_bad_rotation_on_a_non_monotonic_line(self):
+        text = f"url\n{IDENTITY_LINE}\n0 0.5 0.8 0.5 0.5 0 0 2 0 0 0 0 1 0 0 0 0 1 0\n"
+        with pytest.raises(RotationInvalid) as exc:
+            parse_pose_file(text)
+        assert exc.value.line == 3
+
+
 class TestTrajectoryJson:
     def test_round_trip(self):
         rng = np.random.default_rng(77)
@@ -228,6 +266,66 @@ class TestTrajectoryJson:
         with pytest.raises(SchemaError) as exc:
             trajectory_from_json(json.dumps(doc))
         assert exc.value.path == "/poses/0/R"
+
+    def test_bad_rotation_at_pose_3_reports_its_path(self):
+        good = {"fx": 10.0, "fy": 10.0, "cx": 5.0, "cy": 5.0,
+                "R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 0]}
+        poses = [good] * 6
+        poses[3] = dict(good, R=[1, 0, 0, 0, 1, 0, 0, 0, -1])  # a reflection
+        doc = {"convention": "c2w", "width": 10, "height": 10, "poses": poses}
+        with pytest.raises(SchemaError) as exc:
+            trajectory_from_json(json.dumps(doc))
+        assert exc.value.path == "/poses/3/R"
+        assert "det(R)" in exc.value.reason
+
+    @pytest.mark.parametrize("faults, path, reason", [
+        ({4: {"R": [2, 0, 0, 0, 1, 0, 0, 0, 1]}, 2: {"R": [1, 0, 0, 0, 1, 0, 0, 0, -1]}},
+         "/poses/2/R", "det(R)"),
+        ({3: {"R": [2, 0, 0, 0, 1, 0, 0, 0, 1]}, 1: {"fy": -1.0}}, "/poses/1", "focal"),
+        ({1: {"t": [0, 0, float("nan")]}, 3: {"cx": float("inf")}}, "/poses/1/R", "non-finite"),
+        ({2: {"fx": 0.0, "R": [2, 0, 0, 0, 1, 0, 0, 0, 1]}}, "/poses/2", "focal"),
+    ])
+    def test_first_bad_pose_reported(self, faults, path, reason):
+        good = {"fx": 10.0, "fy": 10.0, "cx": 5.0, "cy": 5.0,
+                "R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 0]}
+        poses = [dict(good, **faults.get(i, {})) for i in range(6)]
+        doc = {"convention": "w2c", "width": 10, "height": 10, "poses": poses}
+        with pytest.raises(SchemaError) as exc:
+            trajectory_from_json(json.dumps(doc))
+        assert exc.value.path == path
+        assert reason in exc.value.reason
+
+    def test_earliest_pose_error_wins(self):
+        # a value error at pose 1 outranks a structural error at pose 2, and
+        # a pose's bad intrinsics outrank its own missing R
+        good = {"fx": 10.0, "fy": 10.0, "cx": 5.0, "cy": 5.0,
+                "R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0, 0, 0]}
+        doc = {"convention": "w2c", "width": 10, "height": 10,
+               "poses": [good, dict(good, R=[2, 0, 0, 0, 1, 0, 0, 0, 1]), {"fx": 1.0}]}
+        with pytest.raises(SchemaError) as exc:
+            trajectory_from_json(json.dumps(doc))
+        assert exc.value.path == "/poses/1/R"
+        no_r = {k: v for k, v in good.items() if k != "R"}
+        doc["poses"] = [good, dict(no_r, fx=0.0)]
+        with pytest.raises(SchemaError) as exc:
+            trajectory_from_json(json.dumps(doc))
+        assert exc.value.path == "/poses/1"
+        assert "focal lengths must be positive" in exc.value.reason
+
+    @pytest.mark.parametrize("key", ["convention", "kind"])
+    def test_non_string_names_are_schema_errors(self, key):
+        if key == "convention":
+            with pytest.raises(SchemaError) as exc:
+                trajectory_from_json(json.dumps(
+                    {"convention": ["w2c"], "width": 1, "height": 1, "poses": []}))
+            assert exc.value.path == "/convention"
+        else:
+            plan = {"frames": 2, "width": 4, "height": 4,
+                    "intrinsics": {"fx": 1, "fy": 1, "cx": 0, "cy": 0},
+                    "motion": {"kind": {"pan": 1}}}
+            with pytest.raises(SchemaError) as exc:
+                parse_trajectory_spec(json.dumps(plan))
+            assert exc.value.path == "/motion/kind"
 
     def test_wrong_vector_length(self):
         doc = {

@@ -1,0 +1,186 @@
+"""Property tests for the array-backed Trajectory (Hypothesis)."""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from camtraj.geometry import (
+    CameraPose,
+    Convention,
+    Extrinsics,
+    Intrinsics,
+    Trajectory,
+    as_convention,
+    compose,
+    invert_extrinsics,
+    relativize,
+    rotation_about_axis,
+)
+from camtraj.metrics import BASELINE_EPS, evaluate, rot_err, trans_err
+from camtraj.pose_io import trajectory_from_json, trajectory_to_json
+from camtraj.synth import MotionDirective, MotionKind, compose_motions, scale_intensity
+from util import quat_to_matrix, random_unit
+
+W2C, C2W = Convention.WORLD_TO_CAMERA, Convention.CAMERA_TO_WORLD
+# derandomized so a tier-1 run is reproducible; raise max_examples to explore
+checked = settings(max_examples=60, deadline=None, derandomize=True)
+
+coords = st.floats(-100.0, 100.0, allow_nan=False)
+quats = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda q: sum(v * v for v in q) > 0.01)
+frames = st.tuples(
+    quats,
+    st.tuples(coords, coords, coords),
+    st.tuples(st.floats(1.0, 5000.0), st.floats(1.0, 5000.0), coords, coords),
+)
+
+
+@st.composite
+def trajectories(draw, min_frames=1):
+    rows = draw(st.lists(frames, min_size=min_frames, max_size=12))
+    q = np.array([r[0] for r in rows])
+    r = np.array([quat_to_matrix(v / np.linalg.norm(v)) for v in q])
+    return Trajectory.from_arrays(r, [row[1] for row in rows], [row[2] for row in rows],
+                                  draw(st.sampled_from(Convention)),
+                                  draw(st.integers(1, 4096)), draw(st.integers(1, 4096)))
+
+
+@checked
+@given(trajectories())
+def test_json_round_trip_is_exact(traj):
+    back = trajectory_from_json(trajectory_to_json(traj))
+    assert back.convention is traj.convention
+    assert (back.width, back.height) == (traj.width, traj.height)
+    for name in ("rotations", "translations", "intrinsics"):
+        assert getattr(back, name).tobytes() == getattr(traj, name).tobytes()
+
+
+@checked
+@given(trajectories())
+def test_relativize_idempotent_with_identity_first_frame(traj):
+    rel = relativize(traj)
+    assert rel.convention is traj.convention
+    assert np.array_equal(rel.rotations[0], np.eye(3))
+    assert np.array_equal(rel.translations[0], np.zeros(3))
+    assert np.array_equal(rel.intrinsics, traj.intrinsics)
+    again = relativize(rel)
+    # w2c re-relativizes against an exact identity; c2w round-trips through
+    # w2c, so it agrees up to roundoff on translations of magnitude ~100
+    np.testing.assert_allclose(again.rotations, rel.rotations, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(again.translations, rel.translations, rtol=0, atol=1e-10)
+    if traj.convention is Convention.WORLD_TO_CAMERA:
+        assert np.array_equal(again.rotations, rel.rotations)
+        assert np.array_equal(again.translations, rel.translations)
+
+
+@checked
+@given(trajectories(min_frames=2))
+def test_evaluate_against_itself_is_zero(traj):
+    rel = relativize(traj)
+    assume(np.linalg.norm(rel.translations[1]) > 1e3 * BASELINE_EPS)
+    report = evaluate(traj, traj)
+    assert report.rescale_factor == 1.0
+    assert report.trans_err_total == 0.0
+    assert report.trans_err_unsquared_total == 0.0
+    assert 0.0 <= report.rot_err_total < 1e-9
+    assert report.frames_compared == len(traj)
+
+
+@checked
+@given(trajectories())
+def test_pose_constructor_agrees_with_array_constructor(traj):
+    poses = tuple(CameraPose(Intrinsics(*k), Extrinsics(r, t, traj.convention))
+                  for k, r, t in zip(traj.intrinsics.tolist(), traj.rotations,
+                                     traj.translations))
+    stacked = Trajectory(poses, traj.width, traj.height)
+    assert stacked.convention is traj.convention
+    assert (stacked.width, stacked.height, len(stacked)) == (traj.width, traj.height, len(traj))
+    for name in ("rotations", "translations", "intrinsics"):
+        assert np.array_equal(getattr(stacked, name), getattr(traj, name))
+    for a, b in zip(stacked.poses, poses):
+        assert a.intrinsics == b.intrinsics
+        assert np.array_equal(a.extrinsics.rotation, b.extrinsics.rotation)
+        assert np.array_equal(a.extrinsics.translation, b.extrinsics.translation)
+
+
+# --- per-frame references -----------------------------------------------------
+# The array code keeps the arithmetic of the per-frame Extrinsics operations,
+# so it must agree with these loops bit for bit (rotation angles excepted:
+# np.arctan2 may differ from math.atan2 in the last bit).
+
+def loop_relativize(traj):
+    w2c = [as_convention(p.extrinsics, W2C) for p in traj.poses]
+    inv0 = invert_extrinsics(w2c[0])
+    base = Extrinsics(inv0.rotation, inv0.translation, W2C)
+    return [as_convention(compose(e, base), traj.convention) for e in w2c]
+
+
+@checked
+@given(trajectories())
+def test_relativize_matches_per_frame_loop(traj):
+    rel = relativize(traj)
+    for i, e in enumerate(loop_relativize(traj)[1:], start=1):
+        assert np.array_equal(rel.rotations[i], e.rotation)
+        assert np.array_equal(rel.translations[i], e.translation)
+
+
+@checked
+@given(trajectories(), trajectories())
+def test_errors_match_per_frame_loop(a, b):
+    n = min(len(a), len(b))
+    gt = Trajectory(a.poses[:n], a.width, a.height)
+    gen = Trajectory(b.poses[:n], b.width, b.height)
+    total, per = trans_err(gt, gen)
+    ref = [float(d @ d) for d in gt.translations - gen.translations]
+    assert per == ref and total == sum(ref)
+    _, per = rot_err(gt, gen)
+    for got, p, q in zip(per, gt.poses, gen.poses):
+        m = q.extrinsics.rotation @ p.extrinsics.rotation.T
+        cos = (float(np.trace(m)) - 1.0) / 2.0
+        sin = 0.5 * float(np.sqrt((m[2, 1] - m[1, 2]) ** 2 + (m[0, 2] - m[2, 0]) ** 2
+                                  + (m[1, 0] - m[0, 1]) ** 2))
+        assert abs(got - math.atan2(sin, cos)) <= 4 * np.finfo(float).eps
+
+
+@checked
+@given(st.integers(1, 9), st.integers(0, 2 ** 32 - 1),
+       st.floats(-180.0, 180.0), st.floats(-2.0, 2.0), st.floats(0.5, 2.0))
+def test_compose_motions_matches_per_frame_loop(n, seed, degrees, interval, scale):
+    rng = np.random.default_rng(seed)
+    degrees = degrees if n > 1 else 0.0
+    directives = (
+        MotionDirective(MotionKind.ROTATE, n, direction=tuple(random_unit(rng)), interval=degrees),
+        MotionDirective(MotionKind.PAN, n, direction=tuple(random_unit(rng)), interval=interval),
+        MotionDirective(MotionKind.ZOOM, n, interval=-interval),
+        MotionDirective(MotionKind.FOCAL_ZOOM, n, interval=scale),
+        MotionDirective(MotionKind.PRINCIPAL_SHIFT, n, shift=(interval, 1.5)),
+    )
+    intr = Intrinsics(300.0, 310.0, 160.0, 120.0)
+    traj = compose_motions(directives, n, intr, 320, 240)
+    step = 0.0 if n == 1 else math.radians(degrees) / (n - 1)
+    rot, pan = directives[:2]
+    for i, p in enumerate(traj.poses):
+        e = compose(compose(
+            Extrinsics(rotation_about_axis(rot.direction, i * step), np.zeros(3), C2W),
+            Extrinsics(np.eye(3), i * interval * np.asarray(pan.direction), C2W)),
+            Extrinsics(np.eye(3), np.array([0.0, 0.0, i * -interval]), C2W))
+        assert np.array_equal(p.extrinsics.rotation, e.rotation)
+        assert np.array_equal(p.extrinsics.translation, e.translation)
+        f = scale ** i
+        assert p.intrinsics == Intrinsics(300.0 * f, 310.0 * f, 160.0 + i * interval,
+                                          120.0 + i * 1.5)
+
+
+@checked
+@given(trajectories(), st.floats(-3.0, 3.0))
+def test_scale_intensity_matches_per_frame_loop(traj, k):
+    scaled = scale_intensity(traj, k)
+    c2w = [as_convention(p.extrinsics, C2W) for p in traj.poses]
+    c0 = c2w[0].translation
+    for i, (p, e) in enumerate(zip(traj.poses, c2w)):
+        new_c = c0 + k * (e.translation - c0)
+        t = new_c if traj.convention is C2W else -p.extrinsics.rotation @ new_c
+        assert np.array_equal(scaled.rotations[i], p.extrinsics.rotation)
+        assert np.array_equal(scaled.translations[i], t)
