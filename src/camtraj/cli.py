@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
@@ -98,9 +97,9 @@ def cmd_parse(args) -> int:
     with open(args.input, "rb") as f:
         pf = pose_io.parse_pose_file(f.read())
     if args.frames is not None:
-        indices = _parse_frames(args.frames, len(pf.records))
+        indices = _parse_frames(args.frames, len(pf))
     else:
-        indices = list(range(len(pf.records)))
+        indices = list(range(len(pf)))
     traj = pose_io.to_trajectory(pf, args.width, args.height, indices)
     _atomic_write_text(args.out, pose_io.trajectory_to_json(traj))
     print(f"parsed {len(traj)} frames ({traj.convention.value}) -> {args.out}")
@@ -142,7 +141,7 @@ def cmd_eval(args) -> int:
     with open(args.gen, "r", encoding="utf-8") as f:
         gen = pose_io.trajectory_from_json(f.read())
     report = metrics.evaluate(gt, gen)
-    _atomic_write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
+    _atomic_write_text(args.out, pose_io.report_to_json(report))
     print(f"rot_err {report.rot_err_total:.9f} rad "
           f"({math.degrees(report.rot_err_total):.9f} deg)")
     print(f"trans_err {report.trans_err_total:.9f} "

@@ -25,6 +25,7 @@ from .errors import BadMagic, TruncatedPayload, UnsupportedDtype, UnsupportedOrd
 MAGIC = b"\x93NUMPY"
 VERSION = b"\x01\x00"
 ALIGN = 64
+READ_CHUNK = 1 << 24  # bytes per read from a source that cannot seek
 
 
 def _header_bytes(shape: tuple[int, ...]) -> bytes:
@@ -69,7 +70,9 @@ def read_npy(source: BinaryIO) -> np.ndarray:
         UnsupportedDtype: descr other than '<f4'.
         UnsupportedOrder: fortran_order true.
         TruncatedPayload: fewer payload bytes than the shape requires;
-            checked before allocating when ``source`` is seekable.
+            checked before allocating when ``source`` is seekable, and
+            before allocating more than one chunk past the bytes received
+            when it is not.
     """
     magic = source.read(len(MAGIC))
     if magic != MAGIC:
@@ -102,17 +105,32 @@ def read_npy(source: BinaryIO) -> np.ndarray:
     for s in shape:
         count *= s
     expected = count * 4
-    if source.seekable():
-        here = source.tell()
-        left = source.seek(0, io.SEEK_END) - here
-        source.seek(here)
-        if left < expected:
-            raise TruncatedPayload(expected, left)
+    if not source.seekable():
+        return _read_unseekable(source, shape, expected)
+    here = source.tell()
+    left = source.seek(0, io.SEEK_END) - here
+    source.seek(here)
+    if left < expected:
+        raise TruncatedPayload(expected, left)
     arr = np.empty(shape, dtype="<f4")
     got = source.readinto(arr.reshape(-1).view(np.uint8))
     if got != expected:
         raise TruncatedPayload(expected, got)
     return arr
+
+
+def _read_unseekable(source: BinaryIO, shape: tuple[int, ...], expected: int) -> np.ndarray:
+    """Payload of a pipe-like source, read in chunks of at most READ_CHUNK
+    bytes, so a header that declares more than arrives allocates no more
+    than one chunk beyond the bytes received."""
+    chunks, got = [], 0
+    while got < expected:
+        chunk = source.read(min(READ_CHUNK, expected - got))
+        if not chunk:
+            raise TruncatedPayload(expected, got)
+        chunks.append(chunk)
+        got += len(chunk)
+    return np.frombuffer(bytearray().join(chunks), dtype="<f4").reshape(shape)
 
 
 def read_npy_file(path) -> np.ndarray:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +40,7 @@ from .geometry import (
     Trajectory,
     first_bad_frame,
 )
+from .metrics import AlignmentReport
 from .synth import MotionDirective, MotionKind, SynthesisPlan
 
 POSE_FIELDS = 19
@@ -57,15 +59,59 @@ class PoseRecord:
     w2c: np.ndarray  # (3, 4), read-only
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class PoseFile:
+    """A pose list: the URL line, then per data line a timestamp, its
+    normalized intrinsics (fx, fy, cx, cy) and its world-to-camera matrix.
+
+    Lines are stored as ``timestamps`` and read-only float64 arrays
+    ``normalized`` (n, 4) and ``w2c`` (n, 3, 4). ``PoseFile(url, records)``
+    stacks PoseRecord values; :meth:`from_arrays` takes the arrays. Neither
+    validates: :func:`parse_pose_file` does.
+    """
+
     url: str
-    records: tuple[PoseRecord, ...]
+    timestamps: tuple[int, ...]
+    normalized: np.ndarray
+    w2c: np.ndarray
+
+    def __init__(self, url: str, records):
+        records = tuple(records)
+        pf = PoseFile.from_arrays(url, [r.timestamp for r in records],
+                                  [(r.fx_n, r.fy_n, r.cx_n, r.cy_n) for r in records],
+                                  [r.w2c for r in records])
+        self.__dict__.update(pf.__dict__)
+
+    @classmethod
+    def from_arrays(cls, url: str, timestamps, normalized, w2c) -> "PoseFile":
+        """Build from n timestamps and (n, 4) and (n, 3, 4) arrays, which
+        are copied."""
+        k = np.array(normalized, dtype=np.float64).reshape(-1, 4)
+        m = np.array(w2c, dtype=np.float64).reshape(-1, 3, 4)
+        timestamps = tuple(timestamps)
+        if not len(timestamps) == len(k) == len(m):
+            raise ValueError(f"got {len(timestamps)} timestamps, {len(k)} intrinsics rows "
+                             f"and {len(m)} matrices")
+        k.setflags(write=False)
+        m.setflags(write=False)
+        pf = cls.__new__(cls)
+        pf.__dict__.update(url=url, timestamps=timestamps, normalized=k, w2c=m)
+        return pf
+
+    def __len__(self) -> int:
+        return len(self.timestamps)
+
+    @property
+    def records(self) -> tuple[PoseRecord, ...]:
+        """Per-line PoseRecord values, built on each access."""
+        return tuple(PoseRecord(ts, *k, m) for ts, k, m in
+                     zip(self.timestamps, self.normalized.tolist(), self.w2c))
 
 
 def _parse_record(line_no: int, fields: list[str]) -> tuple[int, list[float]]:
-    """Timestamp and the 18 numeric fields of one data line; every check
-    but the rotation one, which runs over all lines at once."""
+    """Timestamp and the 18 numeric fields of one data line, checked one
+    field at a time; every check but the rotation and timestamp-order ones.
+    The parser calls it only to raise the error of a line it found bad."""
     if len(fields) != POSE_FIELDS:
         raise FieldCountError(line_no, len(fields))
     try:
@@ -92,22 +138,15 @@ def _parse_record(line_no: int, fields: list[str]) -> tuple[int, list[float]]:
     return timestamp, values
 
 
-def _checked_w2c(parsed: list[tuple[int, int, list[float]]]) -> np.ndarray:
-    """Read-only (n, 3, 4) world-to-camera matrices of the parsed (line,
-    timestamp, fields) rows; RotationInvalid names the first bad line."""
-    w2c = np.array([v[6:] for _, _, v in parsed], dtype=np.float64).reshape(-1, 3, 4)
-    bad = first_bad_frame(w2c[:, :, :3], w2c[:, :, 3], np.empty((0, 4)))
-    if bad is not None:
-        raise RotationInvalid(str(bad[2]), parsed[bad[0]][0])
-    w2c.setflags(write=False)
-    return w2c
-
-
 def parse_pose_file(data: bytes | str) -> PoseFile:
     """Parse the pose-list text format.
 
     Line 1 is an opaque URL. Each following non-empty line must hold exactly
     19 whitespace-separated fields; timestamps must strictly increase.
+
+    Lines are converted one call each, then checked all at once. The first
+    bad line is reported; on one line the checks run in the order of
+    :func:`_parse_record`, then the rotation, then the timestamp order.
 
     Raises:
         FieldCountError, NumericError, NonZeroDistortion, IntrinsicsInvalid,
@@ -119,19 +158,51 @@ def parse_pose_file(data: bytes | str) -> PoseFile:
     lines = text.split("\n")
     if not lines or lines[0].strip() == "" and len(lines) == 1:
         raise ValueError("empty pose file: missing URL line")
-    url = lines[0].strip()
-    parsed: list[tuple[int, int, list[float]]] = []
-    try:
-        for line_no, raw in enumerate(lines[1:], start=2):
-            if not raw.strip():
-                continue
-            timestamp, values = _parse_record(line_no, raw.split())
-            parsed.append((line_no, timestamp, values))
-            if len(parsed) > 1 and timestamp <= parsed[-2][1]:
-                raise NonMonotonicTimestamp(line_no, timestamp, parsed[-2][1])
-    finally:  # also after a parse error: a bad rotation on an earlier line comes first
-        w2c = _checked_w2c(parsed)
-    return PoseFile(url, tuple(PoseRecord(ts, *v[:4], m) for (_, ts, v), m in zip(parsed, w2c)))
+    line_nos: list[int] = []
+    stamps: list[int] = []
+    values: list[float] = []
+    stop = None  # line number of the first line that does not convert
+    for line_no, raw in enumerate(lines[1:], start=2):
+        fields = raw.split()
+        if not fields:
+            continue
+        try:  # a wrong field count or a field that does not convert stops here
+            if len(fields) != POSE_FIELDS:
+                raise ValueError
+            stamp, row = int(fields[0]), list(map(float, fields[1:]))
+        except ValueError:
+            stop = line_no
+            break
+        line_nos.append(line_no)
+        stamps.append(stamp)
+        values += row
+    v = np.array(values, dtype=np.float64).reshape(-1, POSE_FIELDS - 1)
+    k, w2c = v[:, :4], v[:, 6:].reshape(-1, 3, 4)
+    # (row, rank) of each check's first failure; rank orders checks on one row
+    faults = [(len(v), 0)] if stop is not None else []
+    bad_values = (~np.isfinite(v).all(axis=1) | (v[:, 4:6] != 0.0).any(axis=1)
+                  | (k[:, :2] <= 0).any(axis=1) | ~((k[:, 2:] >= 0.0) & (k[:, 2:] <= 1.0)).all(axis=1))
+    if bad_values.any():
+        faults.append((int(np.argmax(bad_values)), 0))
+    bad_rotation = first_bad_frame(w2c[:, :, :3], w2c[:, :, 3], np.empty((0, 4)))
+    if bad_rotation is not None:
+        faults.append((bad_rotation[0], 1))
+    not_increasing = list(map(operator.le, stamps[1:], stamps[:-1]))
+    if True in not_increasing:
+        faults.append((not_increasing.index(True) + 1, 2))
+    if faults:
+        i, rank = min(faults)
+        line_no = stop if i == len(v) else line_nos[i]
+        if rank == 0:
+            _parse_record(line_no, lines[line_no - 1].split())  # raises that line's error
+        elif rank == 1:
+            raise RotationInvalid(str(bad_rotation[2]), line_no)
+        else:
+            raise NonMonotonicTimestamp(line_no, stamps[i], stamps[i - 1])
+    return PoseFile.from_arrays(lines[0].strip(), stamps, k, w2c)
+
+
+_POSE_LINE = "%s" + " %.17g" * (POSE_FIELDS - 1)
 
 
 def serialize_pose_file(pf: PoseFile) -> str:
@@ -140,11 +211,10 @@ def serialize_pose_file(pf: PoseFile) -> str:
     Floats use 17 significant digits, which reparses to the same float64
     exactly; fields are single-space separated, lines newline-terminated.
     """
-    out = [pf.url]
-    for r in pf.records:
-        nums = [r.fx_n, r.fy_n, r.cx_n, r.cy_n, 0.0, 0.0, *r.w2c.reshape(-1)]
-        out.append(" ".join([str(r.timestamp)] + [f"{v:.17g}" for v in nums]))
-    return "\n".join(out) + "\n"
+    n = len(pf)
+    rows = np.concatenate([pf.normalized, np.zeros((n, 2)), pf.w2c.reshape(n, 12)], axis=1)
+    lines = [_POSE_LINE % (ts, *row) for ts, row in zip(pf.timestamps, rows.tolist())]
+    return "\n".join([pf.url, *lines]) + "\n"
 
 
 def to_trajectory(pf: PoseFile, width: int, height: int,
@@ -160,37 +230,68 @@ def to_trajectory(pf: PoseFile, width: int, height: int,
     indices = list(frame_indices)
     if not indices:
         raise IndexOutOfRange("frame selection is empty")
-    n = len(pf.records)
+    n = len(pf)
     out_of_range = [i for i in indices if not 0 <= i < n]
     if out_of_range:
         raise IndexOutOfRange(f"index {out_of_range[0]} out of range for {n} records")
-    records = [pf.records[i] for i in indices]
-    w2c = np.array([r.w2c for r in records])
-    normalized = np.array([(r.fx_n, r.fy_n, r.cx_n, r.cy_n) for r in records])
+    w2c = pf.w2c[indices]
     return Trajectory.from_arrays(w2c[:, :, :3], w2c[:, :, 3],
-                                  normalized * [width, height, width, height],
+                                  pf.normalized[indices] * [width, height, width, height],
                                   Convention.WORLD_TO_CAMERA, width, height)
 
 
-# --- trajectory JSON --------------------------------------------------------
+# --- JSON documents ---------------------------------------------------------
+# The trajectory and report writers give the exact text of
+# json.dumps(doc, indent=2) + "\n". That call runs the json module's
+# pure-Python encoder (its C encoder serves only indent=None), one call per
+# value; here each list item is rendered from a template made once.
 
 _CONVENTION_NAMES = {c.value: c for c in Convention}
+_NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
+_POSE_ITEM = {**dict.fromkeys(INTRINSICS_FIELDS, "%s"), "R": ["%s"] * 9, "t": ["%s"] * 3}
+
+
+def _dumps_listing(doc: dict, key: str, item: dict, values: list) -> str:
+    """``json.dumps(doc, indent=2) + "\\n"`` with ``doc[key]``, added as the
+    last key, a list of copies of ``item`` whose "%s" strings take the
+    ``values`` in order. Each value is printed by ``%s``, so it must be its
+    JSON text already or a finite Python float."""
+    template = json.dumps(item, indent=2).replace('"%s"', "%s").replace("\n", "\n    ")
+    head = json.dumps({**doc, key: []}, indent=2)  # ends in '[]\n}'
+    n = len(values) // template.count("%s")
+    listing = "[\n    " + ",\n    ".join([template] * n) % tuple(values) + "\n  ]" if n else "[]"
+    return head[:-4] + listing + "\n}\n"
+
+
+def _json_numbers(values) -> list:
+    """The JSON text of each number in ``values``: shortest repr for a float,
+    Infinity, -Infinity or NaN for a non-finite one, as the json module
+    writes them."""
+    try:
+        text = map(float.__repr__, values)
+        return [_NON_FINITE.get(s, s) for s in text]
+    except TypeError:  # not all floats
+        return list(map(json.dumps, values))
 
 
 def trajectory_to_json(traj: Trajectory) -> str:
     """Serialize a trajectory to the canonical JSON interchange form."""
-    doc = {
-        "convention": traj.convention.value,
-        "width": traj.width,
-        "height": traj.height,
-        "poses": [
-            {**dict(zip(INTRINSICS_FIELDS, k)), "R": r, "t": t}
-            for k, r, t in zip(traj.intrinsics.tolist(),
-                               traj.rotations.reshape(-1, 9).tolist(),
-                               traj.translations.tolist())
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    n = len(traj)
+    values = np.concatenate([traj.intrinsics, traj.rotations.reshape(n, 9), traj.translations],
+                            axis=1)
+    doc = {"convention": traj.convention.value, "width": traj.width, "height": traj.height}
+    return _dumps_listing(doc, "poses", _POSE_ITEM, values.ravel().tolist())
+
+
+def report_to_json(report: AlignmentReport) -> str:
+    """Render an evaluation report: the text of
+    ``json.dumps(report.to_dict(), indent=2) + "\\n"``."""
+    doc = report.to_dict()
+    n = len(doc.pop("per_frame"))
+    values = [""] * (2 * n)
+    values[0::2] = _json_numbers(report.per_frame_rot[:n])
+    values[1::2] = _json_numbers(report.per_frame_trans[:n])
+    return _dumps_listing(doc, "per_frame", {"rot": "%s", "trans": "%s"}, values)
 
 
 def _require(obj: dict, key: str, path: str):
@@ -202,7 +303,10 @@ def _require(obj: dict, key: str, path: str):
 def _as_number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise SchemaError(path, f"expected a number, got {type(v).__name__}")
-    return float(v)
+    try:
+        return float(v)
+    except OverflowError:
+        raise SchemaError(path, "integer too large for a float64") from None
 
 
 def _as_int(v, path: str, minimum: int | None = None) -> int:
@@ -227,7 +331,7 @@ def _intrinsics_fields(obj, path: str) -> list[float]:
     return [_as_number(_require(obj, k, path), f"{path}/{k}") for k in INTRINSICS_FIELDS]
 
 
-def _check_pose_values(intrinsics: list[list[float]], extrinsics: list[list[float]]) -> None:
+def _check_pose_values(intrinsics, extrinsics) -> None:
     """Raise SchemaError at /poses/{i} (intrinsics) or /poses/{i}/R (R or t
     values) for the first invalid pose read so far. ``extrinsics`` holds R
     then t, 12 numbers a pose, and may lag ``intrinsics`` by one pose."""
@@ -239,8 +343,49 @@ def _check_pose_values(intrinsics: list[list[float]], extrinsics: list[list[floa
         raise SchemaError(f"/poses/{i}" + ("/R" if part == "extrinsics" else ""), str(err))
 
 
+def _pose_values(raw_poses: list) -> np.ndarray | None:
+    """(n, 16) fx, fy, cx, cy, R, t of every pose, or None unless each pose
+    is an object with those keys, R and t lists of 9 and 3 values, and every
+    value an int or float (not bool) within float64 range."""
+    flat: list = []
+    try:
+        for rp in raw_poses:
+            r, t = rp["R"], rp["t"]
+            if type(r) is not list or type(t) is not list or len(r) != 9 or len(t) != 3:
+                return None
+            flat += (rp["fx"], rp["fy"], rp["cx"], rp["cy"], *r, *t)
+    except (KeyError, TypeError):
+        return None
+    if not set(map(type, flat)) <= {int, float}:
+        return None
+    try:
+        return np.array(flat, dtype=np.float64).reshape(-1, 16)
+    except OverflowError:
+        return None
+
+
+def _walk_pose_values(raw_poses: list) -> np.ndarray:
+    """(n, 16) pose values read one field at a time; raises SchemaError at
+    the path of the first fault, a bad value in an earlier pose before a
+    structural fault in a later one."""
+    intrinsics: list[list[float]] = []
+    extrinsics: list[list[float]] = []
+    try:
+        for i, rp in enumerate(raw_poses):
+            path = f"/poses/{i}"
+            intrinsics.append(_intrinsics_fields(rp, path))
+            extrinsics.append(_as_vector(_require(rp, "R", path), 9, f"{path}/R")
+                              + _as_vector(_require(rp, "t", path), 3, f"{path}/t"))
+    finally:  # also after a schema error: an earlier bad value comes first
+        _check_pose_values(intrinsics, extrinsics)
+    return np.concatenate([intrinsics, extrinsics], axis=1)
+
+
 def trajectory_from_json(text: str) -> Trajectory:
     """Parse the canonical trajectory JSON form.
+
+    The poses are read in one pass and validated at once; only when that
+    pass finds a fault are they walked field by field, to report its path.
 
     Raises:
         SchemaError: with a /-separated path on any structural problem,
@@ -261,19 +406,15 @@ def trajectory_from_json(text: str) -> Trajectory:
     raw_poses = _require(doc, "poses", "")
     if not isinstance(raw_poses, list) or not raw_poses:
         raise SchemaError("/poses", "expected a non-empty list")
-    intrinsics: list[list[float]] = []
-    extrinsics: list[list[float]] = []
+    values = _pose_values(raw_poses)
+    if values is None:
+        values = _walk_pose_values(raw_poses)
     try:
-        for i, rp in enumerate(raw_poses):
-            path = f"/poses/{i}"
-            intrinsics.append(_intrinsics_fields(rp, path))
-            extrinsics.append(_as_vector(_require(rp, "R", path), 9, f"{path}/R")
-                              + _as_vector(_require(rp, "t", path), 3, f"{path}/t"))
-    finally:  # also after a schema error: an earlier bad value comes first
-        _check_pose_values(intrinsics, extrinsics)
-    e = np.array(extrinsics)
-    return Trajectory.from_arrays(e[:, :9].reshape(-1, 3, 3), e[:, 9:], intrinsics,
-                                  conv, width, height)
+        return Trajectory.from_arrays(values[:, 4:13].reshape(-1, 3, 3), values[:, 13:],
+                                      values[:, :4], conv, width, height)
+    except (ValueError, RotationInvalid):
+        _check_pose_values(values[:, :4], values[:, 4:])  # raises it with its path
+        raise
 
 
 # --- synthesis plan JSON ----------------------------------------------------

@@ -73,6 +73,13 @@ class MotionDirective:
                 raise ValueError("focal_zoom needs scale")
             if not (self.interval > 0 and math.isfinite(self.interval)):
                 raise NonPositiveScale(f"focal factor must be positive, got {self.interval}")
+            try:
+                last = self.interval ** (self.frames - 1)
+            except OverflowError:
+                last = math.inf
+            if not 0.0 < last < math.inf:
+                raise NonPositiveScale(f"focal factor {self.interval} over {self.frames} frames "
+                                       f"reaches {last}, outside the positive float64 range")
 
 
 @dataclass(frozen=True)
@@ -126,7 +133,8 @@ def synth_intrinsic_motion(kind: MotionKind, param, n: int,
     i. The principal point may leave the image bounds.
 
     Raises:
-        NonPositiveScale: for a FOCAL_ZOOM factor <= 0.
+        NonPositiveScale: for a FOCAL_ZOOM factor <= 0, or one whose power
+            ``param ** (n - 1)`` overflows to infinity or underflows to 0.
         ValueError: for any other kind.
     """
     if kind is MotionKind.PRINCIPAL_SHIFT:

@@ -169,6 +169,16 @@ class TestSynth:
         assert "/motion" in stderr
         assert not out.exists()
 
+    def test_focal_zoom_overflow_exits_2(self, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**PAN_SPEC, "frames": 100,
+                                    "motion": {"kind": "focal_zoom", "scale": 1e10}}))
+        out = tmp_path / "traj.json"
+        code, _, stderr = run(capsys, "synth", "--spec", str(spec), "--out", str(out))
+        assert code == 2
+        assert stderr.startswith("error: /motion: focal factor")
+        assert not out.exists() and no_temp_litter(tmp_path)
+
     def test_missing_spec_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "synth", "--spec", str(tmp_path / "no.json"),
                          "--out", str(tmp_path / "t.json"))
@@ -279,6 +289,18 @@ class TestEval:
         assert code == 2
         assert stderr
         assert not out.exists()
+
+    def test_huge_integer_exits_2(self, tmp_path, capsys):
+        traj = synth_traj_json(tmp_path, capsys, PAN_SPEC)
+        bad = tmp_path / "bad.json"
+        bad.write_text(traj.read_text().replace('"fx": 192.0', '"fx": 1' + "0" * 400, 1))
+        out = tmp_path / "report.json"
+        for argv in (("eval", "--gt", str(traj), "--gen", str(bad), "--out", str(out)),
+                     ("embed", "--traj", str(bad), "--out", str(out))):
+            code, _, stderr = run(capsys, *argv)
+            assert code == 2
+            assert stderr.startswith("error: /poses/0/fx: ")
+            assert not out.exists()
 
     def test_missing_input(self, tmp_path, capsys):
         code, _, _ = run(capsys, "eval", "--gt", str(tmp_path / "no.json"),

@@ -2,12 +2,14 @@
 
 import io
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from camtraj.errors import BadMagic, TruncatedPayload, UnsupportedDtype, UnsupportedOrder
-from camtraj.npyio import read_npy, read_npy_file, write_npy, write_npy_file
+from camtraj import npyio
+from camtraj.npyio import READ_CHUNK, read_npy, read_npy_file, write_npy, write_npy_file
 
 
 def dumps(arr):
@@ -257,6 +259,28 @@ class TestHostileHeader:
         with pytest.raises(TruncatedPayload) as exc:
             read_npy(io.BufferedReader(Unseekable(data[:-4])))
         assert (exc.value.expected, exc.value.actual) == (24, 20)
+
+    def test_huge_declared_shape_from_pipe_allocates_little(self):
+        for tail in (b"", b"\0" * 1000):
+            tracemalloc.start()
+            try:
+                with pytest.raises(TruncatedPayload) as exc:
+                    read_npy(io.BufferedReader(Unseekable(preamble(self.HUGE) + tail)))
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert (exc.value.expected, exc.value.actual) == (16_000_000_000_000, len(tail))
+            assert peak < 2 * READ_CHUNK
+
+    def test_unseekable_source_across_chunks(self, monkeypatch):
+        monkeypatch.setattr(npyio, "READ_CHUNK", 7)
+        arr = np.linspace(-3, 3, 11, dtype=np.float32)
+        back = read_npy(io.BufferedReader(Unseekable(dumps(arr))))
+        assert back.tobytes() == arr.tobytes()
+        back[0] = 1.0  # writable, like the seekable path's result
+        with pytest.raises(TruncatedPayload) as exc:
+            read_npy(io.BufferedReader(Unseekable(dumps(arr)[:-5])))
+        assert (exc.value.expected, exc.value.actual) == (44, 39)
 
     def test_reads_from_current_position(self):
         arr = np.linspace(-1, 1, 7, dtype=np.float32)

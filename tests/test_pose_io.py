@@ -406,3 +406,41 @@ class TestTrajectorySpec:
         with pytest.raises(SchemaError) as exc:
             parse_trajectory_spec(json.dumps(doc))
         assert exc.value.path == "/motion"
+
+
+HUGE = 10 ** 400  # an integer literal no float64 can hold
+
+
+class TestHugeIntegers:
+    @pytest.mark.parametrize("field, path", [
+        (("fx",), "/poses/1/fx"), (("R", 4), "/poses/1/R/4"), (("t", 2), "/poses/1/t/2")])
+    def test_trajectory_value_path(self, field, path):
+        doc = json.loads(trajectory_to_json(random_trajectory(np.random.default_rng(5), 3)))
+        node = doc["poses"][1]
+        for key in field[:-1]:
+            node = node[key]
+        node[field[-1]] = HUGE
+        with pytest.raises(SchemaError) as exc:
+            trajectory_from_json(json.dumps(doc))
+        assert exc.value.path == path
+        assert "too large" in exc.value.reason
+
+    @pytest.mark.parametrize("edit, path", [
+        (lambda d: d["intrinsics"].update(fx=HUGE), "/intrinsics/fx"),
+        (lambda d: d["motions"][0].update(interval=HUGE), "/motions/0/interval"),
+        (lambda d: d["motions"][1]["axis"].__setitem__(2, HUGE), "/motions/1/axis/2")])
+    def test_plan_value_path(self, edit, path):
+        doc = json.loads(TestTrajectorySpec.PAN_SPEC)
+        doc["motions"] = [doc.pop("motion"), {"kind": "rotate", "axis": [0, 1, 0], "degrees": 9}]
+        edit(doc)
+        with pytest.raises(SchemaError) as exc:
+            parse_trajectory_spec(json.dumps(doc))
+        assert exc.value.path == path
+
+    def test_focal_zoom_overflow_is_schema_error(self):
+        doc = json.loads(TestTrajectorySpec.PAN_SPEC)
+        doc["frames"] = 100
+        doc["motions"] = [doc.pop("motion"), {"kind": "focal_zoom", "scale": 1e10}]
+        with pytest.raises(SchemaError) as exc:
+            parse_trajectory_spec(json.dumps(doc))
+        assert exc.value.path == "/motions/1"

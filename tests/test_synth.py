@@ -249,6 +249,13 @@ class TestDirectiveValidation:
         with pytest.raises(NonPositiveScale):
             MotionDirective(MotionKind.FOCAL_ZOOM, 4, interval=-1.0)
 
+    def test_focal_zoom_power_must_stay_in_float_range(self):
+        MotionDirective(MotionKind.FOCAL_ZOOM, 30, interval=1e10)  # 1e290 fits
+        for scale, frames in ((1e10, 100), (1e-10, 100), (2.0, 1100)):
+            with pytest.raises(NonPositiveScale) as exc:
+                MotionDirective(MotionKind.FOCAL_ZOOM, frames, interval=scale)
+            assert f"over {frames} frames" in str(exc.value)
+
     def test_frames_minimum(self):
         with pytest.raises(ValueError):
             MotionDirective(MotionKind.ZOOM, 0, interval=0.1)
