@@ -124,6 +124,7 @@ def cmd_embed(args) -> int:
     seq = plucker.plucker_sequence(traj, pixel_origin=args.pixel_origin)
     _atomic_write_all([(args.out, functools.partial(npyio.write_npy, seq))])
     print(f"embedded {seq.shape} -> {args.out}")
+    del seq  # the check reads the file back; do not hold both copies
     if args.verify:
         back = npyio.read_npy_file(args.out)
         report = plucker.verify_plucker(back)

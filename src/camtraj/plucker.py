@@ -8,6 +8,13 @@ intermediate math runs in float64.
 
 Rays are sampled at pixel centers by default (u + 0.5, v + 0.5); pass
 ``pixel_origin="corner"`` to sample the integer grid instead.
+
+The kernel computes one frame at a time on contiguous (h, w) float64
+planes (directions, norm, moments) and writes them into the float32 map;
+its output is bit for bit that of the pixel-major (h, w, 3)
+matmul/norm/cross form. ``verify_plucker`` also reads one frame at a time,
+so checking an (n, 6, h, w) map needs about two frames of float64 beyond
+the map itself.
 """
 
 from __future__ import annotations
@@ -49,20 +56,33 @@ def ray_direction(pose: CameraPose, u: float, v: float,
 
 def _fill_map(out: np.ndarray, intrinsics, r_c2w: np.ndarray, center: np.ndarray,
               off: float) -> None:
-    """Write the (6, h, w) Plucker map of one camera into ``out``."""
+    """Write the (6, h, w) Plucker map of one camera into ``out``.
+
+    Works on contiguous (h, w) float64 planes. The camera-space planes
+    (u, v, 1) go through one (3, 3) @ (3, h*w) product, which sums
+    d_k = u*R[k,0] + v*R[k,1] + R[k,2] in the same order, with the same
+    fused multiply-adds, as the pixel-major ``d_cam @ R.T``; elementwise
+    sums would round differently. The norm is sqrt((d0^2 + d1^2) + d2^2)
+    and the moment planes o x d are written straight into ``out``.
+    """
     fx, fy, cx, cy = intrinsics
     height, width = out.shape[1:]
-    u = (np.arange(width, dtype=np.float64) + off - cx) / fx
-    v = (np.arange(height, dtype=np.float64) + off - cy) / fy
-    d_cam = np.empty((height, width, 3))
-    d_cam[..., 0] = u[None, :]
-    d_cam[..., 1] = v[:, None]
-    d_cam[..., 2] = 1.0
-    d_world = d_cam @ r_c2w.T
-    d_world /= np.linalg.norm(d_world, axis=-1, keepdims=True)
-    m = np.cross(np.broadcast_to(center, d_world.shape), d_world)
-    out[0:3] = np.moveaxis(m, -1, 0)
-    out[3:6] = np.moveaxis(d_world, -1, 0)
+    cam = np.empty((3, height, width))
+    cam[0] = (np.arange(width, dtype=np.float64) + off - cx) / fx
+    cam[1] = ((np.arange(height, dtype=np.float64) + off - cy) / fy)[:, None]
+    cam[2] = 1.0
+    d = np.empty_like(cam)
+    np.matmul(r_c2w, cam.reshape(3, -1), out=d.reshape(3, -1))
+    norm, tmp = cam[0], cam[1]  # the camera planes are spent: reuse them
+    np.multiply(d[0], d[0], out=norm)
+    norm += np.multiply(d[1], d[1], out=tmp)
+    norm += np.multiply(d[2], d[2], out=tmp)
+    d /= np.sqrt(norm, out=norm)
+    out[3:6] = d
+    c0, c1, c2 = center  # moment k is c_a*d_i - c_b*d_j, as np.cross forms it
+    for k, (ca, di, cb, dj) in enumerate(((c1, d[2], c2, d[1]), (c2, d[0], c0, d[2]),
+                                          (c0, d[1], c1, d[0]))):
+        np.subtract(np.multiply(di, ca, out=norm), np.multiply(dj, cb, out=tmp), out=out[k])
 
 
 def plucker_map(pose: CameraPose, width: int, height: int,
@@ -95,19 +115,35 @@ def plucker_sequence(traj: Trajectory, pixel_origin: str = "center") -> np.ndarr
     return out
 
 
+def _frame_deviations(frame: np.ndarray) -> tuple[float, float]:
+    """max |norm(d) - 1| and max |m . d| of one (6, h, w) map, in float64."""
+    f = np.asarray(frame, dtype=np.float64)
+    m, d = f[0:3], f[3:6]
+    s = d[0] * d[0]
+    s += d[1] * d[1]
+    s += d[2] * d[2]
+    np.sqrt(s, out=s)
+    s -= 1.0
+    norm_dev = np.abs(s, out=s).max()
+    np.multiply(m[0], d[0], out=s)
+    s += m[1] * d[1]
+    s += m[2] * d[2]
+    return norm_dev, np.abs(s, out=s).max()
+
+
 def verify_plucker(arr: np.ndarray, tol: float = 1e-6) -> dict:
     """Check Plucker invariants on a (..., 6, h, w) array.
 
     Returns max deviations {"direction_norm": ..., "moment_dot": ...} and
-    whether both clear ``tol``. Computed in float64.
+    whether both clear ``tol``. Computed in float64 one (6, h, w) frame at a
+    time, so memory beyond ``arr`` stays at about two frames in float64; a
+    NaN anywhere makes its deviation NaN and the check fail.
     """
-    a = np.asarray(arr, dtype=np.float64)
+    a = np.asarray(arr)
     if a.ndim < 3 or a.shape[-3] != 6:
         raise ValueError(f"expected (..., 6, h, w) array, got shape {a.shape}")
-    m = np.moveaxis(a[..., 0:3, :, :], -3, -1)
-    d = np.moveaxis(a[..., 3:6, :, :], -3, -1)
-    norm_dev = float(np.abs(np.linalg.norm(d, axis=-1) - 1.0).max())
-    dot_dev = float(np.abs((m * d).sum(axis=-1)).max())
+    devs = np.array([_frame_deviations(a[i]) for i in np.ndindex(a.shape[:-3])])
+    norm_dev, dot_dev = (float(v) for v in devs.max(axis=0))
     return {
         "direction_norm": norm_dev,
         "moment_dot": dot_dev,

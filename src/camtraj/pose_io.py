@@ -309,11 +309,13 @@ def _as_number(v, path: str) -> float:
         raise SchemaError(path, "integer too large for a float64") from None
 
 
-def _as_int(v, path: str, minimum: int | None = None) -> int:
+def _as_int(v, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
         raise SchemaError(path, f"expected an integer, got {type(v).__name__}")
     if minimum is not None and v < minimum:
         raise SchemaError(path, f"must be >= {minimum}, got {v}")
+    if maximum is not None and v > maximum:
+        raise SchemaError(path, f"must be <= {maximum}, got {v}")
     return v
 
 
@@ -421,6 +423,12 @@ def trajectory_from_json(text: str) -> Trajectory:
 
 _MOTION_KINDS = {k.value: k for k in MotionKind}
 
+# Upper bounds of a plan's frame count and image sides, checked before any
+# allocation. The memory of `camtraj synth` grows with the frame count
+# (about 250 MB of RSS at 100,000 frames).
+MAX_PLAN_FRAMES = 1_000_000
+MAX_PLAN_SIDE = 65_536
+
 # Plan keys of each motion kind, in parse order: (JSON key, MotionDirective
 # field, vector length or None for a single number).
 _MOTION_FIELDS = {
@@ -465,9 +473,9 @@ def parse_trajectory_spec(text: str) -> SynthesisPlan:
         raise SchemaError("/", f"invalid JSON: {e}") from None
     if not isinstance(doc, dict):
         raise SchemaError("/", "top level must be an object")
-    frames = _as_int(_require(doc, "frames", ""), "/frames", minimum=1)
-    width = _as_int(_require(doc, "width", ""), "/width", minimum=1)
-    height = _as_int(_require(doc, "height", ""), "/height", minimum=1)
+    frames = _as_int(_require(doc, "frames", ""), "/frames", 1, MAX_PLAN_FRAMES)
+    width = _as_int(_require(doc, "width", ""), "/width", 1, MAX_PLAN_SIDE)
+    height = _as_int(_require(doc, "height", ""), "/height", 1, MAX_PLAN_SIDE)
     fields = _intrinsics_fields(_require(doc, "intrinsics", ""), "/intrinsics")
     try:
         intr = Intrinsics(*fields)

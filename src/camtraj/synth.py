@@ -173,6 +173,8 @@ def compose_motions(directives, n: int, intrinsics: Intrinsics,
 
     Raises:
         EmptyDirectives: on an empty list.
+        NonPositiveScale: if the focal_zoom factors, applied in order, take
+            fx or fy to infinity or to 0 at some frame.
         ValueError: if any directive's frame count disagrees with n.
     """
     directives = tuple(directives)
@@ -191,11 +193,19 @@ def compose_motions(directives, n: int, intrinsics: Intrinsics,
     i = np.arange(n, dtype=np.float64)
     k = np.tile(np.array([intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy],
                          dtype=np.float64), (n, 1))
-    for d in directives:
+    for idx, d in enumerate(directives):
         if d.kind is MotionKind.PRINCIPAL_SHIFT:
             k[:, 2:] += i[:, None] * np.asarray(d.shift, dtype=np.float64)
         elif d.kind is MotionKind.FOCAL_ZOOM:
-            k[:, :2] *= np.array([d.interval ** j for j in range(n)], dtype=np.float64)[:, None]
+            focal = k[:, :2]
+            with np.errstate(over="ignore", under="ignore"):
+                focal *= np.array([d.interval ** j for j in range(n)], dtype=np.float64)[:, None]
+            bad = ~((focal > 0.0) & (focal < math.inf))
+            if bad.any():
+                j, c = np.argwhere(bad)[0]
+                raise NonPositiveScale(f"focal_zoom directive {idx} takes {('fx', 'fy')[c]} to "
+                                       f"{focal[j, c]} at frame {j}, outside the positive "
+                                       f"float64 range")
     return Trajectory.from_arrays(r, t, k, Convention.CAMERA_TO_WORLD, width, height)
 
 

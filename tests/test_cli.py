@@ -179,6 +179,30 @@ class TestSynth:
         assert stderr.startswith("error: /motion: focal factor")
         assert not out.exists() and no_temp_litter(tmp_path)
 
+    @pytest.mark.filterwarnings("error")
+    def test_composed_focal_zoom_overflow_exits_2(self, tmp_path, capsys):
+        # each factor fits alone; their product at frame 1 does not
+        spec = tmp_path / "spec.json"
+        zoom = {"kind": "focal_zoom", "scale": 1e200}
+        plan = {k: v for k, v in PAN_SPEC.items() if k != "motion"}
+        spec.write_text(json.dumps({**plan, "frames": 2, "motions": [zoom, zoom]}))
+        out = tmp_path / "traj.json"
+        code, stdout, stderr = run(capsys, "synth", "--spec", str(spec), "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert stderr == ("error: focal_zoom directive 1 takes fx to inf at frame 1, "
+                          "outside the positive float64 range\n")
+        assert not out.exists() and no_temp_litter(tmp_path)
+
+    @pytest.mark.parametrize("key, value", [("frames", 10 ** 20), ("width", 10 ** 6)])
+    def test_plan_size_above_bound_exits_2(self, tmp_path, capsys, key, value):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**PAN_SPEC, key: value}))
+        out = tmp_path / "traj.json"
+        code, _, stderr = run(capsys, "synth", "--spec", str(spec), "--out", str(out))
+        assert code == 2
+        assert stderr.startswith(f"error: /{key}: must be <= ")
+        assert not out.exists() and no_temp_litter(tmp_path)
+
     def test_missing_spec_file(self, tmp_path, capsys):
         code, _, _ = run(capsys, "synth", "--spec", str(tmp_path / "no.json"),
                          "--out", str(tmp_path / "t.json"))

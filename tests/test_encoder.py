@@ -7,6 +7,8 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import camtraj.encoder as enc
 from camtraj.encoder import (
@@ -641,3 +643,23 @@ class TestWeightStream:
         before = threading.active_count()
         encoder_forward(rand(np.random.default_rng(36), (1, 2, 6, 16, 16)), SMALL)
         assert threading.active_count() == before
+
+
+@st.composite
+def shuffle_cases(draw):
+    r = draw(st.integers(1, 4))
+    b, n, c = (draw(st.integers(1, 3)) for _ in range(3))
+    h, w = (r * draw(st.integers(1, 4)) for _ in range(2))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    bits = np.random.default_rng(seed).integers(0, 2 ** 32, (b, n, c, h, w), dtype=np.uint32)
+    return bits.view(np.float32), r
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(shuffle_cases())
+def test_pixel_shuffle_inverts_unshuffle_exactly(case):
+    x, r = case
+    y = pixel_unshuffle(x, r)
+    assert y.shape == (*x.shape[:2], x.shape[2] * r * r, x.shape[3] // r, x.shape[4] // r)
+    assert pixel_shuffle(y, r).tobytes() == x.tobytes()
+    assert pixel_unshuffle(pixel_shuffle(y, r), r).tobytes() == y.tobytes()

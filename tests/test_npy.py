@@ -6,6 +6,9 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from camtraj.errors import BadMagic, TruncatedPayload, UnsupportedDtype, UnsupportedOrder
 from camtraj import npyio
@@ -288,3 +291,28 @@ class TestHostileHeader:
         buf.seek(4)
         assert read_npy(buf).tobytes() == arr.tobytes()
         assert buf.read() == b"tail"
+
+
+# Any 32-bit pattern as float32, drawn often from the quiet and signalling
+# NaN payloads of either sign.
+float32_bits = st.builds(
+    lambda a: a.view(np.float32),
+    arrays(np.uint32, array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=6),
+           elements=st.one_of(st.integers(0, 2 ** 32 - 1),
+                              st.integers(0x7F800001, 0x7FFFFFFF),
+                              st.integers(0xFF800001, 0xFFFFFFFF))))
+
+
+class TestRoundTripProperties:
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(float32_bits)
+    @example(np.array(0x7FC01234, dtype=np.uint32).view(np.float32))  # 0-d NaN payload
+    @example(np.zeros((0,), dtype=np.float32))
+    @example(np.zeros((3, 0, 2), dtype=np.float32))
+    def test_bit_exact_for_any_bits_and_shape(self, arr):
+        data = dumps(arr)
+        for source in (io.BytesIO(data), Unseekable(data)):
+            back = read_npy(source)
+            assert back.shape == arr.shape and back.dtype == np.float32
+            assert back.tobytes() == arr.tobytes()
+        assert dumps(back) == data

@@ -1,17 +1,30 @@
 """Plucker embeddings against independent unprojection oracles."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from camtraj.geometry import CameraPose, Convention, Extrinsics, Intrinsics, Trajectory
+from camtraj.geometry import (
+    CameraPose,
+    Convention,
+    Extrinsics,
+    Intrinsics,
+    Trajectory,
+    convert_extrinsics,
+)
 from camtraj.plucker import (
+    _fill_map,
     camera_center,
     plucker_map,
     plucker_sequence,
     ray_direction,
     verify_plucker,
 )
-from util import random_extrinsics, random_pose, random_trajectory
+from util import quat_to_matrix, random_extrinsics, random_pose, random_trajectory
 
 
 def center_oracle(e):
@@ -187,3 +200,156 @@ class TestVerify:
         pmap = plucker_map(random_pose(rng), 8, 8).copy()
         pmap[3:6] *= 2.0
         assert not verify_plucker(pmap)["ok"]
+
+
+# --- the pixel-major formulas the planar kernel and frame-by-frame check replace
+
+def pixel_major_sequence(traj, off, dtype=np.float32):
+    """(n, 6, h, w) maps from the (h, w, 3) matmul / norm / cross formula."""
+    r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention,
+                              Convention.CAMERA_TO_WORLD)
+    out = np.empty((len(traj), 6, traj.height, traj.width), dtype=dtype)
+    for i, (fx, fy, cx, cy) in enumerate(traj.intrinsics):
+        u = (np.arange(traj.width, dtype=np.float64) + off - cx) / fx
+        v = (np.arange(traj.height, dtype=np.float64) + off - cy) / fy
+        d_cam = np.empty((traj.height, traj.width, 3))
+        d_cam[..., 0] = u[None, :]
+        d_cam[..., 1] = v[:, None]
+        d_cam[..., 2] = 1.0
+        d_world = d_cam @ r[i].T
+        d_world /= np.linalg.norm(d_world, axis=-1, keepdims=True)
+        m = np.cross(np.broadcast_to(c[i], d_world.shape), d_world)
+        out[i, 0:3] = np.moveaxis(m, -1, 0)
+        out[i, 3:6] = np.moveaxis(d_world, -1, 0)
+    return out
+
+
+def whole_array_verify(arr, tol=1e-6):
+    """verify_plucker as one float64 cast of the whole array."""
+    a = np.asarray(arr, dtype=np.float64)
+    if a.ndim < 3 or a.shape[-3] != 6:
+        raise ValueError(f"expected (..., 6, h, w) array, got shape {a.shape}")
+    m = np.moveaxis(a[..., 0:3, :, :], -3, -1)
+    d = np.moveaxis(a[..., 3:6, :, :], -3, -1)
+    norm_dev = float(np.abs(np.linalg.norm(d, axis=-1) - 1.0).max())
+    dot_dev = float(np.abs((m * d).sum(axis=-1)).max())
+    return {"direction_norm": norm_dev, "moment_dot": dot_dev,
+            "ok": norm_dev < tol and dot_dev < tol}
+
+
+def same_report(a, b):
+    """Equal floats, NaN equal to NaN."""
+    return a.keys() == b.keys() and all(
+        a[k] == b[k] or (isinstance(a[k], float) and math.isnan(a[k]) and math.isnan(b[k]))
+        for k in a)
+
+
+checked = settings(max_examples=40, deadline=None, derandomize=True)
+quats = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
+    lambda q: sum(v * v for v in q) > 0.01)
+coords = st.floats(-100.0, 100.0, allow_nan=False)
+
+
+@st.composite
+def small_trajectories(draw):
+    n = draw(st.integers(1, 3))
+    width, height = draw(st.integers(1, 41)), draw(st.integers(1, 31))
+    q = np.array(draw(st.lists(quats, min_size=n, max_size=n)))
+    r = np.array([quat_to_matrix(v / np.linalg.norm(v)) for v in q])
+    t = draw(st.lists(st.tuples(coords, coords, coords), min_size=n, max_size=n))
+    k = draw(st.lists(st.tuples(st.floats(0.5, 5000.0), st.floats(0.5, 5000.0),
+                                coords, coords), min_size=n, max_size=n))
+    return Trajectory.from_arrays(r, t, k, draw(st.sampled_from(Convention)), width, height)
+
+
+class TestPlanarKernel:
+    @checked
+    @given(small_trajectories(), st.sampled_from([("center", 0.5), ("corner", 0.0)]))
+    def test_bit_exact_against_pixel_major_formula(self, traj, origin):
+        name, off = origin
+        seq = plucker_sequence(traj, pixel_origin=name)
+        assert seq.tobytes() == pixel_major_sequence(traj, off).tobytes()
+        for i, pose in enumerate(traj.poses):
+            assert plucker_map(pose, traj.width, traj.height, name).tobytes() == seq[i].tobytes()
+
+    @staticmethod
+    def float64_planes(traj, off):
+        # float32 output hides most 1-ulp float64 differences; filling a
+        # float64 map shows every one
+        r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention,
+                                  Convention.CAMERA_TO_WORLD)
+        out = np.empty((len(traj), 6, traj.height, traj.width))
+        for i in range(len(traj)):
+            _fill_map(out[i], traj.intrinsics[i], r[i], c[i], off)
+        return out
+
+    @checked
+    @given(small_trajectories())
+    def test_float64_planes_bit_exact(self, traj):
+        got = self.float64_planes(traj, 0.5)
+        assert got.tobytes() == pixel_major_sequence(traj, 0.5, np.float64).tobytes()
+
+    def test_bit_exact_at_clip_size(self):
+        rng = np.random.default_rng(20)
+        for conv in Convention:
+            traj = random_trajectory(rng, 2, conv, width=385, height=257)
+            assert (plucker_sequence(traj).tobytes()
+                    == pixel_major_sequence(traj, 0.5).tobytes())
+            assert (self.float64_planes(traj, 0.0).tobytes()
+                    == pixel_major_sequence(traj, 0.0, np.float64).tobytes())
+
+
+class TestVerifyFrameByFrame:
+    @pytest.mark.parametrize("shape", [(6, 5, 7), (3, 6, 5, 7), (2, 3, 6, 4, 9)])
+    def test_equals_whole_array_formula(self, shape):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal(shape).astype(np.float32)
+        views = (x, x.astype(np.float64), x[..., ::2], np.swapaxes(x, -1, -2),
+                 x[..., ::-1, :])
+        for arr in views:
+            assert verify_plucker(arr) == whole_array_verify(arr)
+
+    def test_equals_whole_array_formula_on_real_maps(self):
+        rng = np.random.default_rng(22)
+        seq = plucker_sequence(random_trajectory(rng, 4, width=24, height=16))
+        report = verify_plucker(seq)
+        assert report["ok"] and report == whole_array_verify(seq)
+        assert verify_plucker(seq[:, :, ::3]) == whole_array_verify(seq[:, :, ::3])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("frame", [0, 2, -1])
+    def test_non_finite_in_any_frame_fails(self, bad, frame):
+        rng = np.random.default_rng(23)
+        seq = plucker_sequence(random_trajectory(rng, 5, width=8, height=6))
+        seq[frame, 4, 5, 7] = bad
+        report = verify_plucker(seq)
+        assert report["ok"] is False
+        assert same_report(report, whole_array_verify(seq))
+
+    def test_nan_moment_in_last_frame_fails(self):
+        rng = np.random.default_rng(24)
+        seq = plucker_sequence(random_trajectory(rng, 3, width=8, height=6))
+        seq[-1, 1, -1, -1] = np.nan
+        report = verify_plucker(seq)
+        assert report["ok"] is False and math.isnan(report["moment_dot"])
+
+    @pytest.mark.parametrize("shape", [(0, 6, 4, 4), (6, 0, 4), (2, 6, 4, 0), (2, 0, 6, 3, 3)])
+    def test_zero_size_raises_like_whole_array_formula(self, shape):
+        arr = np.zeros(shape, dtype=np.float32)
+        with pytest.raises(ValueError) as want:
+            whole_array_verify(arr)
+        with pytest.raises(ValueError) as got:
+            verify_plucker(arr)
+        assert str(got.value) == str(want.value)
+
+    def test_memory_peak_is_a_few_frames(self):
+        h, w = 96, 128
+        arr = np.random.default_rng(25).standard_normal((8, 6, h, w)).astype(np.float32)
+        frame_f64 = 6 * h * w * 8
+        tracemalloc.start()
+        try:
+            verify_plucker(arr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * frame_f64  # the whole array in float64 is 8 frames

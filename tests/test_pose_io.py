@@ -17,6 +17,8 @@ from camtraj.errors import (
 )
 from camtraj.geometry import Convention
 from camtraj.pose_io import (
+    MAX_PLAN_FRAMES,
+    MAX_PLAN_SIDE,
     PoseFile,
     PoseRecord,
     parse_pose_file,
@@ -444,3 +446,22 @@ class TestHugeIntegers:
         with pytest.raises(SchemaError) as exc:
             parse_trajectory_spec(json.dumps(doc))
         assert exc.value.path == "/motions/1"
+
+    @pytest.mark.parametrize("key, value", [
+        ("frames", MAX_PLAN_FRAMES + 1), ("frames", 10 ** 20), ("frames", HUGE),
+        ("width", MAX_PLAN_SIDE + 1), ("height", 10 ** 20)])
+    def test_plan_size_above_bound_is_schema_error(self, key, value):
+        doc = json.loads(TestTrajectorySpec.PAN_SPEC)
+        doc[key] = value
+        with pytest.raises(SchemaError) as exc:
+            parse_trajectory_spec(json.dumps(doc))
+        bound = MAX_PLAN_FRAMES if key == "frames" else MAX_PLAN_SIDE
+        assert exc.value.path == f"/{key}"
+        assert exc.value.reason == f"must be <= {bound}, got {value}"
+
+    def test_plan_size_at_bound_parses(self):
+        doc = json.loads(TestTrajectorySpec.PAN_SPEC)
+        doc.update(frames=MAX_PLAN_FRAMES, width=MAX_PLAN_SIDE, height=MAX_PLAN_SIDE)
+        plan = parse_trajectory_spec(json.dumps(doc))
+        assert (plan.frames, plan.width, plan.height) == (MAX_PLAN_FRAMES, MAX_PLAN_SIDE,
+                                                          MAX_PLAN_SIDE)

@@ -109,6 +109,16 @@ class TestIntrinsicMotion:
         with pytest.raises(NonPositiveScale):
             synth_intrinsic_motion(MotionKind.FOCAL_ZOOM, -2.0, 4, INTR, 8, 8)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scales, frame, value", [
+        ((1e200, 1e200), 1, "inf"), ((1e-200, 1e-200), 1, "0.0"), ((1e160, 1.0, 1e160), 1, "inf")])
+    def test_composed_focal_zoom_must_stay_in_float_range(self, scales, frame, value):
+        zooms = [MotionDirective(MotionKind.FOCAL_ZOOM, 2, interval=s) for s in scales]
+        with pytest.raises(NonPositiveScale) as exc:
+            compose_motions(zooms, 2, INTR, 8, 8)
+        assert str(exc.value) == (f"focal_zoom directive {len(scales) - 1} takes fx to {value} "
+                                  f"at frame {frame}, outside the positive float64 range")
+
     def test_rejects_extrinsic_kind(self):
         with pytest.raises(ValueError):
             synth_intrinsic_motion(MotionKind.PAN, 1.0, 4, INTR, 8, 8)
