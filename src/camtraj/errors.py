@@ -109,6 +109,10 @@ class EmptyDirectives(CamTrajError):
     """compose_motions received an empty directive list."""
 
 
+class MotionOverflow(CamTrajError):
+    """A composed camera center or principal point left the float64 range."""
+
+
 # --- metrics ----------------------------------------------------------------
 
 class LengthMismatch(CamTrajError):
@@ -120,6 +124,10 @@ class DegenerateBaseline(CamTrajError):
 
 
 # --- encoder ----------------------------------------------------------------
+
+class ConfigError(CamTrajError, ValueError):
+    """An encoder configuration field is out of range or inconsistent."""
+
 
 class IndivisibleDims(CamTrajError):
     """Spatial dims not divisible by the required downsampling factor."""

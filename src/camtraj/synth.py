@@ -14,7 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyDirectives, NonPositiveScale, NonUnitAxis, NonUnitDirection
+from .errors import (EmptyDirectives, MotionOverflow, NonPositiveScale, NonUnitAxis,
+                     NonUnitDirection)
 from .geometry import (
     Convention,
     Intrinsics,
@@ -162,6 +163,15 @@ def _directive_extrinsics(d: MotionDirective, n: int) -> tuple[np.ndarray, np.nd
     return r, t
 
 
+def _raise_first(bad: np.ndarray, values: np.ndarray, idx: int, d: MotionDirective,
+                 names, error=MotionOverflow, bound: str = "float64") -> None:
+    """Raise ``error`` naming directive ``idx`` at the first (frame, column) of ``bad``."""
+    if bad.any():
+        j, c = np.argwhere(bad)[0]
+        raise error(f"{d.kind.value} directive {idx} takes {names[c]} to {values[j, c]} "
+                    f"at frame {j}, outside the {bound} range")
+
+
 def compose_motions(directives, n: int, intrinsics: Intrinsics,
                     width: int, height: int) -> Trajectory:
     """Compose several directives into one trajectory.
@@ -173,6 +183,8 @@ def compose_motions(directives, n: int, intrinsics: Intrinsics,
 
     Raises:
         EmptyDirectives: on an empty list.
+        MotionOverflow: if a camera center or principal point leaves the
+            float64 range at some frame, naming the directive that took it there.
         NonPositiveScale: if the focal_zoom factors, applied in order, take
             fx or fy to infinity or to 0 at some frame.
         ValueError: if any directive's frame count disagrees with n.
@@ -186,26 +198,24 @@ def compose_motions(directives, n: int, intrinsics: Intrinsics,
     if n == 1 and any(d.kind is MotionKind.ROTATE and d.interval != 0.0
                       for d in directives):
         raise ValueError("single-frame trajectory cannot spread a nonzero angle")
-    r, t = _directive_extrinsics(directives[0], n)
-    for d in directives[1:]:
-        dr, dt = _directive_extrinsics(d, n)
-        r, t = r @ dr, (r @ dt[..., None])[..., 0] + t
     i = np.arange(n, dtype=np.float64)
     k = np.tile(np.array([intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy],
                          dtype=np.float64), (n, 1))
-    for idx, d in enumerate(directives):
-        if d.kind is MotionKind.PRINCIPAL_SHIFT:
-            k[:, 2:] += i[:, None] * np.asarray(d.shift, dtype=np.float64)
-        elif d.kind is MotionKind.FOCAL_ZOOM:
-            focal = k[:, :2]
-            with np.errstate(over="ignore", under="ignore"):
+    # overflow shows up as inf/nan in the checks below, not as numpy warnings
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        for idx, d in enumerate(directives):
+            dr, dt = _directive_extrinsics(d, n)
+            r, t = (dr, dt) if idx == 0 else (r @ dr, (r @ dt[..., None])[..., 0] + t)
+            _raise_first(~np.isfinite(t), t, idx, d, ("center x", "center y", "center z"))
+        for idx, d in enumerate(directives):
+            if d.kind is MotionKind.PRINCIPAL_SHIFT:
+                k[:, 2:] += i[:, None] * np.asarray(d.shift, dtype=np.float64)
+                _raise_first(~np.isfinite(k[:, 2:]), k[:, 2:], idx, d, ("cx", "cy"))
+            elif d.kind is MotionKind.FOCAL_ZOOM:
+                focal = k[:, :2]
                 focal *= np.array([d.interval ** j for j in range(n)], dtype=np.float64)[:, None]
-            bad = ~((focal > 0.0) & (focal < math.inf))
-            if bad.any():
-                j, c = np.argwhere(bad)[0]
-                raise NonPositiveScale(f"focal_zoom directive {idx} takes {('fx', 'fy')[c]} to "
-                                       f"{focal[j, c]} at frame {j}, outside the positive "
-                                       f"float64 range")
+                _raise_first(~((focal > 0.0) & (focal < math.inf)), focal, idx, d, ("fx", "fy"),
+                             NonPositiveScale, "positive float64")
     return Trajectory.from_arrays(r, t, k, Convention.CAMERA_TO_WORLD, width, height)
 
 

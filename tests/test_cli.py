@@ -193,6 +193,22 @@ class TestSynth:
                           "outside the positive float64 range\n")
         assert not out.exists() and no_temp_litter(tmp_path)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("motion, message", [
+        ({"kind": "pan", "direction": [1, 0, 0], "interval": 1e308},
+         "pan directive 0 takes center x to inf at frame 2"),
+        ({"kind": "zoom", "interval": 1e308}, "zoom directive 0 takes center z to inf at frame 2"),
+        ({"kind": "principal_shift", "per_frame": [1e308, 0]},
+         "principal_shift directive 0 takes cx to inf at frame 2")])
+    def test_motion_overflow_exits_2(self, tmp_path, capsys, motion, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**PAN_SPEC, "frames": 3, "motion": motion}))
+        out = tmp_path / "traj.json"
+        code, stdout, stderr = run(capsys, "synth", "--spec", str(spec), "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: {message}, outside the float64 range\n"
+        assert not out.exists() and no_temp_litter(tmp_path)
+
     @pytest.mark.parametrize("key, value", [("frames", 10 ** 20), ("width", 10 ** 6)])
     def test_plan_size_above_bound_exits_2(self, tmp_path, capsys, key, value):
         spec = tmp_path / "spec.json"
@@ -436,6 +452,17 @@ class TestEncode:
         for i in range(1, 5):
             assert (out_dir / f"scale{i}.npy").read_bytes() == before[i]
         assert no_temp_litter(out_dir)
+
+    def test_heads_not_dividing_width_exits_2(self, tmp_path, capsys):
+        src = tmp_path / "p.npy"
+        write_npy_file(np.zeros((2, 6, 16, 32), dtype=np.float32), src)
+        out_dir = tmp_path / "feats"
+        code, stdout, stderr = run(capsys, "encode", "--plucker", str(src), "--seed", "0",
+                                   "--out-dir", str(out_dir), "--channels", "8,16,16,16",
+                                   "--heads", "7", "--unshuffle", "2")
+        assert code == 2 and stdout == ""
+        assert stderr == "error: heads=7 must divide channel width 8\n"
+        assert not out_dir.exists()
 
     def test_bad_channels(self, tmp_path, capsys):
         code, _, _ = run(capsys, "encode", "--plucker", "p.npy", "--seed", "0",

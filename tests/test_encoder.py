@@ -4,6 +4,7 @@ closed forms, residual isolation, and deterministic weight construction."""
 import dataclasses
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,7 @@ from camtraj.encoder import (
     softmax,
     temporal_attention_block,
 )
-from camtraj.errors import IndivisibleDims, NonFiniteInput, ShapeMismatch
+from camtraj.errors import ConfigError, IndivisibleDims, NonFiniteInput, ShapeMismatch
 
 SMALL = EncoderConfig(unshuffle_factor=2, scale_channels=(8, 16, 16, 16),
                       heads=2, mlp_ratio=2, seed=7)
@@ -233,21 +234,34 @@ class TestConv2d:
         out = conv2d(x, w, np.zeros(1, dtype=np.float32))
         np.testing.assert_array_equal(out, x)
 
-    def test_chunking_independent(self, monkeypatch):
-        # tiny chunk budget forces one frame per pass; only rounding may move
-        rng = np.random.default_rng(10)
-        x = rand(rng, (6, 4, 8, 8))
-        w = rand(rng, (5, 4, 3, 3))
-        b = rand(rng, (5,))
-        base = conv2d(x, w, b)
-        monkeypatch.setattr(enc, "_CONV_CHUNK_BYTES", 1)
-        np.testing.assert_allclose(conv2d(x, w, b), base, rtol=1e-4, atol=1e-5)
-
     def test_stride_two_output_shape(self):
         x = np.zeros((1, 2, 10, 6), dtype=np.float32)
         w = np.zeros((3, 2, 3, 3), dtype=np.float32)
         out = conv2d(x, w, np.zeros(3, dtype=np.float32), stride=2)
         assert out.shape == (1, 3, 5, 3)
+
+    @pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (1, 1), (1, 2)])
+    def test_scratch_memory_bound(self, k, stride):
+        # the peak is the padded channels-last copy, the tap buffer, the
+        # output and one tap's product; the NCHW copy is made after the first
+        # two are freed. An im2col buffer alone is k*k tap buffers.
+        n, cin, cout, h, w = 8, 16, 16, 24, 20
+        rng = np.random.default_rng(37)
+        x = rand(rng, (n, cin, h, w))
+        wt = rand(rng, (cout, cin, k, k))
+        b = rand(rng, (cout,))
+        pad = (k - 1) // 2
+        ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
+        padded = n * (h + 2 * pad) * (w + 2 * pad) * cin * 4 if pad else 0
+        tap = n * ho * wo * cin * 4
+        out = n * ho * wo * cout * 4
+        tracemalloc.start()
+        try:
+            conv2d(x, wt, b, stride=stride)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * (padded + tap + 2 * out)
 
 
 class TestResBlock:
@@ -467,13 +481,23 @@ class TestWeights:
         w = build_encoder_weights(SMALL)
         rng = np.random.default_rng(SMALL.seed)
         cin = SMALL.in_channels * SMALL.unshuffle_factor ** 2
-        std = np.float32(1.0 / math.sqrt(cin * 9))
-        expected = rng.standard_normal((8, cin, 3, 3), dtype=np.float32) * std
-        np.testing.assert_array_equal(w.stem.w, expected)
+
+        def uniform(shape, fan_in):
+            u = rng.random(shape, dtype=np.float32)
+            return (2 * u - 1) * np.float32(math.sqrt(3.0 / fan_in))
+
+        np.testing.assert_array_equal(w.stem.w, uniform((8, cin, 3, 3), cin * 9))
         # scale 1 has no downsample stage, so its plain block draws next
-        expected_c1 = (rng.standard_normal((8, 8, 3, 3), dtype=np.float32)
-                       * np.float32(1.0 / math.sqrt(8 * 9)))
-        np.testing.assert_array_equal(w.scales[0].res.conv1.w, expected_c1)
+        np.testing.assert_array_equal(w.scales[0].res.conv1.w, uniform((8, 8, 3, 3), 8 * 9))
+
+    @pytest.mark.parametrize("pick, fan_in", [
+        (lambda w: w.scales[1].down.conv1.w, 32 * 9),
+        (lambda w: w.scales[3].res_attn.mlp_w2, 2 * 64)])
+    def test_uniform_range_and_std(self, pick, fan_in):
+        w = pick(build_encoder_weights(EncoderConfig(
+            unshuffle_factor=2, scale_channels=(32, 64, 64, 64), heads=2, mlp_ratio=2, seed=3)))
+        assert np.abs(w).max() <= np.float32(math.sqrt(3.0 / fan_in))
+        assert abs(float(w.std()) - 1.0 / math.sqrt(fan_in)) < 0.1 / math.sqrt(fan_in)
 
     def test_biases_zero_affine_identity(self):
         w = build_encoder_weights(SMALL)
@@ -505,6 +529,13 @@ class TestWeights:
             EncoderConfig(mlp_ratio=0)
         with pytest.raises(ValueError):
             EncoderConfig(unshuffle_factor=0)
+
+    def test_config_error_is_typed(self):
+        with pytest.raises(ConfigError, match="heads=7 must divide channel width 320"):
+            EncoderConfig(heads=7)
+        for bad in ({"scale_channels": (8, 0, 8, 8)}, {"mlp_ratio": 0}, {"unshuffle_factor": 0}):
+            with pytest.raises(ConfigError):
+                EncoderConfig(**bad)
 
 
 class TestEncoderForward:
@@ -663,3 +694,24 @@ def test_pixel_shuffle_inverts_unshuffle_exactly(case):
     assert y.shape == (*x.shape[:2], x.shape[2] * r * r, x.shape[3] // r, x.shape[4] // r)
     assert pixel_shuffle(y, r).tobytes() == x.tobytes()
     assert pixel_unshuffle(pixel_shuffle(y, r), r).tobytes() == y.tobytes()
+
+
+@st.composite
+def conv_cases(draw):
+    n, cin, cout = draw(st.integers(1, 3)), draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    h, w = (2 * draw(st.integers(0, 4)) + 1 for _ in range(2))
+    k, stride = draw(st.sampled_from((1, 3))), draw(st.sampled_from((1, 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    # channels-last storage seen through an NCHW transpose: a non-contiguous input
+    x = rand(rng, (n, h, w, cin)).transpose(0, 3, 1, 2)
+    return x, rand(rng, (cout, cin, k, k)), rand(rng, (cout,)), stride
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(conv_cases())
+def test_conv2d_matches_direct_summation(case):
+    x, w, b, stride = case
+    got = conv2d(x, w, b, stride=stride)
+    ref = naive_conv2d(x, w, b, stride)
+    assert got.shape == ref.shape and got.dtype == np.float32 and got.flags.c_contiguous
+    np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-5)

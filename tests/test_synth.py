@@ -7,6 +7,7 @@ import pytest
 
 from camtraj.errors import (
     EmptyDirectives,
+    MotionOverflow,
     NonPositiveScale,
     NonUnitAxis,
     NonUnitDirection,
@@ -118,6 +119,27 @@ class TestIntrinsicMotion:
             compose_motions(zooms, 2, INTR, 8, 8)
         assert str(exc.value) == (f"focal_zoom directive {len(scales) - 1} takes fx to {value} "
                                   f"at frame {frame}, outside the positive float64 range")
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("directives, message", [
+        ([MotionDirective(MotionKind.PAN, 3, direction=(1.0, 0.0, 0.0), interval=1e308)],
+         "pan directive 0 takes center x to inf at frame 2"),
+        ([MotionDirective(MotionKind.ZOOM, 3, interval=1e308)],
+         "zoom directive 0 takes center z to inf at frame 2"),
+        ([MotionDirective(MotionKind.PRINCIPAL_SHIFT, 3, shift=(1e308, 0.0))],
+         "principal_shift directive 0 takes cx to inf at frame 2"),
+        # each fits alone; their composition overflows at frame 2
+        ([MotionDirective(MotionKind.ROTATE, 3, direction=(0.0, 1.0, 0.0), interval=10.0),
+          MotionDirective(MotionKind.ZOOM, 3, interval=-0.6e308),
+          MotionDirective(MotionKind.ZOOM, 3, interval=-0.6e308)],
+         "zoom directive 2 takes center z to -inf at frame 2"),
+        ([MotionDirective(MotionKind.PRINCIPAL_SHIFT, 3, shift=(0.0, -0.6e308)),
+          MotionDirective(MotionKind.PRINCIPAL_SHIFT, 3, shift=(0.0, -0.6e308))],
+         "principal_shift directive 1 takes cy to -inf at frame 2")])
+    def test_overflow_names_directive_and_frame(self, directives, message):
+        with pytest.raises(MotionOverflow) as exc:
+            compose_motions(directives, 3, INTR, 8, 8)
+        assert str(exc.value) == f"{message}, outside the float64 range"
 
     def test_rejects_extrinsic_kind(self):
         with pytest.raises(ValueError):
