@@ -44,8 +44,9 @@ def unit_vector(vec, exc: type[Exception]) -> np.ndarray:
     v = np.asarray(vec, dtype=np.float64)
     if v.shape != (3,):
         raise exc(f"expected a 3-vector, got shape {v.shape}")
-    n = float(np.linalg.norm(v))
-    if abs(n - 1.0) > UNIT_TOL:
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, and fails below
+        n = float(np.linalg.norm(v))
+    if not abs(n - 1.0) <= UNIT_TOL:  # also NaN
         raise exc(f"norm {n:.12f} deviates from 1 by more than {UNIT_TOL}")
     return v
 

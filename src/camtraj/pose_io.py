@@ -21,15 +21,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    CamTrajError,
     FieldCountError,
     IndexOutOfRange,
     IntrinsicsInvalid,
     NonMonotonicTimestamp,
-    NonPositiveScale,
-    NonUnitAxis,
-    NonUnitDirection,
     NonZeroDistortion,
     NumericError,
+    PoseParseError,
     RotationInvalid,
     SchemaError,
 )
@@ -108,34 +107,21 @@ class PoseFile:
                      zip(self.timestamps, self.normalized.tolist(), self.w2c))
 
 
-def _parse_record(line_no: int, fields: list[str]) -> tuple[int, list[float]]:
-    """Timestamp and the 18 numeric fields of one data line, checked one
-    field at a time; every check but the rotation and timestamp-order ones.
-    The parser calls it only to raise the error of a line it found bad."""
+def _conversion_error(line_no: int, fields: list[str]) -> PoseParseError:
+    """The error of a data line that does not convert to a finite row: a
+    wrong field count, or the first column that is not an int (the
+    timestamp) or a finite float."""
     if len(fields) != POSE_FIELDS:
-        raise FieldCountError(line_no, len(fields))
+        return FieldCountError(line_no, len(fields))
+    col = 1
     try:
-        timestamp = int(fields[0])
+        int(fields[0])
+        for col, text in enumerate(fields[1:], start=2):
+            if not math.isfinite(float(text)):
+                break
     except ValueError:
-        raise NumericError(line_no, 1, fields[0]) from None
-    values = []
-    for col, text in enumerate(fields[1:], start=2):
-        try:
-            v = float(text)
-        except ValueError:
-            raise NumericError(line_no, col, text) from None
-        if not math.isfinite(v):
-            raise NumericError(line_no, col, text)
-        values.append(v)
-    fx_n, fy_n, cx_n, cy_n, k1, k2 = values[:6]
-    if k1 != 0.0 or k2 != 0.0:
-        raise NonZeroDistortion(line_no, k1, k2)
-    if fx_n <= 0 or fy_n <= 0:
-        raise IntrinsicsInvalid(f"normalized focals must be positive, got {fx_n} {fy_n}", line_no)
-    if not (0.0 <= cx_n <= 1.0 and 0.0 <= cy_n <= 1.0):
-        raise IntrinsicsInvalid(
-            f"normalized principal point must lie in [0,1], got {cx_n} {cy_n}", line_no)
-    return timestamp, values
+        pass
+    return NumericError(line_no, col, fields[col - 1])
 
 
 def parse_pose_file(data: bytes | str) -> PoseFile:
@@ -144,9 +130,11 @@ def parse_pose_file(data: bytes | str) -> PoseFile:
     Line 1 is an opaque URL. Each following non-empty line must hold exactly
     19 whitespace-separated fields; timestamps must strictly increase.
 
-    Lines are converted one call each, then checked all at once. The first
-    bad line is reported; on one line the checks run in the order of
-    :func:`_parse_record`, then the rotation, then the timestamp order.
+    Lines are converted one call each until one does not convert, then
+    every check runs once over all lines read. The first bad line is
+    reported; on one line the checks run in this order: the line converts
+    to finite numbers, zero distortion, positive focals, a principal point
+    in [0, 1], a valid rotation, an increasing timestamp.
 
     Raises:
         FieldCountError, NumericError, NonZeroDistortion, IntrinsicsInvalid,
@@ -158,48 +146,54 @@ def parse_pose_file(data: bytes | str) -> PoseFile:
     lines = text.split("\n")
     if not lines or lines[0].strip() == "" and len(lines) == 1:
         raise ValueError("empty pose file: missing URL line")
-    line_nos: list[int] = []
+    line_nos: list[int] = []  # one past the rows of v if a line did not convert
     stamps: list[int] = []
     values: list[float] = []
-    stop = None  # line number of the first line that does not convert
     for line_no, raw in enumerate(lines[1:], start=2):
         fields = raw.split()
         if not fields:
             continue
+        line_nos.append(line_no)
         try:  # a wrong field count or a field that does not convert stops here
             if len(fields) != POSE_FIELDS:
                 raise ValueError
             stamp, row = int(fields[0]), list(map(float, fields[1:]))
         except ValueError:
-            stop = line_no
             break
-        line_nos.append(line_no)
         stamps.append(stamp)
         values += row
     v = np.array(values, dtype=np.float64).reshape(-1, POSE_FIELDS - 1)
     k, w2c = v[:, :4], v[:, 6:].reshape(-1, 3, 4)
-    # (row, rank) of each check's first failure; rank orders checks on one row
-    faults = [(len(v), 0)] if stop is not None else []
-    bad_values = (~np.isfinite(v).all(axis=1) | (v[:, 4:6] != 0.0).any(axis=1)
-                  | (k[:, :2] <= 0).any(axis=1) | ~((k[:, 2:] >= 0.0) & (k[:, 2:] <= 1.0)).all(axis=1))
-    if bad_values.any():
-        faults.append((int(np.argmax(bad_values)), 0))
+    # (row, rank) of each check's first failure. On one row the checks rank 0
+    # converts to finite numbers, 1 distortion, 2 focals, 3 principal point,
+    # 4 rotation, 5 timestamp order.
+    masks = [~np.isfinite(v).all(axis=1), (v[:, 4:6] != 0.0).any(axis=1),
+             (k[:, :2] <= 0).any(axis=1), ~((k[:, 2:] >= 0.0) & (k[:, 2:] <= 1.0)).all(axis=1)]
+    faults = [(len(v), 0)] if len(line_nos) > len(v) else []
+    faults += [(int(np.argmax(m)), rank) for rank, m in enumerate(masks) if m.any()]
     bad_rotation = first_bad_frame(w2c[:, :, :3], w2c[:, :, 3], np.empty((0, 4)))
     if bad_rotation is not None:
-        faults.append((bad_rotation[0], 1))
+        faults.append((bad_rotation[0], 4))
     not_increasing = list(map(operator.le, stamps[1:], stamps[:-1]))
     if True in not_increasing:
-        faults.append((not_increasing.index(True) + 1, 2))
-    if faults:
-        i, rank = min(faults)
-        line_no = stop if i == len(v) else line_nos[i]
-        if rank == 0:
-            _parse_record(line_no, lines[line_no - 1].split())  # raises that line's error
-        elif rank == 1:
-            raise RotationInvalid(str(bad_rotation[2]), line_no)
-        else:
-            raise NonMonotonicTimestamp(line_no, stamps[i], stamps[i - 1])
-    return PoseFile.from_arrays(lines[0].strip(), stamps, k, w2c)
+        faults.append((not_increasing.index(True) + 1, 5))
+    if not faults:
+        return PoseFile.from_arrays(lines[0].strip(), stamps, k, w2c)
+    i, rank = min(faults)
+    line_no = line_nos[i]
+    if rank == 0:
+        raise _conversion_error(line_no, lines[line_no - 1].split())
+    fx_n, fy_n, cx_n, cy_n, k1, k2 = v[i, :6].tolist()
+    if rank == 1:
+        raise NonZeroDistortion(line_no, k1, k2)
+    if rank == 2:
+        raise IntrinsicsInvalid(f"normalized focals must be positive, got {fx_n} {fy_n}", line_no)
+    if rank == 3:
+        raise IntrinsicsInvalid(
+            f"normalized principal point must lie in [0,1], got {cx_n} {cy_n}", line_no)
+    if rank == 4:
+        raise RotationInvalid(str(bad_rotation[2]), line_no)
+    raise NonMonotonicTimestamp(line_no, stamps[i], stamps[i - 1])
 
 
 _POSE_LINE = "%s" + " %.17g" * (POSE_FIELDS - 1)
@@ -333,61 +327,47 @@ def _intrinsics_fields(obj, path: str) -> list[float]:
     return [_as_number(_require(obj, k, path), f"{path}/{k}") for k in INTRINSICS_FIELDS]
 
 
-def _check_pose_values(intrinsics, extrinsics) -> None:
-    """Raise SchemaError at /poses/{i} (intrinsics) or /poses/{i}/R (R or t
-    values) for the first invalid pose read so far. ``extrinsics`` holds R
-    then t, 12 numbers a pose, and may lag ``intrinsics`` by one pose."""
-    e = np.array(extrinsics, dtype=np.float64).reshape(-1, 12)
-    bad = first_bad_frame(e[:, :9].reshape(-1, 3, 3), e[:, 9:],
-                          np.array(intrinsics, dtype=np.float64).reshape(-1, 4))
-    if bad is not None:
-        i, part, err = bad
-        raise SchemaError(f"/poses/{i}" + ("/R" if part == "extrinsics" else ""), str(err))
-
-
-def _pose_values(raw_poses: list) -> np.ndarray | None:
-    """(n, 16) fx, fy, cx, cy, R, t of every pose, or None unless each pose
-    is an object with those keys, R and t lists of 9 and 3 values, and every
-    value an int or float (not bool) within float64 range."""
+def _pose_values(raw_poses: list) -> np.ndarray:
+    """(m, 16) fx, fy, cx, cy, R, t of the leading poses, read in one pass
+    that stops at the first pose that is not an object with those keys, R
+    and t lists of 9 and 3 values, and every value an int or float (not
+    bool) within float64 range."""
     flat: list = []
-    try:
-        for rp in raw_poses:
+    for rp in raw_poses:
+        try:
             r, t = rp["R"], rp["t"]
-            if type(r) is not list or type(t) is not list or len(r) != 9 or len(t) != 3:
-                return None
-            flat += (rp["fx"], rp["fy"], rp["cx"], rp["cy"], *r, *t)
-    except (KeyError, TypeError):
-        return None
-    if not set(map(type, flat)) <= {int, float}:
-        return None
-    try:
-        return np.array(flat, dtype=np.float64).reshape(-1, 16)
-    except OverflowError:
-        return None
+            row = [rp["fx"], rp["fy"], rp["cx"], rp["cy"], *r, *t]
+            kinds = set(map(type, row))
+            if (type(r) is not list or type(t) is not list or len(r) != 9 or len(t) != 3
+                    or not kinds <= {int, float}):
+                break
+            flat += list(map(float, row)) if int in kinds else row
+        except (KeyError, TypeError, OverflowError):
+            break
+    return np.array(flat, dtype=np.float64).reshape(-1, 16)
 
 
-def _walk_pose_values(raw_poses: list) -> np.ndarray:
-    """(n, 16) pose values read one field at a time; raises SchemaError at
-    the path of the first fault, a bad value in an earlier pose before a
-    structural fault in a later one."""
-    intrinsics: list[list[float]] = []
-    extrinsics: list[list[float]] = []
+def _pose_fault(rp, path: str) -> tuple[list, SchemaError]:
+    """Intrinsics and error of a pose that :func:`_pose_values` stopped at:
+    ``[[fx, fy, cx, cy]]`` if those read cleanly, else ``[]``, and the
+    SchemaError of its first structural fault."""
+    intrinsics = []
     try:
-        for i, rp in enumerate(raw_poses):
-            path = f"/poses/{i}"
-            intrinsics.append(_intrinsics_fields(rp, path))
-            extrinsics.append(_as_vector(_require(rp, "R", path), 9, f"{path}/R")
-                              + _as_vector(_require(rp, "t", path), 3, f"{path}/t"))
-    finally:  # also after a schema error: an earlier bad value comes first
-        _check_pose_values(intrinsics, extrinsics)
-    return np.concatenate([intrinsics, extrinsics], axis=1)
+        intrinsics.append(_intrinsics_fields(rp, path))
+        _as_vector(_require(rp, "R", path), 9, f"{path}/R")
+        _as_vector(_require(rp, "t", path), 3, f"{path}/t")
+    except SchemaError as e:
+        return intrinsics, e
 
 
 def trajectory_from_json(text: str) -> Trajectory:
     """Parse the canonical trajectory JSON form.
 
-    The poses are read in one pass and validated at once; only when that
-    pass finds a fault are they walked field by field, to report its path.
+    The poses are read in one pass up to the first that is structurally
+    bad, then the values of those read, and the intrinsics of the bad one
+    if they read, are validated at once. The first bad pose is reported: a
+    bad value in an earlier pose comes before a structural fault in a later
+    one, and within a pose the intrinsics come before R, and R before t.
 
     Raises:
         SchemaError: with a /-separated path on any structural problem,
@@ -409,14 +389,18 @@ def trajectory_from_json(text: str) -> Trajectory:
     if not isinstance(raw_poses, list) or not raw_poses:
         raise SchemaError("/poses", "expected a non-empty list")
     values = _pose_values(raw_poses)
-    if values is None:
-        values = _walk_pose_values(raw_poses)
-    try:
-        return Trajectory.from_arrays(values[:, 4:13].reshape(-1, 3, 3), values[:, 13:],
-                                      values[:, :4], conv, width, height)
-    except (ValueError, RotationInvalid):
-        _check_pose_values(values[:, :4], values[:, 4:])  # raises it with its path
-        raise
+    m = len(values)
+    intrinsics, fault = [], None
+    if m < len(raw_poses):
+        intrinsics, fault = _pose_fault(raw_poses[m], f"/poses/{m}")
+    r, t = values[:, 4:13].reshape(-1, 3, 3), values[:, 13:]
+    bad = first_bad_frame(r, t, np.concatenate([values[:, :4], np.reshape(intrinsics, (-1, 4))]))
+    if bad is not None:
+        i, part, err = bad
+        raise SchemaError(f"/poses/{i}" + ("/R" if part == "extrinsics" else ""), str(err))
+    if fault is not None:
+        raise fault
+    return Trajectory.from_arrays(r, t, values[:, :4], conv, width, height)
 
 
 # --- synthesis plan JSON ----------------------------------------------------
@@ -454,7 +438,7 @@ def _parse_motion(rm, path: str, frames: int) -> MotionDirective:
                         else tuple(_as_vector(v, n, f"{path}/{key}")))
     try:
         return MotionDirective(kind=kind, frames=frames, **fields)
-    except (NonUnitDirection, NonUnitAxis, NonPositiveScale, ValueError) as e:
+    except (CamTrajError, ValueError) as e:  # any fault of the directive's values
         raise SchemaError(path, str(e)) from None
 
 

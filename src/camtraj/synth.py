@@ -43,7 +43,8 @@ class MotionDirective:
     with a signed ``interval``; ROTATE stores the unit axis in ``direction``
     and total degrees in ``interval``; PRINCIPAL_SHIFT stores per-frame pixel
     deltas in ``shift``; FOCAL_ZOOM stores its per-frame factor in
-    ``interval``.
+    ``interval``. Every number must be finite, and a single-frame ROTATE
+    must turn by 0 degrees.
     """
 
     kind: MotionKind
@@ -81,6 +82,12 @@ class MotionDirective:
             if not 0.0 < last < math.inf:
                 raise NonPositiveScale(f"focal factor {self.interval} over {self.frames} frames "
                                        f"reaches {last}, outside the positive float64 range")
+        numbers = self.shift if self.kind is MotionKind.PRINCIPAL_SHIFT else (self.interval,)
+        if not all(map(math.isfinite, numbers)):
+            raise ValueError(f"{self.kind.value} values must be finite, got "
+                             f"{', '.join(map(str, numbers))}")
+        if self.kind is MotionKind.ROTATE and self.frames == 1 and self.interval != 0.0:
+            raise ValueError("single-frame trajectory cannot spread a nonzero angle")
 
 
 @dataclass(frozen=True)
@@ -195,9 +202,6 @@ def compose_motions(directives, n: int, intrinsics: Intrinsics,
     for d in directives:
         if d.frames != n:
             raise ValueError(f"directive frame count {d.frames} != {n}")
-    if n == 1 and any(d.kind is MotionKind.ROTATE and d.interval != 0.0
-                      for d in directives):
-        raise ValueError("single-frame trajectory cannot spread a nonzero angle")
     i = np.arange(n, dtype=np.float64)
     k = np.tile(np.array([intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy],
                          dtype=np.float64), (n, 1))

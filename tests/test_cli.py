@@ -1,6 +1,7 @@
 """End-to-end subcommand tests driving main() directly."""
 
 import json
+import math
 import os
 
 import numpy as np
@@ -207,6 +208,24 @@ class TestSynth:
         code, stdout, stderr = run(capsys, "synth", "--spec", str(spec), "--out", str(out))
         assert code == 2 and stdout == ""
         assert stderr == f"error: {message}, outside the float64 range\n"
+        assert not out.exists() and no_temp_litter(tmp_path)
+
+    @pytest.mark.parametrize("frames, motion, message", [
+        (4, {"kind": "rotate", "axis": [0, 1, 0], "degrees": math.nan},
+         "rotate values must be finite, got nan"),
+        (4, {"kind": "pan", "direction": [1, 0, 0], "interval": math.inf},
+         "pan values must be finite, got inf"),
+        (4, {"kind": "pan", "direction": [math.nan, 0, 0], "interval": 0.1},
+         "norm nan deviates from 1 by more than 1e-09"),
+        (1, {"kind": "rotate", "axis": [0, 1, 0], "degrees": 5},
+         "single-frame trajectory cannot spread a nonzero angle")])
+    def test_bad_motion_values_report_path(self, tmp_path, capsys, frames, motion, message):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({**PAN_SPEC, "frames": frames, "motion": motion}))
+        out = tmp_path / "traj.json"
+        code, stdout, stderr = run(capsys, "synth", "--spec", str(spec), "--out", str(out))
+        assert code == 2 and stdout == ""
+        assert stderr == f"error: /motion: {message}\n"
         assert not out.exists() and no_temp_litter(tmp_path)
 
     @pytest.mark.parametrize("key, value", [("frames", 10 ** 20), ("width", 10 ** 6)])

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from camtraj.errors import ConventionMismatch, NonUnitAxis, RotationInvalid
+from camtraj.errors import ConventionMismatch, NonUnitAxis, NonUnitDirection, RotationInvalid
 from camtraj.geometry import (
     CameraPose,
     Convention,
@@ -18,6 +18,7 @@ from camtraj.geometry import (
     orthonormalize,
     relativize,
     rotation_about_axis,
+    unit_vector,
 )
 from util import random_extrinsics, random_rotation, random_trajectory
 
@@ -171,6 +172,15 @@ class TestRotationAboutAxis:
             rotation_about_axis([1.0, 1.0, 0.0], 0.5)
         with pytest.raises(NonUnitAxis):
             rotation_about_axis([0.0, 0.0], 0.5)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_axis(self, bad):
+        # NaN compares false both ways, so the norm test must not pass it
+        for axis in ([bad, 0.0, 0.0], [0.0, 1.0, bad]):
+            with pytest.raises(NonUnitAxis):
+                rotation_about_axis(axis, 0.1)
+            with pytest.raises(NonUnitDirection):
+                unit_vector(axis, NonUnitDirection)
 
 
 class TestOrthonormalize:

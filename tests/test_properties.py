@@ -1,11 +1,14 @@
-"""Property tests for the array-backed Trajectory (Hypothesis)."""
+"""Property tests for the array-backed Trajectory and for synthesis plans
+(Hypothesis)."""
 
+import json
 import math
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from camtraj.errors import CamTrajError
 from camtraj.geometry import (
     CameraPose,
     Convention,
@@ -19,13 +22,20 @@ from camtraj.geometry import (
     rotation_about_axis,
 )
 from camtraj.metrics import BASELINE_EPS, evaluate, rot_err, trans_err
-from camtraj.pose_io import trajectory_from_json, trajectory_to_json
-from camtraj.synth import MotionDirective, MotionKind, compose_motions, scale_intensity
+from camtraj.pose_io import parse_trajectory_spec, trajectory_from_json, trajectory_to_json
+from camtraj.synth import (
+    MotionDirective,
+    MotionKind,
+    compose_motions,
+    scale_intensity,
+    synthesize,
+)
 from util import quat_to_matrix, random_unit
 
 W2C, C2W = Convention.WORLD_TO_CAMERA, Convention.CAMERA_TO_WORLD
 # derandomized so a tier-1 run is reproducible; raise max_examples to explore
 checked = settings(max_examples=60, deadline=None, derandomize=True)
+mutated = settings(max_examples=300, deadline=None, derandomize=True)
 
 coords = st.floats(-100.0, 100.0, allow_nan=False)
 quats = st.tuples(*[st.floats(-1.0, 1.0)] * 4).filter(
@@ -184,3 +194,58 @@ def test_scale_intensity_matches_per_frame_loop(traj, k):
         t = new_c if traj.convention is C2W else -p.extrinsics.rotation @ new_c
         assert np.array_equal(scaled.rotations[i], p.extrinsics.rotation)
         assert np.array_equal(scaled.translations[i], t)
+
+
+# --- synthesis plans ------------------------------------------------------------
+
+PLAN_MOTIONS = {
+    "pan": {"kind": "pan", "direction": [0.6, 0.0, 0.8], "interval": 0.1},
+    "zoom": {"kind": "zoom", "interval": -0.2},
+    "rotate": {"kind": "rotate", "axis": [0.0, 1.0, 0.0], "degrees": 30.0},
+    "principal_shift": {"kind": "principal_shift", "per_frame": [1.5, -2.0]},
+    "focal_zoom": {"kind": "focal_zoom", "scale": 1.1},
+}
+PLAN_VALUES = [math.nan, math.inf, -math.inf, 0, -1, 1e308, -1e308, 5e-324, 10 ** 400,
+               True, "1"]
+
+
+def _number_slots(node):
+    """(container, key) of every number in a parsed plan document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _number_slots(value)
+        elif isinstance(value, (int, float)):
+            yield node, key
+
+
+@st.composite
+def mutated_plans(draw):
+    """A valid plan of 1-3 motions with one number replaced by an edge
+    value, or with frames set to 1."""
+    motions = [json.loads(json.dumps(PLAN_MOTIONS[k]))
+               for k in draw(st.lists(st.sampled_from(sorted(PLAN_MOTIONS)), min_size=1,
+                                      max_size=3))]
+    doc = {"frames": draw(st.integers(2, 5)), "width": 16, "height": 12,
+           "intrinsics": {"fx": 16.0, "fy": 18.0, "cx": 8.0, "cy": 6.0}}
+    if len(motions) == 1 and draw(st.booleans()):
+        doc["motion"] = motions[0]
+    else:
+        doc["motions"] = motions
+    if draw(st.integers(0, 9)) == 0:
+        doc["frames"] = 1
+    else:
+        node, key = draw(st.sampled_from(list(_number_slots(doc))))
+        node[key] = draw(st.sampled_from(PLAN_VALUES))
+    return json.dumps(doc)
+
+
+@mutated
+@given(mutated_plans())
+def test_mutated_plan_synthesizes_finite_or_fails_typed(text):
+    try:
+        traj = synthesize(parse_trajectory_spec(text))
+    except CamTrajError:
+        return
+    for a in (traj.rotations, traj.translations, traj.intrinsics):
+        assert np.isfinite(a).all()

@@ -291,3 +291,18 @@ class TestDirectiveValidation:
     def test_frames_minimum(self):
         with pytest.raises(ValueError):
             MotionDirective(MotionKind.ZOOM, 0, interval=0.1)
+
+    @pytest.mark.parametrize("kind, fields, shown", [
+        (MotionKind.PAN, {"direction": (1.0, 0.0, 0.0), "interval": math.inf}, "inf"),
+        (MotionKind.ZOOM, {"interval": -math.inf}, "-inf"),
+        (MotionKind.ROTATE, {"direction": (0.0, 1.0, 0.0), "interval": math.nan}, "nan"),
+        (MotionKind.PRINCIPAL_SHIFT, {"shift": (1.0, math.nan)}, "1.0, nan")])
+    def test_non_finite_values_rejected(self, kind, fields, shown):
+        with pytest.raises(ValueError) as exc:
+            MotionDirective(kind, 4, **fields)
+        assert str(exc.value) == f"{kind.value} values must be finite, got {shown}"
+
+    def test_single_frame_rotation_rejected_on_construction(self):
+        MotionDirective(MotionKind.ROTATE, 1, direction=(0.0, 0.0, 1.0), interval=0.0)
+        with pytest.raises(ValueError, match="single-frame trajectory cannot spread"):
+            MotionDirective(MotionKind.ROTATE, 1, direction=(0.0, 0.0, 1.0), interval=10.0)
