@@ -1,11 +1,11 @@
 """Command-line interface.
 
-Subcommands: parse, synth, embed, eval, encode. Exit codes: 0 success,
-1 usage error, 2 data/validation error, 3 I/O error. Angles are degrees at
-this boundary and radians inside the library. Output files are written to a
-temp file in the destination directory and renamed into place, so a failed
-run never leaves a partial artifact; the four feature files of ``encode``
-are renamed only once all four are written.
+Subcommands: parse, synth, embed, eval, encode. Exit codes: 0 success, 1
+usage error, 2 data error (a CamTrajError), 3 I/O error; any other exception
+is a bug. Angles are degrees at this boundary and radians inside the library.
+Output files are written to a temp file in the destination directory and
+renamed into place, so a failed run never leaves a partial artifact; the four
+feature files of ``encode`` are renamed only once all four are written.
 """
 
 from __future__ import annotations
@@ -71,20 +71,34 @@ def _atomic_write_text(path: str, text: str) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
 
 
+def _read_text(path: str, newline: str | None = None) -> str:
+    """The text of the UTF-8 file at ``path``, ``newline`` as for open()."""
+    try:
+        with open(path, encoding="utf-8", newline=newline) as f:
+            return f.read()
+    except UnicodeDecodeError as e:
+        raise CamTrajError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
+
+
 def _parse_frames(spec: str, count: int) -> list[int]:
     """Frame selection: 'i,j,k' lists or 'start:stop[:step]' ranges."""
     spec = spec.strip()
     if ":" in spec:
-        parts = spec.split(":")
-        if len(parts) not in (2, 3) or not all(p.strip().lstrip("-").isdigit() or p.strip() == ""
-                                               for p in parts):
-            raise UsageError(f"bad frame range {spec!r}")
-        start = int(parts[0]) if parts[0].strip() else 0
-        stop = int(parts[1]) if parts[1].strip() else count
-        step = int(parts[2]) if len(parts) == 3 and parts[2].strip() else 1
+        parts = [p.strip() for p in spec.split(":")]
+        try:  # int() also fails on '--1', non-ASCII digits and over-long numbers
+            if len(parts) not in (2, 3) or not all(p.lstrip("-").isdigit() or not p
+                                                   for p in parts):
+                raise ValueError
+            start, stop = int(parts[0] or 0), int(parts[1] or count)
+            step = int(parts[2] or 1) if len(parts) == 3 else 1
+        except ValueError:
+            raise UsageError(f"bad frame range {spec!r}") from None
         if step == 0:
             raise UsageError("frame range step cannot be 0")
-        return list(range(start, stop, step))
+        # end a range at its first index outside [0, count), which to_trajectory reports
+        end = min(stop, count) if step > 0 else max(stop, -1)
+        inside = len(range(start, end, step)) if 0 <= start < count else 0
+        return list(range(start, stop, step)[:inside + 1])
     try:
         return [int(p) for p in spec.split(",") if p.strip() != ""]
     except ValueError:
@@ -94,8 +108,7 @@ def _parse_frames(spec: str, count: int) -> list[int]:
 # --- subcommands ------------------------------------------------------------
 
 def cmd_parse(args) -> int:
-    with open(args.input, "rb") as f:
-        pf = pose_io.parse_pose_file(f.read())
+    pf = pose_io.parse_pose_file(_read_text(args.input, newline=""))
     if args.frames is not None:
         indices = _parse_frames(args.frames, len(pf))
     else:
@@ -107,8 +120,7 @@ def cmd_parse(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    with open(args.spec, "r", encoding="utf-8") as f:
-        plan = pose_io.parse_trajectory_spec(f.read())
+    plan = pose_io.parse_trajectory_spec(_read_text(args.spec))
     traj = synth.synthesize(plan)
     _atomic_write_text(args.out, pose_io.trajectory_to_json(traj))
     angle = math.degrees(float(geometry.rotation_angle(traj.rotations[-1])))
@@ -119,8 +131,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    with open(args.traj, "r", encoding="utf-8") as f:
-        traj = pose_io.trajectory_from_json(f.read())
+    traj = pose_io.trajectory_from_json(_read_text(args.traj))
     seq = plucker.plucker_sequence(traj, pixel_origin=args.pixel_origin)
     _atomic_write_all([(args.out, functools.partial(npyio.write_npy, seq))])
     print(f"embedded {seq.shape} -> {args.out}")
@@ -137,10 +148,8 @@ def cmd_embed(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    with open(args.gt, "r", encoding="utf-8") as f:
-        gt = pose_io.trajectory_from_json(f.read())
-    with open(args.gen, "r", encoding="utf-8") as f:
-        gen = pose_io.trajectory_from_json(f.read())
+    gt = pose_io.trajectory_from_json(_read_text(args.gt))
+    gen = pose_io.trajectory_from_json(_read_text(args.gen))
     report = metrics.evaluate(gt, gen)
     _atomic_write_text(args.out, pose_io.report_to_json(report))
     print(f"rot_err {report.rot_err_total:.9f} rad "
@@ -174,6 +183,16 @@ def cmd_encode(args) -> int:
 
 # --- argument wiring --------------------------------------------------------
 
+def _side(text: str) -> int:
+    try:
+        side = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if side < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {side}")
+    return side
+
+
 def _channels(text: str) -> list[int]:
     try:
         vals = [int(p) for p in text.split(",")]
@@ -192,8 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("parse", help="pose-list text file to trajectory JSON")
     sp.add_argument("--input", required=True, help="pose-list text file")
-    sp.add_argument("--width", type=int, required=True)
-    sp.add_argument("--height", type=int, required=True)
+    sp.add_argument("--width", type=_side, required=True)
+    sp.add_argument("--height", type=_side, required=True)
     sp.add_argument("--frames", default=None,
                     help="comma list '0,8,16' or range '0:128:8'; default all")
     sp.add_argument("--out", required=True, help="trajectory JSON destination")
@@ -245,9 +264,6 @@ def main(argv=None) -> int:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
     except CamTrajError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except OSError as e:

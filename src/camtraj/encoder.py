@@ -64,11 +64,15 @@ class EncoderConfig:
             raise ConfigError(f"unshuffle_factor must be >= 1, got {self.unshuffle_factor}")
         if len(self.scale_channels) != 4 or any(c < 1 for c in self.scale_channels):
             raise ConfigError(f"need 4 positive scale channels, got {self.scale_channels}")
+        if self.heads < 1:
+            raise ConfigError(f"heads must be >= 1, got {self.heads}")
         for c in self.scale_channels:
             if c % self.heads != 0:
                 raise ConfigError(f"heads={self.heads} must divide channel width {c}")
         if self.mlp_ratio < 1:
             raise ConfigError(f"mlp_ratio must be >= 1, got {self.mlp_ratio}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 @dataclass(frozen=True)

@@ -1,14 +1,14 @@
 """Exception taxonomy shared across the package.
 
-Every domain failure raises a subclass of :class:`CamTrajError` so callers
-(notably the CLI) can separate validation problems from genuine I/O failures,
-which surface as plain ``OSError``.
+:class:`CamTrajError` (a ``ValueError``) and its subclasses are the only
+exceptions the package raises for bad input data. I/O failures surface as
+plain ``OSError``; any other exception is a bug.
 """
 
 from __future__ import annotations
 
 
-class CamTrajError(Exception):
+class CamTrajError(ValueError):
     """Base class for all domain errors raised by this package."""
 
 
@@ -125,7 +125,7 @@ class DegenerateBaseline(CamTrajError):
 
 # --- encoder ----------------------------------------------------------------
 
-class ConfigError(CamTrajError, ValueError):
+class ConfigError(CamTrajError):
     """An encoder configuration field is out of range or inconsistent."""
 
 

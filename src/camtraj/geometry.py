@@ -16,7 +16,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import ConventionMismatch, NonUnitAxis, RotationInvalid
+from .errors import CamTrajError, ConventionMismatch, NonUnitAxis, RotationInvalid, ShapeMismatch
 
 ORTHO_TOL = 1e-6
 UNIT_TOL = 1e-9
@@ -33,7 +33,7 @@ class Convention(Enum):
 def _frozen_array(x, shape) -> np.ndarray:
     a = np.array(x, dtype=np.float64)
     if a.shape != shape:
-        raise ValueError(f"expected array of shape {shape}, got {a.shape}")
+        raise ShapeMismatch(f"expected array of shape {shape}, got {a.shape}")
     a.setflags(write=False)
     return a
 
@@ -55,16 +55,17 @@ def first_bad_frame(rotations: np.ndarray, translations: np.ndarray,
                     intrinsics: np.ndarray) -> tuple[int, str, Exception] | None:
     """First invalid frame as (index, "intrinsics" or "extrinsics", error),
     or None. All frames are checked at once, each in this order: intrinsics
-    (n, 4) finite, then fx, fy > 0 (ValueError); rotations (n, 3, 3) and
-    translations (n, 3) finite (ValueError); R.T @ R == I, then det R == 1,
+    (n, 4) finite, then fx, fy > 0 (CamTrajError); rotations (n, 3, 3) and
+    translations (n, 3) finite (CamTrajError); R.T @ R == I, then det R == 1,
     within ORTHO_TOL (RotationInvalid). The two stacks may differ in length,
     as when a parser has read a frame's intrinsics but not its extrinsics."""
     k = intrinsics
     finite_k = np.isfinite(k)
     finite = np.isfinite(rotations).all(axis=(1, 2)) & np.isfinite(translations).all(axis=1)
     r = np.where(finite[:, None, None], rotations, np.eye(3))
-    dev = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max(axis=(-2, -1))
-    det = np.linalg.det(r)
+    with np.errstate(over="ignore", invalid="ignore"):  # huge entries fail the checks below
+        dev = np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3)).max(axis=(-2, -1))
+        det = np.linalg.det(r)
     masks = [~finite_k.all(axis=1), (k[:, 0] <= 0) | (k[:, 1] <= 0), ~finite,
              dev >= ORTHO_TOL, np.abs(det - 1.0) >= ORTHO_TOL]
     found = [(int(np.argmax(m)), rank) for rank, m in enumerate(masks) if m.any()]
@@ -73,11 +74,11 @@ def first_bad_frame(rotations: np.ndarray, translations: np.ndarray,
     i, rank = min(found)
     if rank == 0:
         j = int(np.argmin(finite_k[i]))
-        err = ValueError(f"{INTRINSICS_FIELDS[j]} must be finite, got {k[i, j]}")
+        err = CamTrajError(f"{INTRINSICS_FIELDS[j]} must be finite, got {k[i, j]}")
     elif rank == 1:
-        err = ValueError(f"focal lengths must be positive, got fx={k[i, 0]} fy={k[i, 1]}")
+        err = CamTrajError(f"focal lengths must be positive, got fx={k[i, 0]} fy={k[i, 1]}")
     elif rank == 2:
-        err = ValueError("array contains non-finite entries")
+        err = CamTrajError("array contains non-finite entries")
     elif rank == 3:
         err = RotationInvalid(f"R.T @ R deviates from identity by {dev[i]:.3e}")
     else:
@@ -273,7 +274,7 @@ class Trajectory:
     def __init__(self, poses, width: int = 0, height: int = 0):
         poses = tuple(poses)
         if not poses:
-            raise ValueError("trajectory needs at least one pose")
+            raise CamTrajError("trajectory needs at least one pose")
         conv = poses[0].extrinsics.convention
         for i, p in enumerate(poses):
             if p.extrinsics.convention is not conv:
@@ -289,21 +290,21 @@ class Trajectory:
     def from_arrays(cls, rotations, translations, intrinsics, convention: Convention,
                     width: int, height: int) -> "Trajectory":
         """Build from (n, 3, 3), (n, 3) and (n, 4) arrays, which are copied;
-        raises ValueError or RotationInvalid on invalid input."""
+        raises CamTrajError, or its subclass RotationInvalid, on invalid input."""
         r = np.array(rotations, dtype=np.float64)
         t = np.array(translations, dtype=np.float64)
         k = np.array(intrinsics, dtype=np.float64)
         n = len(r) if r.ndim else 0
         if r.shape[1:] != (3, 3) or t.shape != (n, 3) or k.shape != (n, 4):
-            raise ValueError("expected rotations (n, 3, 3), translations (n, 3) and "
-                             f"intrinsics (n, 4), got {r.shape}, {t.shape}, {k.shape}")
+            raise ShapeMismatch("expected rotations (n, 3, 3), translations (n, 3) and "
+                                f"intrinsics (n, 4), got {r.shape}, {t.shape}, {k.shape}")
         if n < 1:
-            raise ValueError("trajectory needs at least one pose")
+            raise CamTrajError("trajectory needs at least one pose")
         bad = first_bad_frame(r, t, k)
         if bad is not None:
             raise bad[2]
         if width < 1 or height < 1:
-            raise ValueError(f"image dims must be positive, got {width}x{height}")
+            raise CamTrajError(f"image dims must be positive, got {width}x{height}")
         if not isinstance(convention, Convention):
             raise TypeError(f"convention must be a Convention, got {convention!r}")
         for a in (r, t, k):

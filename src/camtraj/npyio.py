@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import ast
 import io
+import math
 import struct
 from typing import BinaryIO
 
@@ -89,10 +90,10 @@ def read_npy(source: BinaryIO) -> np.ndarray:
         raise BadMagic(f"header truncated: expected {hlen} bytes, got {len(header)}")
     try:
         meta = ast.literal_eval(header.decode("ascii").strip())
-    except (ValueError, SyntaxError, UnicodeDecodeError) as e:
+    except (ValueError, SyntaxError, MemoryError, RecursionError) as e:  # last two: deep nesting
         raise BadMagic(f"malformed header dict: {e}") from None
     if not isinstance(meta, dict) or set(meta) != {"descr", "fortran_order", "shape"}:
-        raise BadMagic(f"header keys {sorted(meta) if isinstance(meta, dict) else meta}")
+        raise BadMagic(f"header keys {sorted(meta, key=str) if isinstance(meta, dict) else meta}")
     if meta["descr"] != "<f4":
         raise UnsupportedDtype(f"descr {meta['descr']!r}, only '<f4' supported")
     if meta["fortran_order"] is not False:
@@ -101,10 +102,7 @@ def read_npy(source: BinaryIO) -> np.ndarray:
     if (not isinstance(shape, tuple)
             or not all(isinstance(s, int) and s >= 0 for s in shape)):
         raise BadMagic(f"invalid shape {shape!r}")
-    count = 1
-    for s in shape:
-        count *= s
-    expected = count * 4
+    expected = math.prod(shape) * 4
     if not source.seekable():
         return _read_unseekable(source, shape, expected)
     here = source.tell()
@@ -112,7 +110,10 @@ def read_npy(source: BinaryIO) -> np.ndarray:
     source.seek(here)
     if left < expected:
         raise TruncatedPayload(expected, left)
-    arr = np.empty(shape, dtype="<f4")
+    try:
+        arr = np.empty(shape, dtype="<f4")
+    except ValueError:  # more dims than numpy allows, or a size past its limit
+        raise BadMagic(f"invalid shape {shape!r}") from None
     got = source.readinto(arr.reshape(-1).view(np.uint8))
     if got != expected:
         raise TruncatedPayload(expected, got)
@@ -130,7 +131,10 @@ def _read_unseekable(source: BinaryIO, shape: tuple[int, ...], expected: int) ->
             raise TruncatedPayload(expected, got)
         chunks.append(chunk)
         got += len(chunk)
-    return np.frombuffer(bytearray().join(chunks), dtype="<f4").reshape(shape)
+    try:
+        return np.frombuffer(bytearray().join(chunks), dtype="<f4").reshape(shape)
+    except ValueError:  # more dims than numpy allows, or a size past its limit
+        raise BadMagic(f"invalid shape {shape!r}") from None
 
 
 def read_npy_file(path) -> np.ndarray:

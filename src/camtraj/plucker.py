@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import CamTrajError, ShapeMismatch
 from .geometry import CameraPose, Convention, Extrinsics, Trajectory, convert_extrinsics
 
 PIXEL_ORIGINS = ("center", "corner")
@@ -28,7 +29,7 @@ PIXEL_ORIGINS = ("center", "corner")
 
 def _pixel_offset(pixel_origin: str) -> float:
     if pixel_origin not in PIXEL_ORIGINS:
-        raise ValueError(f"pixel_origin must be one of {PIXEL_ORIGINS}, got {pixel_origin!r}")
+        raise CamTrajError(f"pixel_origin must be one of {PIXEL_ORIGINS}, got {pixel_origin!r}")
     return 0.5 if pixel_origin == "center" else 0.0
 
 
@@ -109,7 +110,11 @@ def plucker_sequence(traj: Trajectory, pixel_origin: str = "center") -> np.ndarr
     off = _pixel_offset(pixel_origin)  # validate before any work
     r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention,
                               Convention.CAMERA_TO_WORLD)
-    out = np.empty((len(traj), 6, traj.height, traj.width), dtype=np.float32)
+    shape = (len(traj), 6, traj.height, traj.width)
+    try:
+        out = np.empty(shape, dtype=np.float32)
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+        raise CamTrajError(f"cannot allocate a float32 embedding of shape {shape}") from None
     for i in range(len(traj)):
         _fill_map(out[i], traj.intrinsics[i], r[i], c[i], off)
     return out
@@ -141,7 +146,7 @@ def verify_plucker(arr: np.ndarray, tol: float = 1e-6) -> dict:
     """
     a = np.asarray(arr)
     if a.ndim < 3 or a.shape[-3] != 6:
-        raise ValueError(f"expected (..., 6, h, w) array, got shape {a.shape}")
+        raise ShapeMismatch(f"expected (..., 6, h, w) array, got shape {a.shape}")
     devs = np.array([_frame_deviations(a[i]) for i in np.ndindex(a.shape[:-3])])
     norm_dev, dot_dev = (float(v) for v in devs.max(axis=0))
     return {

@@ -89,8 +89,8 @@ class PoseFile:
         m = np.array(w2c, dtype=np.float64).reshape(-1, 3, 4)
         timestamps = tuple(timestamps)
         if not len(timestamps) == len(k) == len(m):
-            raise ValueError(f"got {len(timestamps)} timestamps, {len(k)} intrinsics rows "
-                             f"and {len(m)} matrices")
+            raise CamTrajError(f"got {len(timestamps)} timestamps, {len(k)} intrinsics rows "
+                               f"and {len(m)} matrices")
         k.setflags(write=False)
         m.setflags(write=False)
         pf = cls.__new__(cls)
@@ -139,13 +139,16 @@ def parse_pose_file(data: bytes | str) -> PoseFile:
     Raises:
         FieldCountError, NumericError, NonZeroDistortion, IntrinsicsInvalid,
         RotationInvalid, NonMonotonicTimestamp: all carrying the offending
-        1-based line number.
-        ValueError: on an empty document (no URL line).
+        1-based line number; PoseParseError on bytes that are not UTF-8.
+        CamTrajError: on an empty document (no URL line).
     """
-    text = data.decode("utf-8") if isinstance(data, bytes) else data
+    try:
+        text = data.decode("utf-8") if isinstance(data, bytes) else data
+    except UnicodeDecodeError as e:
+        raise PoseParseError(f"not UTF-8 text: {e.reason}", data.count(b"\n", 0, e.start) + 1)
     lines = text.split("\n")
     if not lines or lines[0].strip() == "" and len(lines) == 1:
-        raise ValueError("empty pose file: missing URL line")
+        raise CamTrajError("empty pose file: missing URL line")
     line_nos: list[int] = []  # one past the rows of v if a line did not convert
     stamps: list[int] = []
     values: list[float] = []
@@ -229,8 +232,9 @@ def to_trajectory(pf: PoseFile, width: int, height: int,
     if out_of_range:
         raise IndexOutOfRange(f"index {out_of_range[0]} out of range for {n} records")
     w2c = pf.w2c[indices]
-    return Trajectory.from_arrays(w2c[:, :, :3], w2c[:, :, 3],
-                                  pf.normalized[indices] * [width, height, width, height],
+    with np.errstate(over="ignore"):  # an overflowing focal is inf, and fails in from_arrays
+        k = pf.normalized[indices] * [width, height, width, height]
+    return Trajectory.from_arrays(w2c[:, :, :3], w2c[:, :, 3], k,
                                   Convention.WORLD_TO_CAMERA, width, height)
 
 
@@ -286,6 +290,17 @@ def report_to_json(report: AlignmentReport) -> str:
     values[0::2] = _json_numbers(report.per_frame_rot[:n])
     values[1::2] = _json_numbers(report.per_frame_trans[:n])
     return _dumps_listing(doc, "per_frame", {"rot": "%s", "trans": "%s"}, values)
+
+
+def _load_object(text: str) -> dict:
+    """The top-level object of a JSON document."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as e:  # also an integer past the digit limit, deep nesting
+        raise SchemaError("/", f"invalid JSON: {e}") from None
+    if not isinstance(doc, dict):
+        raise SchemaError("/", "top level must be an object")
+    return doc
 
 
 def _require(obj: dict, key: str, path: str):
@@ -373,12 +388,7 @@ def trajectory_from_json(text: str) -> Trajectory:
         SchemaError: with a /-separated path on any structural problem,
         including rotation blocks that fail the orthonormality check.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError("/", f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("/", "top level must be an object")
+    doc = _load_object(text)
     conv_name = _require(doc, "convention", "")
     if not isinstance(conv_name, str) or conv_name not in _CONVENTION_NAMES:
         raise SchemaError("/convention", f"must be one of {sorted(_CONVENTION_NAMES)}")
@@ -438,7 +448,7 @@ def _parse_motion(rm, path: str, frames: int) -> MotionDirective:
                         else tuple(_as_vector(v, n, f"{path}/{key}")))
     try:
         return MotionDirective(kind=kind, frames=frames, **fields)
-    except (CamTrajError, ValueError) as e:  # any fault of the directive's values
+    except CamTrajError as e:  # any fault of the directive's values
         raise SchemaError(path, str(e)) from None
 
 
@@ -451,19 +461,14 @@ def parse_trajectory_spec(text: str) -> SynthesisPlan:
     Raises:
         SchemaError: with a /-separated path on any structural problem.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise SchemaError("/", f"invalid JSON: {e}") from None
-    if not isinstance(doc, dict):
-        raise SchemaError("/", "top level must be an object")
+    doc = _load_object(text)
     frames = _as_int(_require(doc, "frames", ""), "/frames", 1, MAX_PLAN_FRAMES)
     width = _as_int(_require(doc, "width", ""), "/width", 1, MAX_PLAN_SIDE)
     height = _as_int(_require(doc, "height", ""), "/height", 1, MAX_PLAN_SIDE)
     fields = _intrinsics_fields(_require(doc, "intrinsics", ""), "/intrinsics")
     try:
         intr = Intrinsics(*fields)
-    except ValueError as e:
+    except CamTrajError as e:
         raise SchemaError("/intrinsics", str(e)) from None
     if "motion" in doc and "motions" in doc:
         raise SchemaError("/", "give either 'motion' or 'motions', not both")

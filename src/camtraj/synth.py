@@ -14,8 +14,8 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import (EmptyDirectives, MotionOverflow, NonPositiveScale, NonUnitAxis,
-                     NonUnitDirection)
+from .errors import (CamTrajError, EmptyDirectives, MotionOverflow, NonPositiveScale,
+                     NonUnitAxis, NonUnitDirection)
 from .geometry import (
     Convention,
     Intrinsics,
@@ -55,24 +55,24 @@ class MotionDirective:
 
     def __post_init__(self):
         if self.frames < 1:
-            raise ValueError(f"frames must be >= 1, got {self.frames}")
+            raise CamTrajError(f"frames must be >= 1, got {self.frames}")
         if self.kind is MotionKind.PAN:
             if self.direction is None or self.interval is None:
-                raise ValueError("pan needs direction and interval")
+                raise CamTrajError("pan needs direction and interval")
             unit_vector(self.direction, NonUnitDirection)
         elif self.kind is MotionKind.ZOOM:
             if self.interval is None:
-                raise ValueError("zoom needs interval")
+                raise CamTrajError("zoom needs interval")
         elif self.kind is MotionKind.ROTATE:
             if self.direction is None or self.interval is None:
-                raise ValueError("rotate needs axis and degrees")
+                raise CamTrajError("rotate needs axis and degrees")
             unit_vector(self.direction, NonUnitAxis)
         elif self.kind is MotionKind.PRINCIPAL_SHIFT:
             if self.shift is None or len(self.shift) != 2:
-                raise ValueError("principal_shift needs a (dx, dy) pair")
+                raise CamTrajError("principal_shift needs a (dx, dy) pair")
         elif self.kind is MotionKind.FOCAL_ZOOM:
             if self.interval is None:
-                raise ValueError("focal_zoom needs scale")
+                raise CamTrajError("focal_zoom needs scale")
             if not (self.interval > 0 and math.isfinite(self.interval)):
                 raise NonPositiveScale(f"focal factor must be positive, got {self.interval}")
             try:
@@ -84,10 +84,10 @@ class MotionDirective:
                                        f"reaches {last}, outside the positive float64 range")
         numbers = self.shift if self.kind is MotionKind.PRINCIPAL_SHIFT else (self.interval,)
         if not all(map(math.isfinite, numbers)):
-            raise ValueError(f"{self.kind.value} values must be finite, got "
-                             f"{', '.join(map(str, numbers))}")
+            raise CamTrajError(f"{self.kind.value} values must be finite, got "
+                               f"{', '.join(map(str, numbers))}")
         if self.kind is MotionKind.ROTATE and self.frames == 1 and self.interval != 0.0:
-            raise ValueError("single-frame trajectory cannot spread a nonzero angle")
+            raise CamTrajError("single-frame trajectory cannot spread a nonzero angle")
 
 
 @dataclass(frozen=True)
@@ -126,7 +126,7 @@ def synth_rotation(axis, total_degrees: float, n: int,
 
     Raises:
         NonUnitAxis: if ``axis`` is not unit length within 1e-9.
-        ValueError: if n == 1 with a nonzero total (no increment exists).
+        CamTrajError: if n == 1 with a nonzero total (no increment exists).
     """
     d = MotionDirective(MotionKind.ROTATE, n, direction=axis, interval=total_degrees)
     return compose_motions((d,), n, intrinsics, width, height)
@@ -143,14 +143,14 @@ def synth_intrinsic_motion(kind: MotionKind, param, n: int,
     Raises:
         NonPositiveScale: for a FOCAL_ZOOM factor <= 0, or one whose power
             ``param ** (n - 1)`` overflows to infinity or underflows to 0.
-        ValueError: for any other kind.
+        CamTrajError: for any other kind.
     """
     if kind is MotionKind.PRINCIPAL_SHIFT:
         d = MotionDirective(kind, n, shift=tuple(param))
     elif kind is MotionKind.FOCAL_ZOOM:
         d = MotionDirective(kind, n, interval=float(param))
     else:
-        raise ValueError(f"not an intrinsic motion kind: {kind}")
+        raise CamTrajError(f"not an intrinsic motion kind: {kind}")
     return compose_motions((d,), n, intrinsics, width, height)
 
 
@@ -194,14 +194,14 @@ def compose_motions(directives, n: int, intrinsics: Intrinsics,
             float64 range at some frame, naming the directive that took it there.
         NonPositiveScale: if the focal_zoom factors, applied in order, take
             fx or fy to infinity or to 0 at some frame.
-        ValueError: if any directive's frame count disagrees with n.
+        CamTrajError: if any directive's frame count disagrees with n.
     """
     directives = tuple(directives)
     if not directives:
         raise EmptyDirectives("no motion directives given")
     for d in directives:
         if d.frames != n:
-            raise ValueError(f"directive frame count {d.frames} != {n}")
+            raise CamTrajError(f"directive frame count {d.frames} != {n}")
     i = np.arange(n, dtype=np.float64)
     k = np.tile(np.array([intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy],
                          dtype=np.float64), (n, 1))
@@ -237,7 +237,7 @@ def scale_intensity(traj: Trajectory, k: float) -> Trajectory:
     a then b equals scaling once by a*b up to roundoff.
     """
     if not math.isfinite(k):
-        raise ValueError(f"scale factor must be finite, got {k}")
+        raise CamTrajError(f"scale factor must be finite, got {k}")
     c2w = Convention.CAMERA_TO_WORLD
     r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention, c2w)
     r, t = convert_extrinsics(r, c[0] + k * (c - c[0]), c2w, traj.convention)

@@ -505,3 +505,143 @@ class TestTopLevel:
 
     def test_missing_required_flag(self, capsys):
         assert main(["embed", "--traj", "x.json"]) == 1
+
+
+class TestErrorContract:
+    """Every data fault exits 2 with its message, a bad flag exits 1, and
+    neither writes anything or warns."""
+
+    def two_line_pose_file(self, tmp_path, fy_n="0.889"):
+        src = tmp_path / "poses.txt"
+        src.write_text(f"url\n{pose_line(0).replace('0.889', fy_n)}\n{pose_line(1)}\n")
+        return src
+
+    @pytest.mark.parametrize("flag", ["--width", "--height"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_parse_side_below_one_is_usage_error(self, tmp_path, capsys, flag, value):
+        sides = {"--width": "64", "--height": "48", flag: value}
+        out = tmp_path / "t.json"
+        code, stdout, stderr = run(capsys, "parse", "--input",
+                                   str(self.two_line_pose_file(tmp_path)),
+                                   *[a for kv in sides.items() for a in kv], "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert stderr == f"camtraj parse: argument {flag}: must be >= 1, got {value}\n"
+        assert not out.exists()
+
+    def test_non_integer_side_keeps_argparse_wording(self, tmp_path, capsys):
+        code, _, stderr = run(capsys, "parse", "--input", "p.txt", "--width", "x",
+                              "--height", "4", "--out", str(tmp_path / "t.json"))
+        assert code == 1
+        assert stderr == "camtraj parse: argument --width: invalid int value: 'x'\n"
+
+    @pytest.mark.parametrize("cmd, flag", [("parse", "--input"), ("synth", "--spec"),
+                                           ("embed", "--traj"), ("eval", "--gt")])
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, cmd, flag):
+        bad = tmp_path / "bad.txt"
+        bad.write_bytes(b'{"a":\xff}\n')
+        argv = [cmd, flag, str(bad), "--out", str(tmp_path / "out")]
+        if cmd == "parse":
+            argv += ["--width", "8", "--height", "8"]
+        if cmd == "eval":
+            argv += ["--gen", str(bad)]
+        code, stdout, stderr = run(capsys, *argv)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {bad}: not UTF-8 text: invalid start byte at byte 5\n"
+        assert sorted(os.listdir(tmp_path)) == ["bad.txt"]
+
+    def test_embed_past_numpy_size_limit_exits_2(self, tmp_path, capsys):
+        traj = synth_traj_json(tmp_path, capsys, {**PAN_SPEC, "frames": 2})
+        wide = tmp_path / "wide.json"
+        wide.write_text(json.dumps({**json.loads(traj.read_text()), "width": 10 ** 30}))
+        out = tmp_path / "p.npy"
+        code, stdout, stderr = run(capsys, "embed", "--traj", str(wide), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == ("error: cannot allocate a float32 embedding of shape "
+                          f"(2, 6, 256, {10 ** 30})\n")
+        assert not out.exists() and no_temp_litter(tmp_path)
+
+    def test_embed_out_of_memory_exits_2(self, tmp_path, capsys, monkeypatch):
+        traj = synth_traj_json(tmp_path, capsys, {**PAN_SPEC, "frames": 2})
+
+        def no_memory(shape, dtype):
+            raise MemoryError
+
+        monkeypatch.setattr(cli.plucker.np, "empty", no_memory)
+        out = tmp_path / "p.npy"
+        code, _, stderr = run(capsys, "embed", "--traj", str(traj), "--out", str(out))
+        assert code == 2
+        assert stderr == "error: cannot allocate a float32 embedding of shape (2, 6, 256, 384)\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (("--heads", "0"), "heads must be >= 1, got 0"),
+        (("--heads", "-1"), "heads must be >= 1, got -1"),
+        (("--seed", "-1"), "seed must be >= 0, got -1")])
+    def test_encode_heads_and_seed_exit_2(self, tmp_path, capsys, flags, message):
+        src = tmp_path / "p.npy"
+        write_npy_file(np.zeros((2, 6, 16, 32), dtype=np.float32), src)
+        out_dir = tmp_path / "feats"
+        code, stdout, stderr = run(capsys, "encode", "--plucker", str(src), "--seed", "0",
+                                   "--out-dir", str(out_dir), "--channels", "8,16,16,16",
+                                   "--unshuffle", "2", *flags)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {message}\n"
+        assert not out_dir.exists()
+
+    def test_huge_frame_range_reports_first_missing_index(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        code, _, stderr = run(capsys, "parse", "--input", str(self.two_line_pose_file(tmp_path)),
+                              "--width", "64", "--height", "48",
+                              "--frames", "0:1000000000000", "--out", str(out))
+        assert code == 2
+        assert stderr == "error: index 2 out of range for 2 records\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("spec", ["--1:2", "²:3", "9" * 5000 + ":1", "1:2:3:4"])
+    def test_unreadable_frame_range_is_usage_error(self, tmp_path, capsys, spec):
+        code, _, stderr = run(capsys, "parse", "--input", str(self.two_line_pose_file(tmp_path)),
+                              "--width", "64", "--height", "48",
+                              f"--frames={spec}", "--out", str(tmp_path / "t.json"))
+        assert code == 1
+        assert stderr == f"bad frame range {spec!r}\n"
+
+    def test_frame_ranges_end_at_first_missing_index(self):
+        steps = [s for s in range(-3, 4) if s]
+        for count in range(4):
+            for start in range(-5, 7):
+                for stop in range(-5, 7):
+                    for step in steps:
+                        full = list(range(start, stop, step))
+                        bad = [j for j, i in enumerate(full) if not 0 <= i < count]
+                        want = full[:bad[0] + 1] if bad else full
+                        assert cli._parse_frames(f"{start}:{stop}:{step}", count) == want
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_focal_exits_2_without_warning(self, tmp_path, capsys):
+        out = tmp_path / "t.json"
+        code, _, stderr = run(capsys, "parse", "--input",
+                              str(self.two_line_pose_file(tmp_path, fy_n="1e308")),
+                              "--width", "64", "--height", "48", "--out", str(out))
+        assert code == 2
+        assert stderr == "error: fy must be finite, got inf\n"
+        assert not out.exists()
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_rotation_exits_2_without_warning(self, tmp_path, capsys):
+        traj = synth_traj_json(tmp_path, capsys, {**PAN_SPEC, "frames": 2})
+        doc = json.loads(traj.read_text())
+        doc["poses"][0]["R"][0] = 1e200
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        code, _, stderr = run(capsys, "embed", "--traj", str(bad), "--out", str(tmp_path / "p"))
+        assert code == 2
+        assert stderr == "error: /poses/0/R: R.T @ R deviates from identity by inf\n"
+
+    @pytest.mark.parametrize("text", ["[" * 100_000, '{"width": ' + "1" * 5000 + "}"])
+    def test_json_past_parser_limits_exits_2(self, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        for argv in (("synth", "--spec", str(bad)), ("embed", "--traj", str(bad))):
+            code, _, stderr = run(capsys, *argv, "--out", str(tmp_path / "out"))
+            assert code == 2
+            assert stderr.startswith("error: /: invalid JSON: ")

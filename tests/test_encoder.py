@@ -30,7 +30,7 @@ from camtraj.encoder import (
     softmax,
     temporal_attention_block,
 )
-from camtraj.errors import ConfigError, IndivisibleDims, NonFiniteInput, ShapeMismatch
+from camtraj.errors import CamTrajError, ConfigError, IndivisibleDims, NonFiniteInput, ShapeMismatch
 
 SMALL = EncoderConfig(unshuffle_factor=2, scale_channels=(8, 16, 16, 16),
                       heads=2, mlp_ratio=2, seed=7)
@@ -536,6 +536,17 @@ class TestWeights:
         for bad in ({"scale_channels": (8, 0, 8, 8)}, {"mlp_ratio": 0}, {"unshuffle_factor": 0}):
             with pytest.raises(ConfigError):
                 EncoderConfig(**bad)
+
+
+    @pytest.mark.parametrize("bad, message", [
+        ({"heads": 0}, "heads must be >= 1, got 0"),
+        ({"heads": -1}, "heads must be >= 1, got -1"),
+        ({"seed": -1}, "seed must be >= 0, got -1")])
+    def test_heads_and_seed_checked_before_use(self, bad, message):
+        with pytest.raises(ConfigError) as exc:
+            EncoderConfig(**bad)
+        assert str(exc.value) == message
+        assert ConfigError.__bases__ == (CamTrajError,) and issubclass(CamTrajError, ValueError)
 
 
 class TestEncoderForward:

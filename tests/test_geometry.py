@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from camtraj.errors import ConventionMismatch, NonUnitAxis, NonUnitDirection, RotationInvalid
+from camtraj.errors import (CamTrajError, ConventionMismatch, NonUnitAxis, NonUnitDirection,
+                            RotationInvalid, ShapeMismatch)
 from camtraj.geometry import (
     CameraPose,
     Convention,
@@ -14,6 +15,7 @@ from camtraj.geometry import (
     Trajectory,
     as_convention,
     compose,
+    first_bad_frame,
     invert_extrinsics,
     orthonormalize,
     relativize,
@@ -222,6 +224,26 @@ class TestTrajectory:
         p = CameraPose(Intrinsics(10, 10, 5, 5), random_extrinsics(rng))
         with pytest.raises(ValueError):
             Trajectory((p,), 0, 10)
+
+
+    def test_faults_are_typed(self):
+        rng = np.random.default_rng(3)
+        p = CameraPose(Intrinsics(10, 10, 5, 5), random_extrinsics(rng))
+        for make in (lambda: Trajectory((), 10, 10), lambda: Trajectory((p,), 0, 10),
+                     lambda: Trajectory.from_arrays(np.eye(3), [0, 0, 0], [1, 1, 0, 0],
+                                                    Convention.CAMERA_TO_WORLD, 4, 4)):
+            with pytest.raises(CamTrajError):
+                make()
+        with pytest.raises(ShapeMismatch):
+            Extrinsics(np.eye(2), np.zeros(3), Convention.WORLD_TO_CAMERA)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_rotation_fails_without_warning(self):
+        r = np.tile(np.eye(3), (2, 1, 1))
+        r[1, 0, 0] = 1e200
+        i, part, err = first_bad_frame(r, np.zeros((2, 3)), np.empty((0, 4)))
+        assert (i, part) == (1, "extrinsics")
+        assert isinstance(err, RotationInvalid) and str(err).endswith("by inf")
 
 
 class TestRelativize:

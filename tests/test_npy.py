@@ -285,6 +285,22 @@ class TestHostileHeader:
             read_npy(io.BufferedReader(Unseekable(dumps(arr)[:-5])))
         assert (exc.value.expected, exc.value.actual) == (44, 39)
 
+    @pytest.mark.parametrize("shape", [(1,) * 70, (0, 10 ** 30), (0, 2 ** 40, 2 ** 40)])
+    def test_shape_numpy_cannot_make_is_bad_magic(self, shape):
+        data = preamble(shape) + b"\0" * 4
+        for source in (io.BytesIO(data), io.BufferedReader(Unseekable(data))):
+            with pytest.raises(BadMagic, match=r"^invalid shape \("):
+                read_npy(source)
+
+    @pytest.mark.parametrize("header, message", [
+        ("{1: 2, 'a': 3}", "header keys [1, 'a']"),
+        ("-" * 20000 + "1", "malformed header dict: ")])
+    def test_odd_header_is_bad_magic(self, header, message):
+        text = header.encode()
+        with pytest.raises(BadMagic) as exc:
+            loads(b"\x93NUMPY\x01\x00" + struct.pack("<H", len(text)) + text)
+        assert str(exc.value).startswith(message)
+
     def test_reads_from_current_position(self):
         arr = np.linspace(-1, 1, 7, dtype=np.float32)
         buf = io.BytesIO(b"junk" + dumps(arr) + b"tail")

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camtraj.errors import CamTrajError
 from camtraj.geometry import (
     CameraPose,
     Convention,
@@ -188,6 +189,25 @@ class TestPluckerSequence:
         assert plucker_sequence(t2v).shape == (16, 6, 256, 384)
         i2v = random_trajectory(rng, 14, width=576, height=320)
         assert plucker_sequence(i2v).shape == (14, 6, 320, 576)
+
+
+    def test_size_past_numpy_limit_is_typed(self):
+        traj = random_trajectory(np.random.default_rng(15), 2, width=8, height=6)
+        wide = Trajectory.from_arrays(traj.rotations, traj.translations, traj.intrinsics,
+                                      traj.convention, 10 ** 30, 6)
+        with pytest.raises(CamTrajError, match=r"^cannot allocate a float32 embedding of shape "
+                                               r"\(2, 6, 6, 10{30}\)$"):
+            plucker_sequence(wide)
+
+    def test_memory_error_is_typed(self, monkeypatch):
+        traj = random_trajectory(np.random.default_rng(16), 1, width=8, height=6)
+
+        def no_memory(shape, dtype):
+            raise MemoryError(f"cannot allocate {shape}")
+
+        monkeypatch.setattr(np, "empty", no_memory)
+        with pytest.raises(CamTrajError, match=r"shape \(1, 6, 6, 8\)$"):
+            plucker_sequence(traj)
 
 
 class TestVerify:
