@@ -190,6 +190,10 @@ def _side(text: str) -> int:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if side < 1:
         raise argparse.ArgumentTypeError(f"must be >= 1, got {side}")
+    try:
+        float(side)  # pixel intrinsics are side * normalized value
+    except OverflowError:
+        raise argparse.ArgumentTypeError("integer too large for a float64") from None
     return side
 
 

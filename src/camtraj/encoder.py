@@ -347,7 +347,10 @@ def fuse(z: np.ndarray, c: np.ndarray, weight: np.ndarray,
 
 def _uniform(rng, shape: tuple, fan_in: int) -> np.ndarray:
     """(2u - 1) * sqrt(3 / fan_in), u = rng.random(shape, float32); u - 0.5 is exact."""
-    w = rng.random(shape, dtype=np.float32)
+    try:
+        w = rng.random(shape, dtype=np.float32)
+    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
+        raise ConfigError(f"cannot allocate float32 weights of shape {shape}") from None
     w -= np.float32(0.5)
     w *= np.float32(2.0 * math.sqrt(3.0 / fan_in))
     return w

@@ -5,8 +5,12 @@ camera-to-world) and every operation checks the tag instead of guessing.
 Rotations are validated on construction: ``R.T @ R == I`` and ``det R == 1``
 within 1e-6, max-abs elementwise.
 
-A :class:`Trajectory` holds its frames as arrays, validated in one pass;
-:func:`convert_extrinsics` is the one place that switches w2c and c2w.
+A :class:`Trajectory` holds its frames as arrays. Outside arrays are
+validated in one pass by :meth:`Trajectory.from_arrays`; one derived from a
+checked trajectory (:func:`relativize` and the like) is checked only for
+overflowing translations, as a product of rotations within the tolerance
+may miss it. :func:`convert_extrinsics` is the one place that switches w2c
+and c2w.
 """
 
 from __future__ import annotations
@@ -307,12 +311,25 @@ class Trajectory:
             raise CamTrajError(f"image dims must be positive, got {width}x{height}")
         if not isinstance(convention, Convention):
             raise TypeError(f"convention must be a Convention, got {convention!r}")
+        return cls._wrap(r, t, k, convention, width, height)
+
+    @classmethod
+    def _wrap(cls, r, t, k, convention: Convention, width: int, height: int) -> "Trajectory":
+        """Wrap float64 arrays that passed :func:`first_bad_frame`, read-only, uncopied."""
         for a in (r, t, k):
             a.setflags(write=False)
         traj = cls.__new__(cls)
         traj.__dict__.update(rotations=r, translations=t, intrinsics=k,
                              convention=convention, width=width, height=height)
         return traj
+
+    def _derive(self, r: np.ndarray, t: np.ndarray, convention: Convention) -> "Trajectory":
+        """Frames computed from this trajectory's by rigid maps, wrapped with its
+        intrinsics and dims. Such maps keep rotations valid and translations
+        finite unless they overflow, the one thing checked (CamTrajError)."""
+        if not np.isfinite(t).all():
+            raise CamTrajError("array contains non-finite entries")
+        return self._wrap(r, t, self.intrinsics, convention, self.width, self.height)
 
     def __len__(self) -> int:
         return len(self.rotations)
@@ -337,7 +354,7 @@ def relativize(traj: Trajectory) -> Trajectory:
     w2c = Convention.WORLD_TO_CAMERA
     r, t = convert_extrinsics(traj.rotations, traj.translations, traj.convention, w2c)
     inv_r, inv_t = convert_extrinsics(r[0], t[0], w2c, Convention.CAMERA_TO_WORLD)
-    rel_r, rel_t = convert_extrinsics(r @ inv_r, r @ inv_t + t, w2c, traj.convention)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails in _derive
+        rel_r, rel_t = convert_extrinsics(r @ inv_r, r @ inv_t + t, w2c, traj.convention)
     rel_r[0], rel_t[0] = np.eye(3), 0.0
-    return Trajectory.from_arrays(rel_r, rel_t, traj.intrinsics, traj.convention,
-                                  traj.width, traj.height)
+    return traj._derive(rel_r, rel_t, traj.convention)

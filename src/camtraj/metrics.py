@@ -115,25 +115,28 @@ def normalize_scale(gt: Trajectory, gen: Trajectory) -> tuple[Trajectory, float]
     Raises:
         LengthMismatch: on different frame counts.
         DegenerateBaseline: if either trajectory has fewer than 2 frames or
-            a first-interval norm below 1e-8.
+            a first-interval norm below 1e-8 or overflowing float64.
     """
     _check_lengths(gt, gen)
     if len(gt) < 2:
         raise DegenerateBaseline("need at least 2 frames to measure the first interval")
-    gap_gt = float(np.linalg.norm(gt.translations[1]))
-    gap_gen = float(np.linalg.norm(gen.translations[1]))
+    with np.errstate(over="ignore"):  # an overflowing norm is inf, and fails below
+        gap_gt = float(np.linalg.norm(gt.translations[1]))
+        gap_gen = float(np.linalg.norm(gen.translations[1]))
+    norms = f"first-interval norms gt={gap_gt:.3e} gen={gap_gen:.3e}"
     if gap_gt < BASELINE_EPS or gap_gen < BASELINE_EPS:
-        raise DegenerateBaseline(
-            f"first-interval norms gt={gap_gt:.3e} gen={gap_gen:.3e} below {BASELINE_EPS}")
+        raise DegenerateBaseline(f"{norms} below {BASELINE_EPS}")
+    if not (math.isfinite(gap_gt) and math.isfinite(gap_gen)):  # then the factor is finite
+        raise DegenerateBaseline(f"{norms} overflow float64")
     factor = gap_gt / gap_gen
-    return Trajectory.from_arrays(gen.rotations, factor * gen.translations, gen.intrinsics,
-                                  gen.convention, gen.width, gen.height), factor
+    with np.errstate(over="ignore"):  # an overflowing product fails in _derive
+        return gen._derive(gen.rotations, factor * gen.translations, gen.convention), factor
 
 
 def _to_w2c(traj: Trajectory) -> Trajectory:
     w2c = Convention.WORLD_TO_CAMERA
-    r, t = convert_extrinsics(traj.rotations, traj.translations, traj.convention, w2c)
-    return Trajectory.from_arrays(r, t, traj.intrinsics, w2c, traj.width, traj.height)
+    return traj._derive(*convert_extrinsics(traj.rotations, traj.translations,
+                                            traj.convention, w2c), w2c)
 
 
 def evaluate(gt: Trajectory, gen: Trajectory) -> AlignmentReport:

@@ -410,7 +410,7 @@ def trajectory_from_json(text: str) -> Trajectory:
         raise SchemaError(f"/poses/{i}" + ("/R" if part == "extrinsics" else ""), str(err))
     if fault is not None:
         raise fault
-    return Trajectory.from_arrays(r, t, values[:, :4], conv, width, height)
+    return Trajectory._wrap(r, t, values[:, :4], conv, width, height)
 
 
 # --- synthesis plan JSON ----------------------------------------------------

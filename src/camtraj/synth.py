@@ -240,6 +240,6 @@ def scale_intensity(traj: Trajectory, k: float) -> Trajectory:
         raise CamTrajError(f"scale factor must be finite, got {k}")
     c2w = Convention.CAMERA_TO_WORLD
     r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention, c2w)
-    r, t = convert_extrinsics(r, c[0] + k * (c - c[0]), c2w, traj.convention)
-    return Trajectory.from_arrays(r, t, traj.intrinsics, traj.convention,
-                                  traj.width, traj.height)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails in _derive
+        r, t = convert_extrinsics(r, c[0] + k * (c - c[0]), c2w, traj.convention)
+    return traj._derive(r, t, traj.convention)

@@ -7,7 +7,7 @@ import os
 import numpy as np
 import pytest
 
-from camtraj import cli
+from camtraj import cli, geometry, pose_io
 from camtraj.cli import main
 from camtraj.geometry import Convention
 from camtraj.npyio import read_npy_file, write_npy_file
@@ -361,6 +361,37 @@ class TestEval:
             assert stderr.startswith("error: /poses/0/fx: ")
             assert not out.exists()
 
+    def test_near_tolerance_rotations_score_zero(self, tmp_path, capsys):
+        # each rotation passes R.T @ R == I by 9.0e-7; relative to frame 0 it is off by 1.8e-6
+        src = tmp_path / "poses.txt"
+        lines = [f"{ts} 0.5 0.75 0.5 0.5 0 0 1.00000045 0 0 {tx} 0 0.99999955 0 0 0 0 1 0"
+                 for ts, tx in ((0, 0), (1000, 0.1))]
+        src.write_text("\n".join(["https://example.com/clip", *lines]) + "\n")
+        traj = tmp_path / "traj.json"
+        code, _, _ = run(capsys, "parse", "--input", str(src), "--width", "32",
+                         "--height", "16", "--out", str(traj))
+        assert code == 0
+        code, stdout, stderr = run(capsys, "eval", "--gt", str(traj), "--gen", str(traj),
+                                   "--out", str(tmp_path / "report.json"))
+        assert (code, stderr) == (0, "")
+        assert stdout.startswith("rot_err 0.000000000 rad (0.000000000 deg)\n"
+                                 "trans_err 0.000000000 (unsquared 0.000000000), ")
+
+    def test_each_input_checked_once(self, tmp_path, capsys, monkeypatch):
+        traj = synth_traj_json(tmp_path, capsys, PAN_SPEC)
+        calls, check = [], geometry.first_bad_frame
+
+        def counted(*arrays):
+            calls.append(len(arrays[0]))
+            return check(*arrays)
+
+        monkeypatch.setattr(geometry, "first_bad_frame", counted)
+        monkeypatch.setattr(pose_io, "first_bad_frame", counted)
+        code, _, _ = run(capsys, "eval", "--gt", str(traj), "--gen", str(traj),
+                         "--out", str(tmp_path / "report.json"))
+        assert code == 0
+        assert calls == [16, 16]
+
     def test_missing_input(self, tmp_path, capsys):
         code, _, _ = run(capsys, "eval", "--gt", str(tmp_path / "no.json"),
                          "--gen", str(tmp_path / "no.json"),
@@ -528,6 +559,18 @@ class TestErrorContract:
         assert stderr == f"camtraj parse: argument {flag}: must be >= 1, got {value}\n"
         assert not out.exists()
 
+    def test_side_past_float64_is_usage_error(self, tmp_path, capsys):
+        src = str(self.two_line_pose_file(tmp_path))
+        out = tmp_path / "t.json"
+        code, stdout, stderr = run(capsys, "parse", "--input", src, "--width", "1" + "0" * 400,
+                                   "--height", "48", "--out", str(out))
+        assert (code, stdout) == (1, "")
+        assert stderr == "camtraj parse: argument --width: integer too large for a float64\n"
+        assert not out.exists()
+        code, _, _ = run(capsys, "parse", "--input", src, "--width", str(10 ** 308),
+                         "--height", "48", "--out", str(out))
+        assert code == 0
+
     def test_non_integer_side_keeps_argparse_wording(self, tmp_path, capsys):
         code, _, stderr = run(capsys, "parse", "--input", "p.txt", "--width", "x",
                               "--height", "4", "--out", str(tmp_path / "t.json"))
@@ -587,6 +630,36 @@ class TestErrorContract:
         assert (code, stdout) == (2, "")
         assert stderr == f"error: {message}\n"
         assert not out_dir.exists()
+
+    def test_encode_weights_past_memory_exit_2(self, tmp_path, capsys):
+        # numpy refuses the 233 TiB draw up front, without touching memory
+        src = tmp_path / "p.npy"
+        write_npy_file(np.zeros((2, 6, 16, 32), dtype=np.float32), src)
+        out_dir = tmp_path / "feats"
+        code, stdout, stderr = run(capsys, "encode", "--plucker", str(src), "--seed", "0",
+                                   "--out-dir", str(out_dir), "--channels", "8,8,8,8",
+                                   "--heads", "1", "--unshuffle", "2",
+                                   "--mlp-ratio", "1000000000000")
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: cannot allocate float32 weights of shape (8, 8000000000000)\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("far", ["gt", "gen"])
+    def test_overflowing_first_interval_exits_2_without_warning(self, tmp_path, capsys, far):
+        traj = synth_traj_json(tmp_path, capsys, {**PAN_SPEC, "frames": 2})
+        doc = json.loads(traj.read_text())
+        doc["poses"][1]["t"] = [1e300, 0, 0]
+        paths = {"gt": traj, "gen": traj, far: tmp_path / "far.json"}
+        paths[far].write_text(json.dumps(doc))
+        out = tmp_path / "report.json"
+        code, stdout, stderr = run(capsys, "eval", "--gt", str(paths["gt"]),
+                                   "--gen", str(paths["gen"]), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        norms = {"gt": "1.000e-01", "gen": "1.000e-01", far: "inf"}
+        assert stderr == (f"error: first-interval norms gt={norms['gt']} gen={norms['gen']} "
+                          "overflow float64\n")
+        assert not out.exists()
 
     def test_huge_frame_range_reports_first_missing_index(self, tmp_path, capsys):
         out = tmp_path / "t.json"

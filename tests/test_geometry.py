@@ -313,3 +313,19 @@ class TestRelativize:
         assert (rel.width, rel.height) == (traj.width, traj.height)
         for a, b in zip(traj.poses, rel.poses):
             assert a.intrinsics == b.intrinsics
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("conv", list(Convention))
+    def test_overflowing_translation_fails_typed(self, conv):
+        traj = Trajectory.from_arrays(np.tile(np.eye(3), (2, 1, 1)),
+                                      [[-1e308, 0, 0], [1e308, 0, 0]], [[10, 10, 5, 5]] * 2,
+                                      conv, 10, 10)
+        with pytest.raises(CamTrajError, match="^array contains non-finite entries$"):
+            relativize(traj)
+
+    def test_result_wraps_source_intrinsics(self):
+        traj = random_trajectory(np.random.default_rng(56), 3)
+        rel = relativize(traj)
+        assert rel.intrinsics is traj.intrinsics
+        for a in (rel.rotations, rel.translations):
+            assert not a.flags.writeable

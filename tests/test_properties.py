@@ -17,6 +17,7 @@ from camtraj.geometry import (
     Trajectory,
     as_convention,
     compose,
+    first_bad_frame,
     invert_extrinsics,
     relativize,
     rotation_about_axis,
@@ -96,6 +97,25 @@ def test_evaluate_against_itself_is_zero(traj):
     assert report.trans_err_unsquared_total == 0.0
     assert 0.0 <= report.rot_err_total < 1e-9
     assert report.frames_compared == len(traj)
+
+
+@checked
+@given(st.lists(st.tuples(quats, st.tuples(coords, coords, coords)), min_size=2, max_size=12),
+       st.sampled_from(Convention))
+def test_six_decimal_poses_score_zero_against_themselves(rows, convention):
+    # RealEstate10K camera files print poses to six decimals, so a rotation
+    # may pass the orthonormality check by a hair; a product of two such
+    # rotations can miss it, and evaluate must not re-check what it computes
+    r = np.round([quat_to_matrix(np.array(q) / np.linalg.norm(q)) for q, _ in rows], 6)
+    t = np.round([row[1] for row in rows], 6)
+    keep = [i for i in range(len(rows))
+            if first_bad_frame(r[i:i + 1], t[i:i + 1], np.empty((0, 4))) is None]
+    assume(len(keep) >= 2)
+    traj = Trajectory.from_arrays(r[keep], t[keep], [[500.0, 500.0, 320.0, 240.0]] * len(keep),
+                                  convention, 640, 480)
+    assume(np.linalg.norm(relativize(traj).translations[1]) > 1e3 * BASELINE_EPS)
+    report = evaluate(traj, traj)
+    assert (report.rot_err_total, report.trans_err_total) == (0.0, 0.0)
 
 
 @checked

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from camtraj.errors import (
+    CamTrajError,
     EmptyDirectives,
     MotionOverflow,
     NonPositiveScale,
@@ -266,6 +267,12 @@ class TestScaleIntensity:
         traj = synth_pan([1.0, 0.0, 0.0], 0.1, 3, INTR, 8, 8)
         with pytest.raises(ValueError):
             scale_intensity(traj, float("inf"))
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_centers_fail_typed(self):
+        traj = synth_pan([1.0, 0.0, 0.0], 10.0, 3, INTR, 8, 8)
+        with pytest.raises(CamTrajError, match="^array contains non-finite entries$"):
+            scale_intensity(traj, 1e308)
 
 
 class TestDirectiveValidation:
