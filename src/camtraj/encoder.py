@@ -17,13 +17,11 @@ biases start at zero, LayerNorm affine at identity. They replaced Gaussian
 output bit once: the contract is run-to-run determinism.
 
 The draw order is the forward order, so ``encoder_forward`` without explicit
-weights draws them block by block: a single helper thread draws the next
-block while the current one runs (PCG64 releases the GIL, so drawing overlaps
-compute), and each block's weights are dropped once it has run. Only the
-running block and the one being drawn are held, at most about 0.2 GB at the
-default config instead of the full 0.9 GB. ``build_encoder_weights`` draws
-the same stream and still returns the full set, for callers that reuse or
-modify weights.
+weights draws them inline, block by block on the calling thread: each block
+is drawn just before it runs and dropped when the next one is drawn, so at
+most two blocks, about 0.2 GB at the default config, are held instead of the
+full 0.9 GB. ``build_encoder_weights`` draws the same stream and still
+returns the full set, for callers that reuse or modify weights.
 
 Convolutions are k*k shifted GEMMs with no im2col buffer (see :func:`conv2d`).
 Every attention linear runs as one 2-D GEMM on the flattened (rows * n, c)
@@ -36,8 +34,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterator
-from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +41,7 @@ import numpy as np
 from .errors import ConfigError, IndivisibleDims, NonFiniteInput, ShapeMismatch
 
 LN_EPS = 1e-5
+_IN_CHANNELS = 6  # the Plücker ray layout: moment, then direction
 
 
 @dataclass(frozen=True)
@@ -56,7 +53,6 @@ class EncoderConfig:
     heads: int = 8
     mlp_ratio: int = 4
     seed: int = 0
-    in_channels: int = 6
     use_posemb: bool = True
 
     def __post_init__(self):
@@ -398,7 +394,7 @@ def _draw_blocks(cfg: EncoderConfig) -> Iterator:
     """
     rng = np.random.default_rng(cfg.seed)
     r = cfg.unshuffle_factor
-    yield _init_conv(rng, cfg.scale_channels[0], cfg.in_channels * r * r, 3)
+    yield _init_conv(rng, cfg.scale_channels[0], _IN_CHANNELS * r * r, 3)
     prev = cfg.scale_channels[0]
     for i, c in enumerate(cfg.scale_channels):
         if i == 0:
@@ -437,24 +433,6 @@ def _blocks(weights: EncoderWeights) -> Iterator:
         yield from (sw.down, sw.down_attn, sw.res, sw.res_attn)
 
 
-_DONE = object()
-
-
-def _drawn_ahead(blocks: Iterator) -> Iterator:
-    """Yield from ``blocks``, drawing each next item on a helper thread.
-
-    The helper thread only advances ``blocks``; the caller runs each item
-    while the next one is drawn. Exceptions from ``blocks`` propagate
-    unchanged, and the thread is joined when the generator finishes or is
-    closed.
-    """
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="camtraj-weights") as pool:
-        pending = pool.submit(next, blocks, _DONE)
-        while (item := pending.result()) is not _DONE:
-            pending = pool.submit(next, blocks, _DONE)
-            yield item
-
-
 # --- full forward -----------------------------------------------------------
 
 def shape_schedule(cfg: EncoderConfig, b: int, n: int, h: int, w: int) -> list:
@@ -474,7 +452,7 @@ def shape_schedule(cfg: EncoderConfig, b: int, n: int, h: int, w: int) -> list:
     c1, c2, c3, c4 = cfg.scale_channels
     hr, wr = h // r, w // r
     return [
-        (b, n, cfg.in_channels * r * r, hr, wr),
+        (b, n, _IN_CHANNELS * r * r, hr, wr),
         (b, n, c1, hr, wr),
         (b, n, c1, hr, wr),
         (b, n, c2, hr // 2, wr // 2),
@@ -497,8 +475,8 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
     """Run the full encoder on an (n, c, h, w) or (b, n, c, h, w) input.
 
     A 4D input is treated as batch size 1. Without ``weights`` the weights of
-    :func:`build_encoder_weights` are drawn block by block, one block ahead of
-    the forward on a helper thread, so the full set is never held at once.
+    :func:`build_encoder_weights` are drawn inline, each block just before it
+    runs, so the full set is never held at once.
     Pass them explicitly to reuse across calls or to probe modified
     parameters; both run the same loop and give byte-identical features.
 
@@ -513,9 +491,9 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
         x = x[None]
     if x.ndim != 5:
         raise ShapeMismatch(f"expected 4D or 5D input, got shape {x.shape}")
-    if x.shape[2] != cfg.in_channels:
+    if x.shape[2] != _IN_CHANNELS:
         raise ShapeMismatch(
-            f"expected {cfg.in_channels} input channels, got {x.shape[2]}")
+            f"expected {_IN_CHANNELS} input channels, got {x.shape[2]}")
     b, n, _, h, w = x.shape
     if 0 in (b, n, h, w):
         raise ShapeMismatch(f"empty batch, frame or spatial dim in shape {x.shape}")
@@ -525,16 +503,15 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
         raise NonFiniteInput(f"input holds {bad} non-finite values")
     x = pixel_unshuffle(x, cfg.unshuffle_factor)
     x = x.reshape(b * n, *x.shape[2:])  # frames are independent outside attention
-    blocks = _drawn_ahead(_draw_blocks(cfg)) if weights is None else _blocks(weights)
+    blocks = _draw_blocks(cfg) if weights is None else _blocks(weights)
+    stem = next(blocks)
+    x = conv2d(x, stem.w, stem.b)
     feats = []
-    with closing(blocks):
-        stem = next(blocks)
-        x = conv2d(x, stem.w, stem.b)
-        for i, blk in enumerate(blocks):
-            if isinstance(blk, ResBlockParams):
-                x = res_block(x, blk)
-            elif blk is not None:
-                x = _attend(x, blk, cfg, n)
-            if i % 4 == 3:  # a scale ends with its plain block's attention
-                feats.append(x.reshape(b, n, *x.shape[1:]))
+    for i, blk in enumerate(blocks):
+        if isinstance(blk, ResBlockParams):
+            x = res_block(x, blk)
+        elif blk is not None:
+            x = _attend(x, blk, cfg, n)
+        if i % 4 == 3:  # a scale ends with its plain block's attention
+            feats.append(x.reshape(b, n, *x.shape[1:]))
     return MultiScaleCameraFeatures(feats)

@@ -6,9 +6,10 @@ Rotations are validated on construction: ``R.T @ R == I`` and ``det R == 1``
 within 1e-6, max-abs elementwise.
 
 A :class:`Trajectory` holds its frames as arrays. Outside arrays are
-validated in one pass by :meth:`Trajectory.from_arrays`; one derived from a
-checked trajectory (:func:`relativize` and the like) is checked only for
-overflowing translations, as a product of rotations within the tolerance
+validated in one pass by :meth:`Trajectory.from_arrays`. A trajectory or
+extrinsics derived from checked ones (:func:`relativize`, :func:`compose`,
+:func:`invert_extrinsics` and the like) is checked only for overflowing
+translations, as a product or transpose of rotations within the tolerance
 may miss it. :func:`convert_extrinsics` is the one place that switches w2c
 and c2w.
 """
@@ -40,6 +41,14 @@ def _frozen_array(x, shape) -> np.ndarray:
         raise ShapeMismatch(f"expected array of shape {shape}, got {a.shape}")
     a.setflags(write=False)
     return a
+
+
+def _check_derived(t: np.ndarray) -> None:
+    """Rigid maps computed from checked ones keep rotations valid and
+    translations finite unless they overflow, the one thing checked
+    (CamTrajError)."""
+    if not np.isfinite(t).all():
+        raise CamTrajError("array contains non-finite entries")
 
 
 def unit_vector(vec, exc: type[Exception]) -> np.ndarray:
@@ -163,6 +172,16 @@ class Extrinsics:
             raise TypeError(f"convention must be a Convention, got {self.convention!r}")
 
     @classmethod
+    def _derive(cls, r: np.ndarray, t: np.ndarray, convention: Convention) -> "Extrinsics":
+        """A map computed from checked Extrinsics, its arrays copied and frozen
+        as by the constructor once :func:`_check_derived` passes."""
+        _check_derived(t)
+        e = cls.__new__(cls)
+        e.__dict__.update(rotation=_frozen_array(r, (3, 3)),
+                          translation=_frozen_array(t, (3,)), convention=convention)
+        return e
+
+    @classmethod
     def identity(cls, convention: Convention) -> "Extrinsics":
         return cls(np.eye(3), np.zeros(3), convention)
 
@@ -180,8 +199,9 @@ def invert_extrinsics(e: Extrinsics) -> Extrinsics:
     other = (Convention.CAMERA_TO_WORLD
              if e.convention is Convention.WORLD_TO_CAMERA
              else Convention.WORLD_TO_CAMERA)
-    return Extrinsics(*convert_extrinsics(e.rotation, e.translation, e.convention, other),
-                      other)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails in _derive
+        r, t = convert_extrinsics(e.rotation, e.translation, e.convention, other)
+    return Extrinsics._derive(r, t, other)
 
 
 def compose(a: Extrinsics, b: Extrinsics) -> Extrinsics:
@@ -189,13 +209,14 @@ def compose(a: Extrinsics, b: Extrinsics) -> Extrinsics:
 
     Raises:
         ConventionMismatch: if the two tags differ.
+        CamTrajError: if the translation overflows.
     """
     if a.convention is not b.convention:
         raise ConventionMismatch(
             f"cannot compose {a.convention.value} with {b.convention.value}")
-    return Extrinsics(a.rotation @ b.rotation,
-                      a.rotation @ b.translation + a.translation,
-                      a.convention)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails in _derive
+        t = a.rotation @ b.translation + a.translation
+    return Extrinsics._derive(a.rotation @ b.rotation, t, a.convention)
 
 
 def as_convention(e: Extrinsics, convention: Convention) -> Extrinsics:
@@ -325,10 +346,8 @@ class Trajectory:
 
     def _derive(self, r: np.ndarray, t: np.ndarray, convention: Convention) -> "Trajectory":
         """Frames computed from this trajectory's by rigid maps, wrapped with its
-        intrinsics and dims. Such maps keep rotations valid and translations
-        finite unless they overflow, the one thing checked (CamTrajError)."""
-        if not np.isfinite(t).all():
-            raise CamTrajError("array contains non-finite entries")
+        intrinsics and dims once :func:`_check_derived` passes."""
+        _check_derived(t)
         return self._wrap(r, t, self.intrinsics, convention, self.width, self.height)
 
     def __len__(self) -> int:

@@ -3,8 +3,12 @@ closed forms, residual isolation, and deterministic weight construction."""
 
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -480,7 +484,7 @@ class TestWeights:
         # pins the documented draw order: stem comes first from the stream
         w = build_encoder_weights(SMALL)
         rng = np.random.default_rng(SMALL.seed)
-        cin = SMALL.in_channels * SMALL.unshuffle_factor ** 2
+        cin = enc._IN_CHANNELS * SMALL.unshuffle_factor ** 2
 
         def uniform(shape, fan_in):
             u = rng.random(shape, dtype=np.float32)
@@ -685,6 +689,49 @@ class TestWeightStream:
         before = threading.active_count()
         encoder_forward(rand(np.random.default_rng(36), (1, 2, 6, 16, 16)), SMALL)
         assert threading.active_count() == before
+
+
+class TestInlineDraw:
+    def test_each_block_drawn_after_previous_ran(self, monkeypatch):
+        log = []
+
+        def logged(name, event, at_end):
+            real = getattr(enc, name)
+
+            def wrapper(*args, **kwargs):
+                if not at_end:
+                    log.append(event)
+                out = real(*args, **kwargs)
+                if at_end:
+                    log.append(event)
+                return out
+            monkeypatch.setattr(enc, name, wrapper)
+
+        logged("_init_conv", "draw conv", False)
+        logged("_init_attention", "draw attention", False)
+        logged("conv2d", "run conv", True)
+        logged("res_block", "run res", True)
+        logged("_attend", "run attention", True)
+        encoder_forward(rand(np.random.default_rng(37), (1, 2, 6, 16, 16)), SMALL)
+
+        def res(convs):
+            return ["draw conv"] * convs + ["run conv"] * convs + ["run res"]
+
+        attention = ["draw attention", "run attention"]
+        want = ["draw conv", "run conv"] + res(2) + attention  # stem, scale 1
+        for _ in SMALL.scale_channels[1:]:  # stride-2 block with its 1x1 skip, then plain
+            want += res(3) + attention + res(2) + attention
+        assert log == want
+
+    def test_cli_import_loads_no_thread_pool(self):
+        src = str(Path(enc.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        code = ("import sys, camtraj.cli; "
+                "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])")
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True)
+        assert out.stdout == "[]\n"
 
 
 @st.composite

@@ -149,6 +149,56 @@ class TestInvertCompose:
         assert flipped.convention is Convention.CAMERA_TO_WORLD
         np.testing.assert_allclose(flipped.rotation, e.rotation.T, atol=1e-15)
 
+    def test_compose_near_tolerance(self):
+        # R.T @ R of the product deviates by 1.8e-6, past ORTHO_TOL, though
+        # each factor passes; a derived map is not re-checked
+        r = np.diag([1.00000045, 0.99999955, 1.0])
+        e = Extrinsics(r, [1.0, 2.0, 3.0], Convention.WORLD_TO_CAMERA)
+        c = compose(e, e)
+        np.testing.assert_array_equal(c.rotation, r @ r)
+        np.testing.assert_array_equal(c.translation, r @ e.translation + e.translation)
+
+    def test_derived_from_near_tolerance_rotations(self):
+        # R @ R.T and R.T @ R deviate differently, so an accepted R may have
+        # an inverse (or a square) that the constructor would reject
+        rng = np.random.default_rng(60)
+        accepted = 0
+        for _ in range(1000):
+            r = random_rotation(rng) + rng.uniform(-6e-7, 6e-7, (3, 3))
+            try:
+                e = Extrinsics(r, rng.standard_normal(3), Convention.WORLD_TO_CAMERA)
+            except RotationInvalid:
+                continue
+            accepted += 1
+            inv = as_convention(e, Convention.CAMERA_TO_WORLD)
+            assert inv.convention is Convention.CAMERA_TO_WORLD
+            np.testing.assert_array_equal(inv.rotation, e.rotation.T)
+            np.testing.assert_array_equal(inv.translation, -e.rotation.T @ e.translation)
+            c = compose(e, e)
+            np.testing.assert_array_equal(c.rotation, e.rotation @ e.rotation)
+        assert accepted > 400
+
+    def test_derived_arrays_copied_and_frozen(self):
+        e = random_extrinsics(np.random.default_rng(61))
+        for d in (invert_extrinsics(e), compose(e, e)):
+            for a in (d.rotation, d.translation):
+                assert not a.flags.writeable
+                assert not np.shares_memory(a, e.rotation)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_compose_fails_typed(self):
+        e = Extrinsics(np.eye(3), [1e308, 0.0, 0.0], Convention.WORLD_TO_CAMERA)
+        with pytest.raises(CamTrajError, match="^array contains non-finite entries$"):
+            compose(e, e)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_invert_fails_typed(self):
+        c = math.sqrt(0.5)
+        r = np.array([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]])
+        e = Extrinsics(r, [1.5e308, 1.5e308, 0.0], Convention.CAMERA_TO_WORLD)
+        with pytest.raises(CamTrajError, match="^array contains non-finite entries$"):
+            invert_extrinsics(e)
+
 
 class TestRotationAboutAxis:
     def test_zero_angle_is_identity(self):
