@@ -25,9 +25,10 @@ returns the full set, for callers that reuse or modify weights.
 
 Convolutions are k*k shifted GEMMs with no im2col buffer (see :func:`conv2d`).
 Every attention linear runs as one 2-D GEMM on the flattened (rows * n, c)
-tokens, with Q, K and V from a single (c, 3c) product; bias and residual adds
-and the SiLU, LayerNorm and softmax steps work in place on their own
-temporaries.
+tokens. Q, K and V are stored fused, one (c, 3c) weight and one (3c,) bias
+per block, drawn as three (c, c) blocks in Q, K, V order, so they come from
+a single product with no per-call copy. Bias and residual adds and the
+SiLU, LayerNorm and softmax steps work in place on their own temporaries.
 """
 
 from __future__ import annotations
@@ -91,13 +92,9 @@ class AttentionParams:
 
     ln1_gamma: np.ndarray
     ln1_beta: np.ndarray
-    wq: np.ndarray  # (c, c), applied as x @ w
-    bq: np.ndarray
-    wk: np.ndarray
-    bk: np.ndarray
-    wv: np.ndarray
-    bv: np.ndarray
-    wo: np.ndarray
+    wqkv: np.ndarray  # (c, 3c): Q, K, V column blocks, applied as x @ w
+    bqkv: np.ndarray  # (3c,)
+    wo: np.ndarray  # (c, c)
     bo: np.ndarray
     ln2_gamma: np.ndarray
     ln2_beta: np.ndarray
@@ -108,7 +105,7 @@ class AttentionParams:
 
     @property
     def width(self) -> int:
-        return self.wq.shape[0]
+        return self.wo.shape[0]
 
 
 @dataclass(frozen=True)
@@ -128,10 +125,6 @@ class EncoderWeights:
 class MultiScaleCameraFeatures(tuple):
     """One (b, n, c_i, h_i, w_i) feature map per encoder scale."""
 
-    @property
-    def scales(self) -> tuple[np.ndarray, ...]:
-        return tuple(self)
-
 
 # --- primitive ops ----------------------------------------------------------
 
@@ -145,19 +138,19 @@ def silu(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
-    e = x - x.max(axis=axis, keepdims=True)
+def softmax(x: np.ndarray) -> np.ndarray:
+    """Softmax over the last axis."""
+    e = x - x.max(axis=-1, keepdims=True)
     np.exp(e, out=e)
-    e /= e.sum(axis=axis, keepdims=True)
+    e /= e.sum(axis=-1, keepdims=True)
     return e
 
 
-def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray,
-               eps: float = LN_EPS) -> np.ndarray:
-    """Normalize over the last axis, then apply the affine parameters."""
+def layer_norm(x: np.ndarray, gamma: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """Normalize over the last axis with LN_EPS, then apply the affine parameters."""
     out = x - x.mean(axis=-1, keepdims=True)
     var = np.square(out).mean(axis=-1, keepdims=True)
-    var += eps
+    var += LN_EPS
     out /= np.sqrt(var, out=var)
     out *= gamma
     out += beta
@@ -261,12 +254,12 @@ def multi_head_self_attention(x: np.ndarray, p: AttentionParams, heads: int,
     r, n, c = x.shape
     hd = c // heads
     scale = 1.0 / math.sqrt(hd)
-    qkv = x.reshape(r * n, c) @ np.concatenate((p.wq, p.wk, p.wv), axis=1)
-    qkv += np.concatenate((p.bq, p.bk, p.bv))
+    qkv = x.reshape(r * n, c) @ p.wqkv
+    qkv += p.bqkv
     q, k, v = qkv.reshape(r, n, 3, heads, hd).transpose(2, 0, 3, 1, 4)
     scores = q @ k.transpose(0, 1, 3, 2)
     scores *= scale
-    weights = softmax(scores, axis=-1)
+    weights = softmax(scores)
     heads_out = np.empty((r, n, heads, hd), dtype=weights.dtype)
     np.matmul(weights, v, out=heads_out.transpose(0, 2, 1, 3))
     out = heads_out.reshape(r * n, c) @ p.wo
@@ -363,15 +356,14 @@ def _init_linear(rng, din: int, dout: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _init_attention(rng, c: int, mlp_ratio: int) -> AttentionParams:
-    wq, bq = _init_linear(rng, c, c)
-    wk, bk = _init_linear(rng, c, c)
-    wv, bv = _init_linear(rng, c, c)
+    # Q, K and V are three (c, c) draws in stream order, stored side by side
+    wqkv = np.concatenate([_uniform(rng, (c, c), c) for _ in range(3)], axis=1)
     wo, bo = _init_linear(rng, c, c)
     w1, b1 = _init_linear(rng, c, mlp_ratio * c)
     w2, b2 = _init_linear(rng, mlp_ratio * c, c)
     ones = np.ones(c, dtype=np.float32)
     zeros = np.zeros(c, dtype=np.float32)
-    return AttentionParams(ones, zeros, wq, bq, wk, bk, wv, bv, wo, bo,
+    return AttentionParams(ones, zeros, wqkv, np.zeros(3 * c, dtype=np.float32), wo, bo,
                            ones.copy(), zeros.copy(), w1, b1, w2, b2)
 
 
@@ -485,6 +477,8 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
         ShapeMismatch: wrong rank or channel count, or an empty batch,
             frame or spatial dim.
         NonFiniteInput: the input holds NaN or infinity.
+        ConfigError: the forward pass runs out of memory, naming the input
+            shape and the stage it reached.
     """
     x = np.asarray(p, dtype=np.float32)
     if x.ndim == 4:
@@ -501,17 +495,26 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
     bad = x.size - np.count_nonzero(np.isfinite(x))
     if bad:
         raise NonFiniteInput(f"input holds {bad} non-finite values")
-    x = pixel_unshuffle(x, cfg.unshuffle_factor)
-    x = x.reshape(b * n, *x.shape[2:])  # frames are independent outside attention
-    blocks = _draw_blocks(cfg) if weights is None else _blocks(weights)
-    stem = next(blocks)
-    x = conv2d(x, stem.w, stem.b)
-    feats = []
-    for i, blk in enumerate(blocks):
-        if isinstance(blk, ResBlockParams):
-            x = res_block(x, blk)
-        elif blk is not None:
-            x = _attend(x, blk, cfg, n)
-        if i % 4 == 3:  # a scale ends with its plain block's attention
-            feats.append(x.reshape(b, n, *x.shape[1:]))
+    stage = "pixel unshuffle"
+    try:
+        x = pixel_unshuffle(x, cfg.unshuffle_factor)
+        x = x.reshape(b * n, *x.shape[2:])  # frames are independent outside attention
+        blocks = _draw_blocks(cfg) if weights is None else _blocks(weights)
+        stage = "the stem"
+        stem = next(blocks)
+        x = conv2d(x, stem.w, stem.b)
+        feats = []
+        for i, blk in enumerate(blocks):
+            stage = f"scale {i // 4 + 1} " + ("downsample block", "downsample attention",
+                                              "residual block", "attention")[i % 4]
+            if isinstance(blk, ResBlockParams):
+                x = res_block(x, blk)
+            elif blk is not None:
+                x = _attend(x, blk, cfg, n)
+            if i % 4 == 3:  # a scale ends with its plain block's attention
+                feats.append(x.reshape(b, n, *x.shape[1:]))
+    except MemoryError:
+        raise ConfigError(f"cannot allocate the forward pass of input shape "
+                          f"{(b, n, _IN_CHANNELS, h, w)}: "
+                          f"out of memory in {stage}") from None
     return MultiScaleCameraFeatures(feats)

@@ -355,8 +355,8 @@ class Trajectory:
 
     @property
     def poses(self) -> tuple[CameraPose, ...]:
-        """Per-frame CameraPose values, built on each access."""
-        return tuple(CameraPose(Intrinsics(*k), Extrinsics(r, t, self.convention))
+        """Per-frame CameraPose values, built on each access without re-checks."""
+        return tuple(CameraPose(Intrinsics(*k), Extrinsics._derive(r, t, self.convention))
                      for k, r, t in zip(self.intrinsics.tolist(), self.rotations,
                                         self.translations))
 

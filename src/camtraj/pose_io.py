@@ -40,7 +40,7 @@ from .geometry import (
     first_bad_frame,
 )
 from .metrics import AlignmentReport
-from .synth import MotionDirective, MotionKind, SynthesisPlan
+from .synth import MOTION_FIELDS, MotionDirective, MotionKind, SynthesisPlan
 
 POSE_FIELDS = 19
 
@@ -423,16 +423,6 @@ _MOTION_KINDS = {k.value: k for k in MotionKind}
 MAX_PLAN_FRAMES = 1_000_000
 MAX_PLAN_SIDE = 65_536
 
-# Plan keys of each motion kind, in parse order: (JSON key, MotionDirective
-# field, vector length or None for a single number).
-_MOTION_FIELDS = {
-    MotionKind.PAN: (("direction", "direction", 3), ("interval", "interval", None)),
-    MotionKind.ZOOM: (("interval", "interval", None),),
-    MotionKind.ROTATE: (("axis", "direction", 3), ("degrees", "interval", None)),
-    MotionKind.PRINCIPAL_SHIFT: (("per_frame", "shift", 2),),
-    MotionKind.FOCAL_ZOOM: (("scale", "interval", None),),
-}
-
 
 def _parse_motion(rm, path: str, frames: int) -> MotionDirective:
     if not isinstance(rm, dict):
@@ -442,7 +432,7 @@ def _parse_motion(rm, path: str, frames: int) -> MotionDirective:
         raise SchemaError(f"{path}/kind", f"must be one of {sorted(_MOTION_KINDS)}")
     kind = _MOTION_KINDS[kind_name]
     fields = {}
-    for key, name, n in _MOTION_FIELDS[kind]:
+    for key, name, n in MOTION_FIELDS[kind]:
         v = _require(rm, key, path)
         fields[name] = (_as_number(v, f"{path}/{key}") if n is None
                         else tuple(_as_vector(v, n, f"{path}/{key}")))

@@ -34,6 +34,17 @@ class MotionKind(Enum):
     FOCAL_ZOOM = "focal_zoom"
 
 
+# The fields each motion kind requires, in plan parse order: (plan JSON key,
+# MotionDirective field, vector length or None for a single number).
+MOTION_FIELDS = {
+    MotionKind.PAN: (("direction", "direction", 3), ("interval", "interval", None)),
+    MotionKind.ZOOM: (("interval", "interval", None),),
+    MotionKind.ROTATE: (("axis", "direction", 3), ("degrees", "interval", None)),
+    MotionKind.PRINCIPAL_SHIFT: (("per_frame", "shift", 2),),
+    MotionKind.FOCAL_ZOOM: (("scale", "interval", None),),
+}
+
+
 @dataclass(frozen=True)
 class MotionDirective:
     """One validated motion primitive.
@@ -43,8 +54,9 @@ class MotionDirective:
     with a signed ``interval``; ROTATE stores the unit axis in ``direction``
     and total degrees in ``interval``; PRINCIPAL_SHIFT stores per-frame pixel
     deltas in ``shift``; FOCAL_ZOOM stores its per-frame factor in
-    ``interval``. Every number must be finite, and a single-frame ROTATE
-    must turn by 0 degrees.
+    ``interval``. :data:`MOTION_FIELDS` lists the fields each kind requires.
+    Every number must be finite, and a single-frame ROTATE must turn by 0
+    degrees.
     """
 
     kind: MotionKind
@@ -56,23 +68,16 @@ class MotionDirective:
     def __post_init__(self):
         if self.frames < 1:
             raise CamTrajError(f"frames must be >= 1, got {self.frames}")
-        if self.kind is MotionKind.PAN:
-            if self.direction is None or self.interval is None:
-                raise CamTrajError("pan needs direction and interval")
-            unit_vector(self.direction, NonUnitDirection)
-        elif self.kind is MotionKind.ZOOM:
-            if self.interval is None:
-                raise CamTrajError("zoom needs interval")
-        elif self.kind is MotionKind.ROTATE:
-            if self.direction is None or self.interval is None:
-                raise CamTrajError("rotate needs axis and degrees")
-            unit_vector(self.direction, NonUnitAxis)
-        elif self.kind is MotionKind.PRINCIPAL_SHIFT:
-            if self.shift is None or len(self.shift) != 2:
-                raise CamTrajError("principal_shift needs a (dx, dy) pair")
+        fields = MOTION_FIELDS[self.kind]
+        for _, name, size in fields:
+            v = getattr(self, name)
+            if v is None or (size is not None and np.shape(v) != (size,)):
+                raise CamTrajError(f"{self.kind.value} needs "
+                                   + " and ".join(key for key, _, _ in fields))
+        if self.kind in (MotionKind.PAN, MotionKind.ROTATE):
+            unit_vector(self.direction,
+                        NonUnitDirection if self.kind is MotionKind.PAN else NonUnitAxis)
         elif self.kind is MotionKind.FOCAL_ZOOM:
-            if self.interval is None:
-                raise CamTrajError("focal_zoom needs scale")
             if not (self.interval > 0 and math.isfinite(self.interval)):
                 raise NonPositiveScale(f"focal factor must be positive, got {self.interval}")
             try:
@@ -145,12 +150,10 @@ def synth_intrinsic_motion(kind: MotionKind, param, n: int,
             ``param ** (n - 1)`` overflows to infinity or underflows to 0.
         CamTrajError: for any other kind.
     """
-    if kind is MotionKind.PRINCIPAL_SHIFT:
-        d = MotionDirective(kind, n, shift=tuple(param))
-    elif kind is MotionKind.FOCAL_ZOOM:
-        d = MotionDirective(kind, n, interval=float(param))
-    else:
+    if kind not in (MotionKind.PRINCIPAL_SHIFT, MotionKind.FOCAL_ZOOM):
         raise CamTrajError(f"not an intrinsic motion kind: {kind}")
+    ((_, name, size),) = MOTION_FIELDS[kind]
+    d = MotionDirective(kind, n, **{name: float(param) if size is None else tuple(param)})
     return compose_motions((d,), n, intrinsics, width, height)
 
 

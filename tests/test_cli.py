@@ -3,6 +3,8 @@
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -512,6 +514,30 @@ class TestEncode:
                                    "--heads", "7", "--unshuffle", "2")
         assert code == 2 and stdout == ""
         assert stderr == "error: heads=7 must divide channel width 8\n"
+        assert not out_dir.exists()
+
+    def test_out_of_memory_exits_2(self, tmp_path):
+        # the child alone runs under a 600 MB address-space limit; the stem
+        # fits, the first residual block at 128 channels of 256x256 does not
+        resource = pytest.importorskip("resource")
+        src = tmp_path / "p.npy"
+        write_npy_file(np.zeros((4, 6, 256, 256), dtype=np.float32), src)
+        out_dir = tmp_path / "feats"
+        limit = 600 << 20
+        code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+                "from camtraj.cli import main; sys.exit(main(sys.argv[1:]))")
+        pkg = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+            filter(None, (pkg, os.environ.get("PYTHONPATH")))))
+        out = subprocess.run([sys.executable, "-c", code, "encode", "--plucker", str(src),
+                              "--seed", "0", "--unshuffle", "1", "--channels", "128,64,64,64",
+                              "--heads", "1", "--out-dir", str(out_dir)],
+                             env=env, capture_output=True, text=True)
+        assert resource.getrlimit(resource.RLIMIT_AS)[0] != limit  # untouched here
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr.startswith(
+            "error: cannot allocate the forward pass of input shape (1, 4, 6, 256, 256): ")
+        assert "Traceback" not in out.stderr
         assert not out_dir.exists()
 
     def test_bad_channels(self, tmp_path, capsys):

@@ -298,13 +298,19 @@ def small_attention(seed=13, c=8, ratio=2):
     return enc._init_attention(rng, c, ratio)
 
 
+def qkv(x, p):
+    """Q, K and V of rows ``x``, from the column blocks of the fused projection."""
+    c = p.width
+    return [x @ p.wqkv[:, i * c:(i + 1) * c] + p.bqkv[i * c:(i + 1) * c] for i in range(3)]
+
+
 class TestAttention:
     def test_single_token_closed_form(self):
         rng = np.random.default_rng(14)
         p = small_attention()
         x = rand(rng, (10, 1, 8))
         out = multi_head_self_attention(x, p, heads=2)
-        manual = (x @ p.wv + p.bv) @ p.wo + p.bo
+        manual = qkv(x, p)[2] @ p.wo + p.bo
         np.testing.assert_array_equal(out, manual)
 
     def test_weights_are_row_stochastic(self):
@@ -323,9 +329,7 @@ class TestAttention:
         heads, hd = 2, 4
         x = rand(rng, (3, 4, 8))
         got = multi_head_self_attention(x, p, heads=heads)
-        q = x @ p.wq + p.bq
-        k = x @ p.wk + p.bk
-        v = x @ p.wv + p.bv
+        q, k, v = qkv(x, p)
         ref = np.zeros_like(got)
         for ri in range(3):
             outs = []
@@ -348,9 +352,7 @@ class TestAttention:
         got = multi_head_self_attention(x, p, heads=heads)
         ref = np.zeros_like(got)
         for ri in range(x.shape[0]):
-            q = x[ri] @ p.wq + p.bq
-            k = x[ri] @ p.wk + p.bk
-            v = x[ri] @ p.wv + p.bv
+            q, k, v = qkv(x[ri], p)
             outs = []
             for h in range(heads):
                 sl = slice(h * hd, (h + 1) * hd)
@@ -364,8 +366,9 @@ class TestAttention:
     def test_constant_query_key_averages(self):
         rng = np.random.default_rng(17)
         p = small_attention()
-        p = dataclasses.replace(
-            p, wq=np.zeros_like(p.wq), wk=np.zeros_like(p.wk))
+        wqkv = p.wqkv.copy()
+        wqkv[:, :2 * p.width] = 0.0  # the Q and K blocks
+        p = dataclasses.replace(p, wqkv=wqkv)
         x = rand(rng, (4, 6, 8))
         _, weights = multi_head_self_attention(x, p, heads=2, return_weights=True)
         np.testing.assert_allclose(weights, 1.0 / 6.0, atol=1e-7)
@@ -494,6 +497,19 @@ class TestWeights:
         # scale 1 has no downsample stage, so its plain block draws next
         np.testing.assert_array_equal(w.scales[0].res.conv1.w, uniform((8, 8, 3, 3), 8 * 9))
 
+    def test_attention_draw_replication(self):
+        # Q, K and V are three (c, c) draws side by side in wqkv, then wo follows
+        c = 8
+        p = small_attention(seed=19, c=c)
+        rng = np.random.default_rng(19)
+        bound = np.float32(math.sqrt(3.0 / c))
+        draws = [(2 * rng.random((c, c), dtype=np.float32) - 1) * bound for _ in range(4)]
+        assert p.wqkv.shape == (c, 3 * c) and p.bqkv.shape == (3 * c,)
+        for i in range(3):
+            np.testing.assert_array_equal(p.wqkv[:, i * c:(i + 1) * c], draws[i])
+        np.testing.assert_array_equal(p.wo, draws[3])
+        assert len(dataclasses.fields(p)) == 12
+
     @pytest.mark.parametrize("pick, fan_in", [
         (lambda w: w.scales[1].down.conv1.w, 32 * 9),
         (lambda w: w.scales[3].res_attn.mlp_w2, 2 * 64)])
@@ -507,7 +523,7 @@ class TestWeights:
         w = build_encoder_weights(SMALL)
         assert np.all(w.stem.b == 0)
         attn = w.scales[2].down_attn
-        assert np.all(attn.bq == 0) and np.all(attn.bo == 0)
+        assert np.all(attn.bqkv == 0) and np.all(attn.bo == 0)
         assert np.all(attn.ln1_gamma == 1) and np.all(attn.ln1_beta == 0)
         assert np.all(attn.ln2_gamma == 1) and np.all(attn.ln2_beta == 0)
 
@@ -635,6 +651,25 @@ class TestEncoderForward:
         x[0, 1, 3, 5, 7] = bad
         with pytest.raises(NonFiniteInput, match="1 non-finite"):
             encoder_forward(x, SMALL)
+
+
+    def test_out_of_memory_names_shape_and_stage(self, monkeypatch):
+        real = enc.res_block
+        calls = []
+
+        def fails_third(x, p):
+            calls.append(1)
+            if len(calls) == 3:  # the second block of scale 2
+                raise MemoryError
+            return real(x, p)
+
+        monkeypatch.setattr(enc, "res_block", fails_third)
+        x = rand(np.random.default_rng(38), (2, 6, 16, 16))
+        with pytest.raises(ConfigError) as exc:
+            encoder_forward(x, SMALL)
+        assert str(exc.value) == ("cannot allocate the forward pass of input shape "
+                                  "(1, 2, 6, 16, 16): out of memory in scale 2 residual block")
+        assert exc.value.__cause__ is None and exc.value.__suppress_context__
 
 
 class TestWeightStream:

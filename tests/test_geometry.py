@@ -297,6 +297,21 @@ class TestTrajectory:
 
 
 class TestRelativize:
+    def test_poses_of_near_tolerance_result(self):
+        # each input rotation passes the 1e-6 check by a hair; the relative
+        # ones do not, yet .poses wraps the derived frames without re-checking
+        r = np.diag([1.00000045, 0.99999955, 1.0])
+        traj = Trajectory.from_arrays(np.stack([r] * 3), np.eye(3), np.ones((3, 4)),
+                                      Convention.CAMERA_TO_WORLD, 8, 8)
+        rel = relativize(traj)
+        poses = rel.poses
+        assert len(poses) == 3
+        for p, rot, t in zip(poses, rel.rotations, rel.translations):
+            np.testing.assert_array_equal(p.extrinsics.rotation, rot)
+            np.testing.assert_array_equal(p.extrinsics.translation, t)
+            assert p.extrinsics.convention is Convention.CAMERA_TO_WORLD
+            assert not p.extrinsics.rotation.flags.writeable
+
     def test_first_frame_exact_identity(self):
         rng = np.random.default_rng(50)
         for conv in Convention:

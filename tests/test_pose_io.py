@@ -28,7 +28,7 @@ from camtraj.pose_io import (
     trajectory_from_json,
     trajectory_to_json,
 )
-from camtraj.synth import MotionKind
+from camtraj.synth import MOTION_FIELDS, MotionKind
 from util import random_rotation, random_trajectory
 
 IDENTITY_LINE = "0 0.5 0.889 0.5 0.5 0 0 1 0 0 0 0 1 0 0 0 0 1 0"
@@ -388,6 +388,20 @@ class TestTrajectorySpec:
         with pytest.raises(SchemaError) as exc:
             parse_trajectory_spec(json.dumps(doc))
         assert exc.value.path == "/motion/direction"
+
+    @pytest.mark.parametrize("kind", list(MotionKind))
+    def test_each_motion_key_required(self, kind):
+        motion = {"kind": kind.value}
+        for key, _, n in MOTION_FIELDS[kind]:
+            motion[key] = 1.0 if n is None else [1.0] + [0.0] * (n - 1)
+        doc = json.loads(self.PAN_SPEC)
+        doc["motion"] = motion
+        assert parse_trajectory_spec(json.dumps(doc)).directives[0].kind is kind
+        for key in motion.keys() - {"kind"}:
+            doc["motion"] = {k: v for k, v in motion.items() if k != key}
+            with pytest.raises(SchemaError) as exc:
+                parse_trajectory_spec(json.dumps(doc))
+            assert (exc.value.path, exc.value.reason) == (f"/motion/{key}", "required key missing")
 
     def test_motion_and_motions_conflict(self):
         doc = json.loads(self.PAN_SPEC)

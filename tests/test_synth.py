@@ -16,6 +16,7 @@ from camtraj.errors import (
 from camtraj.geometry import Convention, Intrinsics
 from camtraj.plucker import camera_center
 from camtraj.synth import (
+    MOTION_FIELDS,
     MotionDirective,
     MotionKind,
     SynthesisPlan,
@@ -276,6 +277,20 @@ class TestScaleIntensity:
 
 
 class TestDirectiveValidation:
+    def test_every_kind_has_fields(self):
+        assert list(MOTION_FIELDS) == list(MotionKind)
+        assert all(MOTION_FIELDS[k] for k in MotionKind)
+
+    @pytest.mark.parametrize("kind", list(MotionKind))
+    def test_missing_field_names_plan_keys(self, kind):
+        keys = " and ".join(key for key, _, _ in MOTION_FIELDS[kind])
+        with pytest.raises(CamTrajError, match=f"^{kind.value} needs {keys}$"):
+            MotionDirective(kind, 4)
+
+    def test_wrong_vector_length_rejected(self):
+        with pytest.raises(CamTrajError, match="^principal_shift needs per_frame$"):
+            MotionDirective(MotionKind.PRINCIPAL_SHIFT, 4, shift=(1.0, 2.0, 3.0))
+
     def test_pan_requires_unit_direction(self):
         with pytest.raises(NonUnitDirection):
             MotionDirective(MotionKind.PAN, 4, direction=(2.0, 0.0, 0.0), interval=0.1)
