@@ -11,6 +11,7 @@ feature files of ``encode`` are renamed only once all four are written.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import math
 import os
@@ -163,14 +164,8 @@ def cmd_eval(args) -> int:
 
 def cmd_encode(args) -> int:
     seq = npyio.read_npy_file(args.plucker)
-    cfg = encoder.EncoderConfig(
-        unshuffle_factor=args.unshuffle,
-        scale_channels=tuple(args.channels),
-        heads=args.heads,
-        mlp_ratio=args.mlp_ratio,
-        seed=args.seed,
-        use_posemb=not args.no_posemb,
-    )
+    cfg = encoder.EncoderConfig(**{f.name: getattr(args, f.name)
+                                   for f in dataclasses.fields(encoder.EncoderConfig)})
     feats = encoder.encoder_forward(seq, cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     paths = [os.path.join(args.out_dir, f"scale{i}.npy") for i in range(1, len(feats) + 1)]
@@ -197,14 +192,14 @@ def _side(text: str) -> int:
     return side
 
 
-def _channels(text: str) -> list[int]:
+def _channels(text: str) -> tuple[int, ...]:
     try:
         vals = [int(p) for p in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad channel list {text!r}") from None
     if len(vals) != 4 or any(v < 1 for v in vals):
         raise argparse.ArgumentTypeError("need 4 positive channel counts")
-    return vals
+    return tuple(vals)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -245,12 +240,16 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("encode", help="run the encoder on a Plucker NPY tensor")
     sp.add_argument("--plucker", required=True)
     sp.add_argument("--seed", type=int, required=True)
-    sp.add_argument("--channels", type=_channels, default=[320, 640, 1280, 1280],
-                    help="four scale widths, default 320,640,1280,1280")
-    sp.add_argument("--heads", type=int, default=8)
-    sp.add_argument("--mlp-ratio", type=int, default=4, dest="mlp_ratio")
-    sp.add_argument("--unshuffle", type=int, default=8)
-    sp.add_argument("--no-posemb", action="store_true", dest="no_posemb")
+    # dests are the EncoderConfig fields, whose defaults are the flags' defaults
+    cfg = encoder.EncoderConfig()
+    sp.add_argument("--channels", type=_channels, default=cfg.scale_channels,
+                    dest="scale_channels", metavar="CHANNELS",
+                    help="four scale widths, default " + ",".join(map(str, cfg.scale_channels)))
+    sp.add_argument("--heads", type=int, default=cfg.heads)
+    sp.add_argument("--mlp-ratio", type=int, default=cfg.mlp_ratio, dest="mlp_ratio")
+    sp.add_argument("--unshuffle", type=int, default=cfg.unshuffle_factor,
+                    dest="unshuffle_factor", metavar="UNSHUFFLE")
+    sp.add_argument("--no-posemb", action="store_false", dest="use_posemb")
     sp.add_argument("--out-dir", required=True, dest="out_dir")
     sp.set_defaults(func=cmd_encode)
     return p

@@ -9,12 +9,11 @@ treating each (batch, y, x) position as an independent token row.
 
 There is no training here. Weights are drawn from
 ``numpy.random.default_rng(cfg.seed)`` (PCG64) in a fixed, documented order,
-so the forward pass is reproducible bit-for-bit from the seed. Conv and
-linear weights are fan-in uniform (He et al., ICCV 2015), ``(2u - 1) *
-sqrt(3 / fan_in)`` for float32 ``u = rng.random(shape)``, std 1/sqrt(fan_in);
-biases start at zero, LayerNorm affine at identity. They replaced Gaussian
-``standard_normal`` draws, four times slower per sample, and so changed every
-output bit once: the contract is run-to-run determinism.
+so the forward pass is reproducible bit-for-bit from the seed: the same seed
+and config give the same output bits on every run. Conv and linear weights
+are fan-in uniform (He et al., ICCV 2015), ``(2u - 1) * sqrt(3 / fan_in)``
+for float32 ``u = rng.random(shape)``, std 1/sqrt(fan_in); biases start at
+zero, LayerNorm affine at identity.
 
 The draw order is the forward order, so ``encoder_forward`` without explicit
 weights draws them inline, block by block on the calling thread: each block

@@ -45,10 +45,11 @@ class PoseParseError(CamTrajError):
 
 
 class FieldCountError(PoseParseError):
-    def __init__(self, line: int, found: int, expected: int = 19):
-        super().__init__(f"expected {expected} fields, found {found}", line)
+    expected = 19  # fields in a pose-list data line
+
+    def __init__(self, line: int, found: int):
+        super().__init__(f"expected {self.expected} fields, found {found}", line)
         self.found = found
-        self.expected = expected
 
 
 class NumericError(PoseParseError):

@@ -43,6 +43,13 @@ def _frozen_array(x, shape) -> np.ndarray:
     return a
 
 
+def _unchecked(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, unchecked."""
+    obj = cls.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _check_derived(t: np.ndarray) -> None:
     """Rigid maps computed from checked ones keep rotations valid and
     translations finite unless they overflow, the one thing checked
@@ -176,18 +183,15 @@ class Extrinsics:
         """A map computed from checked Extrinsics, its arrays copied and frozen
         as by the constructor once :func:`_check_derived` passes."""
         _check_derived(t)
-        e = cls.__new__(cls)
-        e.__dict__.update(rotation=_frozen_array(r, (3, 3)),
+        return _unchecked(cls, rotation=_frozen_array(r, (3, 3)),
                           translation=_frozen_array(t, (3,)), convention=convention)
-        return e
 
     @classmethod
     def identity(cls, convention: Convention) -> "Extrinsics":
         return cls(np.eye(3), np.zeros(3), convention)
 
-    def is_identity(self, tol: float = 0.0) -> bool:
-        return (np.abs(self.rotation - np.eye(3)).max() <= tol
-                and np.abs(self.translation).max() <= tol)
+    def is_identity(self) -> bool:
+        return bool((self.rotation == np.eye(3)).all() and (self.translation == 0.0).all())
 
 
 def invert_extrinsics(e: Extrinsics) -> Extrinsics:
@@ -296,7 +300,7 @@ class Trajectory:
     width: int
     height: int
 
-    def __init__(self, poses, width: int = 0, height: int = 0):
+    def __init__(self, poses, width: int, height: int):
         poses = tuple(poses)
         if not poses:
             raise CamTrajError("trajectory needs at least one pose")
@@ -339,10 +343,8 @@ class Trajectory:
         """Wrap float64 arrays that passed :func:`first_bad_frame`, read-only, uncopied."""
         for a in (r, t, k):
             a.setflags(write=False)
-        traj = cls.__new__(cls)
-        traj.__dict__.update(rotations=r, translations=t, intrinsics=k,
-                             convention=convention, width=width, height=height)
-        return traj
+        return _unchecked(cls, rotations=r, translations=t, intrinsics=k,
+                          convention=convention, width=width, height=height)
 
     def _derive(self, r: np.ndarray, t: np.ndarray, convention: Convention) -> "Trajectory":
         """Frames computed from this trajectory's by rigid maps, wrapped with its
@@ -356,7 +358,8 @@ class Trajectory:
     @property
     def poses(self) -> tuple[CameraPose, ...]:
         """Per-frame CameraPose values, built on each access without re-checks."""
-        return tuple(CameraPose(Intrinsics(*k), Extrinsics._derive(r, t, self.convention))
+        return tuple(CameraPose(_unchecked(Intrinsics, **dict(zip(INTRINSICS_FIELDS, k))),
+                                Extrinsics._derive(r, t, self.convention))
                      for k, r, t in zip(self.intrinsics.tolist(), self.rotations,
                                         self.translations))
 

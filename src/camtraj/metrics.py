@@ -41,8 +41,8 @@ REALESTATE10K_ROT_ERR_LOWER_BOUND = 1.02
 class AlignmentReport:
     """Evaluation result for one trajectory pair.
 
-    Totals are plain sums of the per-frame lists; rotation errors are
-    radians in [0, pi], translation errors squared scene units.
+    Totals are ``math.fsum`` sums of the per-frame lists; rotation errors
+    are radians in [0, pi], translation errors squared scene units.
     """
 
     rot_err_total: float
@@ -86,7 +86,7 @@ def rot_err(gt: Trajectory, gen: Trajectory) -> tuple[float, list[float]]:
     _check_lengths(gt, gen)
     per_frame = rotation_angle(
         gen.rotations @ np.swapaxes(gt.rotations, -1, -2)).tolist()
-    return sum(per_frame), per_frame
+    return math.fsum(per_frame), per_frame
 
 
 def trans_err(gt: Trajectory, gen: Trajectory) -> tuple[float, list[float]]:
@@ -101,7 +101,7 @@ def trans_err(gt: Trajectory, gen: Trajectory) -> tuple[float, list[float]]:
     _check_lengths(gt, gen)
     diff = gt.translations - gen.translations  # batched dot: the bits of diff @ diff
     per_frame = (diff[:, None, :] @ diff[:, :, None])[:, 0, 0].tolist()
-    return sum(per_frame), per_frame
+    return math.fsum(per_frame), per_frame
 
 
 def normalize_scale(gt: Trajectory, gen: Trajectory) -> tuple[Trajectory, float]:
@@ -156,7 +156,7 @@ def evaluate(gt: Trajectory, gen: Trajectory) -> AlignmentReport:
     rel_gen, factor = normalize_scale(rel_gt, rel_gen)
     r_total, r_frames = rot_err(rel_gt, rel_gen)
     t_total, t_frames = trans_err(rel_gt, rel_gen)
-    unsquared = sum(math.sqrt(v) for v in t_frames)
+    unsquared = math.fsum(math.sqrt(v) for v in t_frames)
     return AlignmentReport(
         rot_err_total=r_total,
         trans_err_total=t_total,

@@ -25,6 +25,7 @@ from .errors import CamTrajError, ShapeMismatch
 from .geometry import CameraPose, Convention, Extrinsics, Trajectory, convert_extrinsics
 
 PIXEL_ORIGINS = ("center", "corner")
+VERIFY_TOL = 1e-6
 
 
 def _pixel_offset(pixel_origin: str) -> float:
@@ -136,13 +137,13 @@ def _frame_deviations(frame: np.ndarray) -> tuple[float, float]:
     return norm_dev, np.abs(s, out=s).max()
 
 
-def verify_plucker(arr: np.ndarray, tol: float = 1e-6) -> dict:
+def verify_plucker(arr: np.ndarray) -> dict:
     """Check Plucker invariants on a (..., 6, h, w) array.
 
     Returns max deviations {"direction_norm": ..., "moment_dot": ...} and
-    whether both clear ``tol``. Computed in float64 one (6, h, w) frame at a
-    time, so memory beyond ``arr`` stays at about two frames in float64; a
-    NaN anywhere makes its deviation NaN and the check fail.
+    whether both are below VERIFY_TOL. Computed in float64 one (6, h, w)
+    frame at a time, so memory beyond ``arr`` stays at about two frames in
+    float64; a NaN anywhere makes its deviation NaN and the check fail.
     """
     a = np.asarray(arr)
     if a.ndim < 3 or a.shape[-3] != 6:
@@ -152,5 +153,5 @@ def verify_plucker(arr: np.ndarray, tol: float = 1e-6) -> dict:
     return {
         "direction_norm": norm_dev,
         "moment_dot": dot_dev,
-        "ok": norm_dev < tol and dot_dev < tol,
+        "ok": norm_dev < VERIFY_TOL and dot_dev < VERIFY_TOL,
     }

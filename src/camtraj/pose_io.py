@@ -42,7 +42,7 @@ from .geometry import (
 from .metrics import AlignmentReport
 from .synth import MOTION_FIELDS, MotionDirective, MotionKind, SynthesisPlan
 
-POSE_FIELDS = 19
+POSE_FIELDS = FieldCountError.expected
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ place about a fixed center.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from enum import Enum
 
 import numpy as np
@@ -157,22 +157,6 @@ def synth_intrinsic_motion(kind: MotionKind, param, n: int,
     return compose_motions((d,), n, intrinsics, width, height)
 
 
-def _directive_extrinsics(d: MotionDirective, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Camera-to-world (n, 3, 3) rotations and (n, 3) translations that one
-    directive contributes at frames 0..n-1."""
-    i = np.arange(n, dtype=np.float64)
-    r = np.tile(np.eye(3), (n, 1, 1))
-    t = np.zeros((n, 3))
-    if d.kind is MotionKind.PAN:
-        t = (i * d.interval)[:, None] * np.asarray(d.direction, dtype=np.float64)
-    elif d.kind is MotionKind.ZOOM:
-        t[:, 2] = i * d.interval
-    elif d.kind is MotionKind.ROTATE:
-        step = 0.0 if d.frames == 1 else math.radians(d.interval) / (d.frames - 1)
-        r = rotation_about_axis(d.direction, i * step)
-    return r, t
-
-
 def _raise_first(bad: np.ndarray, values: np.ndarray, idx: int, d: MotionDirective,
                  names, error=MotionOverflow, bound: str = "float64") -> None:
     """Raise ``error`` naming directive ``idx`` at the first (frame, column) of ``bad``."""
@@ -186,15 +170,18 @@ def compose_motions(directives, n: int, intrinsics: Intrinsics,
                     width: int, height: int) -> Trajectory:
     """Compose several directives into one trajectory.
 
-    Frame i's extrinsic is the matrix product of each directive's frame-i
-    transform taken in list order (left-associative); intrinsic directives
-    apply their shifts and factors in the same order. The single-directive
-    primitives above are calls to this function.
+    Each directive is applied once, in list order: ROTATE multiplies frame
+    i's rotation (from the identity) by its own, PAN and ZOOM add their step
+    turned by that rotation to the center (from zero), so the extrinsic is
+    the left-associative product of the directives' frame-i transforms;
+    intrinsic directives apply their shifts and factors. The
+    single-directive primitives above are calls to this function.
 
     Raises:
         EmptyDirectives: on an empty list.
         MotionOverflow: if a camera center or principal point leaves the
-            float64 range at some frame, naming the directive that took it there.
+            float64 range at some frame, naming the first directive, in list
+            order, that took it there.
         NonPositiveScale: if the focal_zoom factors, applied in order, take
             fx or fy to infinity or to 0 at some frame.
         CamTrajError: if any directive's frame count disagrees with n.
@@ -202,28 +189,37 @@ def compose_motions(directives, n: int, intrinsics: Intrinsics,
     directives = tuple(directives)
     if not directives:
         raise EmptyDirectives("no motion directives given")
-    for d in directives:
-        if d.frames != n:
-            raise CamTrajError(f"directive frame count {d.frames} != {n}")
     i = np.arange(n, dtype=np.float64)
-    k = np.tile(np.array([intrinsics.fx, intrinsics.fy, intrinsics.cx, intrinsics.cy],
-                         dtype=np.float64), (n, 1))
+    r = np.tile(np.eye(3), (n, 1, 1))
+    c = np.zeros((n, 3))  # +0.0, so centers never come out as -0.0
+    k = np.tile(np.array(astuple(intrinsics), dtype=np.float64), (n, 1))
+    centers = ("center x", "center y", "center z")
     # overflow shows up as inf/nan in the checks below, not as numpy warnings
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         for idx, d in enumerate(directives):
-            dr, dt = _directive_extrinsics(d, n)
-            r, t = (dr, dt) if idx == 0 else (r @ dr, (r @ dt[..., None])[..., 0] + t)
-            _raise_first(~np.isfinite(t), t, idx, d, ("center x", "center y", "center z"))
-        for idx, d in enumerate(directives):
-            if d.kind is MotionKind.PRINCIPAL_SHIFT:
+            if d.frames != n:
+                raise CamTrajError(f"directive frame count {d.frames} != {n}")
+            if d.kind is MotionKind.ROTATE:
+                angle = 0.0 if n == 1 else math.radians(d.interval) / (n - 1)
+                r = r @ rotation_about_axis(d.direction, i * angle)
+            elif d.kind in (MotionKind.PAN, MotionKind.ZOOM):
+                if d.kind is MotionKind.PAN:
+                    step = (i * d.interval)[:, None] * np.asarray(d.direction, dtype=np.float64)
+                else:  # a z column, not a (0, 0, 1) product, which turns inf into nan
+                    step = np.column_stack((np.zeros((n, 2)), i * d.interval))
+                # the step first: in r @ step an inf meets 0 * inf and reads as nan
+                _raise_first(~np.isfinite(step), step, idx, d, centers)
+                c += (r @ step[..., None])[..., 0]
+                _raise_first(~np.isfinite(c), c, idx, d, centers)
+            elif d.kind is MotionKind.PRINCIPAL_SHIFT:
                 k[:, 2:] += i[:, None] * np.asarray(d.shift, dtype=np.float64)
                 _raise_first(~np.isfinite(k[:, 2:]), k[:, 2:], idx, d, ("cx", "cy"))
-            elif d.kind is MotionKind.FOCAL_ZOOM:
+            else:  # FOCAL_ZOOM; Python's pow, not np.power, which rounds differently
                 focal = k[:, :2]
                 focal *= np.array([d.interval ** j for j in range(n)], dtype=np.float64)[:, None]
                 _raise_first(~((focal > 0.0) & (focal < math.inf)), focal, idx, d, ("fx", "fy"),
                              NonPositiveScale, "positive float64")
-    return Trajectory.from_arrays(r, t, k, Convention.CAMERA_TO_WORLD, width, height)
+    return Trajectory.from_arrays(r, c, k, Convention.CAMERA_TO_WORLD, width, height)
 
 
 def synthesize(plan: SynthesisPlan) -> Trajectory:

@@ -1,5 +1,6 @@
 """End-to-end subcommand tests driving main() directly."""
 
+import dataclasses
 import json
 import math
 import os
@@ -11,6 +12,7 @@ import pytest
 
 from camtraj import cli, geometry, pose_io
 from camtraj.cli import main
+from camtraj.encoder import EncoderConfig
 from camtraj.geometry import Convention
 from camtraj.npyio import read_npy_file, write_npy_file
 from camtraj.plucker import camera_center
@@ -406,6 +408,20 @@ ENCODE_FLAGS = ["--channels", "8,16,16,16", "--heads", "2",
 
 
 class TestEncode:
+    @staticmethod
+    def encode_config(*flags):
+        args = cli.build_parser().parse_args(
+            ["encode", "--plucker", "p.npy", "--out-dir", "feats", *flags])
+        return {f.name: getattr(args, f.name) for f in dataclasses.fields(EncoderConfig)}
+
+    def test_flag_defaults_are_encoder_config_defaults(self):
+        assert self.encode_config("--seed", "0") == dataclasses.asdict(EncoderConfig())
+
+    def test_flags_set_encoder_config_fields(self):
+        got = self.encode_config("--seed", "7", "--channels", "8,16,16,32", "--heads", "2",
+                                 "--mlp-ratio", "3", "--unshuffle", "2", "--no-posemb")
+        assert EncoderConfig(**got) == EncoderConfig(2, (8, 16, 16, 32), 2, 3, 7, False)
+
     def test_four_scale_files(self, tmp_path, capsys):
         rng = np.random.default_rng(0)
         src = tmp_path / "p.npy"

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from camtraj import geometry
 from camtraj.errors import (CamTrajError, ConventionMismatch, NonUnitAxis, NonUnitDirection,
                             RotationInvalid, ShapeMismatch)
 from camtraj.geometry import (
@@ -275,6 +276,17 @@ class TestTrajectory:
         with pytest.raises(ValueError):
             Trajectory((p,), 0, 10)
 
+    def test_poses_do_not_recheck_frames(self, monkeypatch):
+        traj = random_trajectory(np.random.default_rng(4), 100)
+        calls = []
+        check = geometry.first_bad_frame
+        monkeypatch.setattr(geometry, "first_bad_frame", lambda *a: calls.append(a) or check(*a))
+        poses = traj.poses
+        assert calls == []
+        for i, p in enumerate(poses):
+            assert p.intrinsics == Intrinsics(*traj.intrinsics[i])
+            assert np.array_equal(p.extrinsics.rotation, traj.rotations[i])
+            assert np.array_equal(p.extrinsics.translation, traj.translations[i])
 
     def test_faults_are_typed(self):
         rng = np.random.default_rng(3)

@@ -307,6 +307,16 @@ class TestEvaluate:
         oracle = math.fsum(math.sqrt(v) for v in report.per_frame_trans)
         assert abs(report.trans_err_unsquared_total - oracle) < 1e-12
 
+    def test_totals_are_exact_sums(self):
+        # math.fsum, not sum(), which rounds differently from Python 3.12 on
+        rng = np.random.default_rng(24)
+        for _ in range(5):
+            report = evaluate(random_trajectory(rng, 200), random_trajectory(rng, 200))
+            assert report.rot_err_total == math.fsum(report.per_frame_rot)
+            assert report.trans_err_total == math.fsum(report.per_frame_trans)
+            assert report.trans_err_unsquared_total == math.fsum(
+                math.sqrt(v) for v in report.per_frame_trans)
+
     def test_to_dict_schema(self):
         rng = np.random.default_rng(23)
         d = evaluate(random_trajectory(rng, 4), random_trajectory(rng, 4)).to_dict()

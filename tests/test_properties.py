@@ -164,7 +164,7 @@ def test_errors_match_per_frame_loop(a, b):
     gen = Trajectory(b.poses[:n], b.width, b.height)
     total, per = trans_err(gt, gen)
     ref = [float(d @ d) for d in gt.translations - gen.translations]
-    assert per == ref and total == sum(ref)
+    assert per == ref and total == math.fsum(ref)
     _, per = rot_err(gt, gen)
     for got, p, q in zip(per, gt.poses, gen.poses):
         m = q.extrinsics.rotation @ p.extrinsics.rotation.T
@@ -201,6 +201,68 @@ def test_compose_motions_matches_per_frame_loop(n, seed, degrees, interval, scal
         f = scale ** i
         assert p.intrinsics == Intrinsics(300.0 * f, 310.0 * f, 160.0 + i * interval,
                                           120.0 + i * 1.5)
+
+
+def reference_compose(directives, n, intr):
+    """compose_motions as a loop over frames, then over directives in list
+    order: per-frame rotations, centers and (fx, fy, cx, cy)."""
+    rotations, centers, intrinsics = [], [], []
+    for i in range(n):
+        r, c = np.eye(3), np.zeros(3)
+        fx, fy, cx, cy = intr.fx, intr.fy, intr.cx, intr.cy
+        for d in directives:
+            if d.kind is MotionKind.ROTATE:
+                step = 0.0 if n == 1 else math.radians(d.interval) / (n - 1)
+                r = r @ rotation_about_axis(d.direction, float(i) * step)
+            elif d.kind is MotionKind.PAN:
+                c = c + r @ (float(i) * d.interval * np.asarray(d.direction))
+            elif d.kind is MotionKind.ZOOM:
+                c = c + r @ np.array([0.0, 0.0, float(i) * d.interval])
+            elif d.kind is MotionKind.PRINCIPAL_SHIFT:
+                cx, cy = cx + i * d.shift[0], cy + i * d.shift[1]
+            else:
+                fx, fy = fx * d.interval ** i, fy * d.interval ** i
+        rotations.append(r)
+        centers.append(c)
+        intrinsics.append([fx, fy, cx, cy])
+    return rotations, centers, intrinsics
+
+
+@st.composite
+def composed_plans(draw):
+    """1-9 frames and 1-5 directives of any kinds; pans and rotations often
+    lead with a negative component, whose -0.0 at frame 0 must not show."""
+    n = draw(st.integers(1, 9))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    directives = []
+    for kind in draw(st.lists(st.sampled_from(MotionKind), min_size=1, max_size=5)):
+        unit = tuple(-abs(random_unit(rng)) if draw(st.booleans()) else random_unit(rng))
+        if kind is MotionKind.PAN:
+            fields = {"direction": unit, "interval": draw(st.floats(-2.0, 2.0))}
+        elif kind is MotionKind.ZOOM:
+            fields = {"interval": draw(st.floats(-2.0, 2.0))}
+        elif kind is MotionKind.ROTATE:
+            fields = {"direction": unit,
+                      "interval": draw(st.floats(-360.0, 360.0)) if n > 1 else 0.0}
+        elif kind is MotionKind.PRINCIPAL_SHIFT:
+            fields = {"shift": (draw(st.floats(-5.0, 5.0)), draw(st.floats(-5.0, 5.0)))}
+        else:
+            fields = {"interval": draw(st.floats(0.5, 2.0))}
+        directives.append(MotionDirective(kind, n, **fields))
+    return n, directives
+
+
+@checked
+@given(composed_plans())
+def test_composed_plan_matches_per_directive_loop(plan):
+    n, directives = plan
+    intr = Intrinsics(300.0, 310.0, 160.0, 120.0)
+    traj = compose_motions(directives, n, intr, 320, 240)
+    rotations, centers, intrinsics = reference_compose(directives, n, intr)
+    assert np.array_equal(traj.rotations, rotations)
+    assert np.array_equal(traj.translations, centers)
+    assert traj.intrinsics.tolist() == intrinsics
+    assert not np.signbit(traj.translations[traj.translations == 0.0]).any()
 
 
 @checked

@@ -15,6 +15,7 @@ from camtraj.errors import (
 )
 from camtraj.geometry import Convention, Intrinsics
 from camtraj.plucker import camera_center
+from camtraj.pose_io import trajectory_to_json
 from camtraj.synth import (
     MOTION_FIELDS,
     MotionDirective,
@@ -143,12 +144,31 @@ class TestIntrinsicMotion:
             compose_motions(directives, 3, INTR, 8, 8)
         assert str(exc.value) == f"{message}, outside the float64 range"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflow_names_first_directive_in_list_order(self):
+        shift = MotionDirective(MotionKind.PRINCIPAL_SHIFT, 3, shift=(1e308, 0.0))
+        pan = MotionDirective(MotionKind.PAN, 3, direction=(1.0, 0.0, 0.0), interval=1e308)
+        for directives, message in (((shift, pan), "principal_shift directive 0 takes cx"),
+                                    ((pan, shift), "pan directive 0 takes center x")):
+            with pytest.raises(MotionOverflow) as exc:
+                compose_motions(directives, 3, INTR, 8, 8)
+            assert str(exc.value).startswith(f"{message} to inf at frame 2")
+
     def test_rejects_extrinsic_kind(self):
         with pytest.raises(ValueError):
             synth_intrinsic_motion(MotionKind.PAN, 1.0, 4, INTR, 8, 8)
 
 
 class TestCompose:
+    def test_center_zeros_do_not_depend_on_directive_order(self):
+        # a negative direction component times frame 0's 0.0 is -0.0; centers
+        # start at +0.0 and are only added to, so they come out as 0.0
+        pan = MotionDirective(MotionKind.PAN, 3, direction=(-0.6, 0.0, 0.8), interval=0.5)
+        shift = MotionDirective(MotionKind.PRINCIPAL_SHIFT, 3, shift=(0.0, 0.0))
+        alone = trajectory_to_json(compose_motions((pan,), 3, INTR, 8, 8))
+        assert trajectory_to_json(compose_motions((shift, pan), 3, INTR, 8, 8)) == alone
+        assert "-0.0" not in alone
+
     def test_singleton_matches_primitive(self):
         n = 6
         d = MotionDirective(MotionKind.PAN, n, direction=(0.0, 0.0, 1.0), interval=0.25)
