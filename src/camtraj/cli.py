@@ -1,11 +1,12 @@
 """Command-line interface.
 
 Subcommands: parse, synth, embed, eval, encode. Exit codes: 0 success, 1
-usage error, 2 data error (a CamTrajError), 3 I/O error; any other exception
-is a bug. Angles are degrees at this boundary and radians inside the library.
-Output files are written to a temp file in the destination directory and
-renamed into place, so a failed run never leaves a partial artifact; the four
-feature files of ``encode`` are renamed only once all four are written.
+usage error, 2 data error (a CamTrajError) or out of memory, 3 I/O error;
+any other exception is a bug. Angles are degrees at this boundary and
+radians inside the library. Output files are written to a temp file in the
+destination directory and renamed into place, so a failed run never leaves a
+partial artifact; the four feature files of ``encode`` are renamed only once
+all four are written.
 """
 
 from __future__ import annotations
@@ -266,7 +267,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(str(e), file=sys.stderr)
         return EXIT_USAGE
-    except CamTrajError as e:
+    except (CamTrajError, MemoryError) as e:
+        if isinstance(e, MemoryError):  # numpy's text names the shape; a bare one is empty
+            e = ": ".join(filter(None, ("out of memory", str(e))))
         print(f"error: {e}", file=sys.stderr)
         return EXIT_DATA
     except OSError as e:

@@ -16,18 +16,20 @@ for float32 ``u = rng.random(shape)``, std 1/sqrt(fan_in); biases start at
 zero, LayerNorm affine at identity.
 
 The draw order is the forward order, so ``encoder_forward`` without explicit
-weights draws them inline, block by block on the calling thread: each block
-is drawn just before it runs and dropped when the next one is drawn, so at
-most two blocks, about 0.2 GB at the default config, are held instead of the
-full 0.9 GB. ``build_encoder_weights`` draws the same stream and still
-returns the full set, for callers that reuse or modify weights.
+weights draws each block on the calling thread just before it runs and drops
+it when the next is drawn: at most two blocks, about 0.2 GB at the default
+config, are held instead of the full 0.9 GB. ``build_encoder_weights``
+returns the same stream as a full set, for callers that reuse or modify it.
 
-Convolutions are k*k shifted GEMMs with no im2col buffer (see :func:`conv2d`).
-Every attention linear runs as one 2-D GEMM on the flattened (rows * n, c)
-tokens. Q, K and V are stored fused, one (c, 3c) weight and one (3c,) bias
-per block, drawn as three (c, c) blocks in Q, K, V order, so they come from
-a single product with no per-call copy. Bias and residual adds and the
-SiLU, LayerNorm and softmax steps work in place on their own temporaries.
+From the stem's output on, every activation is stored once as (h, w, b*n, c)
+and each block reads a free view of it: (b*n, c, h, w) frames for the k*k
+shifted GEMMs of :func:`conv2d` (no im2col), (h*w*b, n, c) token rows for
+temporal attention, and (b, n, c, h, w) for the returned features. Every
+attention linear runs as one 2-D GEMM on the flattened (rows * n, c) tokens.
+Q, K and V are stored fused, one (c, 3c) weight and one (3c,) bias per block,
+drawn as three (c, c) blocks in Q, K, V order, so they come from a single
+product with no per-call copy. Bias and residual adds and the SiLU,
+LayerNorm and softmax steps work in place on their own temporaries.
 """
 
 from __future__ import annotations
@@ -122,7 +124,7 @@ class EncoderWeights:
 
 
 class MultiScaleCameraFeatures(tuple):
-    """One (b, n, c_i, h_i, w_i) feature map per encoder scale."""
+    """One (b, n, c_i, h_i, w_i) feature map per scale: a view of (h_i, w_i, b*n, c_i) storage."""
 
 
 # --- primitive ops ----------------------------------------------------------
@@ -179,15 +181,14 @@ def pixel_unshuffle(x: np.ndarray, r: int) -> np.ndarray:
     (dy, dx) within each r x r tile; lossless and bit-exact.
 
     Raises:
-        IndivisibleDims: if h or w is not divisible by r.
+        IndivisibleDims: if r < 1 or h or w is not divisible by r.
     """
     if x.ndim != 5:
         raise ShapeMismatch(f"expected (b, n, c, h, w), got shape {x.shape}")
     b, n, c, h, w = x.shape
-    if h % r or w % r:
+    if r < 1 or h % r or w % r:
         raise IndivisibleDims(f"spatial dims {h}x{w} not divisible by r={r}")
-    y = x.reshape(b, n, c, h // r, r, w // r, r)
-    y = y.transpose(0, 1, 2, 4, 6, 3, 5)
+    y = x.reshape(b, n, c, h // r, r, w // r, r).transpose(0, 1, 2, 4, 6, 3, 5)
     return np.ascontiguousarray(y).reshape(b, n, c * r * r, h // r, w // r)
 
 
@@ -196,42 +197,40 @@ def pixel_shuffle(x: np.ndarray, r: int) -> np.ndarray:
     if x.ndim != 5:
         raise ShapeMismatch(f"expected (b, n, c, h, w), got shape {x.shape}")
     b, n, c, h, w = x.shape
-    if c % (r * r):
+    if r < 1 or c % (r * r):
         raise IndivisibleDims(f"channels {c} not divisible by r*r={r * r}")
-    y = x.reshape(b, n, c // (r * r), r, r, h, w)
-    y = y.transpose(0, 1, 2, 5, 3, 6, 4)
+    y = x.reshape(b, n, c // (r * r), r, r, h, w).transpose(0, 1, 2, 5, 3, 6, 4)
     return np.ascontiguousarray(y).reshape(b, n, c // (r * r), h * r, w * r)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.ndarray:
     """'Same'-padded 2D convolution on (N, C, H, W) as k*k shifted GEMMs.
 
-    Each tap's shifted (for stride 2, strided) view of one zero-padded
-    channels-last copy of ``x`` goes into one reused (N*Ho*Wo, C) buffer and
-    is multiplied by ``w[:, :, dy, dx].T`` into one channels-last output. No
-    im2col: scratch is the padded copy, the tap buffer, the output plus one
-    tap's product, and the final NCHW copy. A 1x1 kernel is a single GEMM.
+    Reads ``x`` as (H, W, N, C), a free view of encoder activations. Each
+    tap's shifted (for stride 2, strided) view of the zero-padded copy goes
+    into one reused buffer, times ``w[:, :, dy, dx].T``, into one
+    (Ho, Wo, N, Cout) output, returned as an (N, Cout, Ho, Wo) view. No im2col:
+    scratch is the padded copy, the tap buffer and one tap's product.
     """
     cout, cin, k, _ = w.shape
     n, _, h, wd = x.shape
     pad = (k - 1) // 2
     ho, wo = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
-    src = x.transpose(0, 2, 3, 1)  # channels-last view; a padded copy when k > 1
+    src = x.transpose(2, 3, 0, 1)  # (H, W, N, C); a padded copy when k > 1
     if pad:
-        src = np.pad(src, ((0, 0), (pad, pad), (pad, pad), (0, 0)))
-    m = n * ho * wo
-    tap = np.empty((n, ho, wo, cin), dtype=np.float32)
+        src = np.pad(src, ((pad, pad), (pad, pad), (0, 0), (0, 0)))
+    m = ho * wo * n
+    tap = np.empty((ho, wo, n, cin), dtype=np.float32)
     out = np.empty((m, cout), dtype=np.float32)
     for t in range(k * k):
         dy, dx = divmod(t, k)
-        np.copyto(tap, src[:, dy:dy + stride * ho:stride, dx:dx + stride * wo:stride])
+        np.copyto(tap, src[dy:dy + stride * ho:stride, dx:dx + stride * wo:stride])
         if t:
             out += tap.reshape(m, cin) @ w[:, :, dy, dx].T
         else:
             np.matmul(tap.reshape(m, cin), w[:, :, dy, dx].T, out=out)
-    del src, tap  # freed before the NCHW copy, which bounds the peak
     out += b
-    return np.ascontiguousarray(out.reshape(n, ho, wo, cout).transpose(0, 3, 1, 2))
+    return out.reshape(ho, wo, n, cout).transpose(2, 3, 0, 1)
 
 
 def res_block(x: np.ndarray, p: ResBlockParams) -> np.ndarray:
@@ -264,9 +263,7 @@ def multi_head_self_attention(x: np.ndarray, p: AttentionParams, heads: int,
     out = heads_out.reshape(r * n, c) @ p.wo
     out += p.bo
     out = out.reshape(r, n, c)
-    if return_weights:
-        return out, weights
-    return out
+    return (out, weights) if return_weights else out
 
 
 def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
@@ -283,14 +280,14 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
 
     Raises:
         ShapeMismatch: for non-3D input, a width not matching the weights,
-            or heads not dividing the width.
+            or heads < 1 or not dividing the width.
     """
     if x.ndim != 3:
         raise ShapeMismatch(f"expected (rows, n, c), got shape {x.shape}")
     r, n, c = x.shape
     if c != p.width:
         raise ShapeMismatch(f"input width {c} does not match weights width {p.width}")
-    if c % heads:
+    if heads < 1 or c % heads:
         raise ShapeMismatch(f"heads={heads} must divide width {c}")
     z = x + sinusoidal_posemb(n, c) if use_posemb else x
     z2 = multi_head_self_attention(layer_norm(z, p.ln1_gamma, p.ln1_beta), p, heads)
@@ -369,9 +366,7 @@ def _init_attention(rng, c: int, mlp_ratio: int) -> AttentionParams:
 def _init_res_block(rng, cin: int, cout: int, stride: int) -> ResBlockParams:
     conv1 = _init_conv(rng, cout, cin, 3)
     conv2 = _init_conv(rng, cout, cout, 3)
-    skip = None
-    if cin != cout or stride != 1:
-        skip = _init_conv(rng, cout, cin, 1)
+    skip = _init_conv(rng, cout, cin, 1) if cin != cout or stride != 1 else None
     return ResBlockParams(conv1, conv2, skip, stride)
 
 
@@ -453,12 +448,14 @@ def shape_schedule(cfg: EncoderConfig, b: int, n: int, h: int, w: int) -> list:
 
 
 def _attend(x: np.ndarray, p: AttentionParams, cfg: EncoderConfig, n: int) -> np.ndarray:
-    """Attention over the n frames of (b * n, c, h, w) maps, a token row per (b, y, x)."""
+    """Attention over the n frames of (b*n, c, h, w) maps stored (h, w, b*n, c).
+
+    The token rows, one per (y, x, b), and the returned maps are views.
+    """
     bn, c, h, w = x.shape
-    rows = np.ascontiguousarray(x.reshape(bn // n, n, c, h, w).transpose(0, 3, 4, 1, 2))
-    out = temporal_attention_block(rows.reshape(-1, n, c), p, cfg.heads, cfg.use_posemb)
-    out = out.reshape(bn // n, h, w, n, c).transpose(0, 3, 4, 1, 2)
-    return np.ascontiguousarray(out).reshape(bn, c, h, w)
+    rows = x.transpose(2, 3, 0, 1).reshape(-1, n, c)
+    out = temporal_attention_block(rows, p, cfg.heads, cfg.use_posemb)
+    return out.reshape(h, w, bn, c).transpose(2, 3, 0, 1)
 
 
 def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
@@ -467,9 +464,10 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
 
     A 4D input is treated as batch size 1. Without ``weights`` the weights of
     :func:`build_encoder_weights` are drawn inline, each block just before it
-    runs, so the full set is never held at once.
-    Pass them explicitly to reuse across calls or to probe modified
-    parameters; both run the same loop and give byte-identical features.
+    runs, so the full set is never held at once. Pass them explicitly to
+    reuse across calls or to probe modified parameters; both run the same
+    loop and give byte-identical features. Each feature map is a
+    (b, n, c, h, w) view of its (h, w, b*n, c) storage.
 
     Raises:
         IndivisibleDims: spatial dims not divisible by 8 * unshuffle_factor.
@@ -485,8 +483,7 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
     if x.ndim != 5:
         raise ShapeMismatch(f"expected 4D or 5D input, got shape {x.shape}")
     if x.shape[2] != _IN_CHANNELS:
-        raise ShapeMismatch(
-            f"expected {_IN_CHANNELS} input channels, got {x.shape[2]}")
+        raise ShapeMismatch(f"expected {_IN_CHANNELS} input channels, got {x.shape[2]}")
     b, n, _, h, w = x.shape
     if 0 in (b, n, h, w):
         raise ShapeMismatch(f"empty batch, frame or spatial dim in shape {x.shape}")

@@ -146,8 +146,8 @@ def verify_plucker(arr: np.ndarray) -> dict:
     float64; a NaN anywhere makes its deviation NaN and the check fail.
     """
     a = np.asarray(arr)
-    if a.ndim < 3 or a.shape[-3] != 6:
-        raise ShapeMismatch(f"expected (..., 6, h, w) array, got shape {a.shape}")
+    if a.ndim < 3 or a.shape[-3] != 6 or a.size == 0:
+        raise ShapeMismatch(f"expected non-empty (..., 6, h, w) array, got shape {a.shape}")
     devs = np.array([_frame_deviations(a[i]) for i in np.ndindex(a.shape[:-3])])
     norm_dev, dot_dev = (float(v) for v in devs.max(axis=0))
     return {

@@ -46,6 +46,20 @@ def no_temp_litter(directory):
     return not [f for f in os.listdir(directory) if f.startswith(".tmp-")]
 
 
+def run_limited(*argv, limit=600 << 20):
+    """main(argv) in a child process whose address space alone is capped at ``limit``."""
+    resource = pytest.importorskip("resource")
+    code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
+            "from camtraj.cli import main; sys.exit(main(sys.argv[1:]))")
+    pkg = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, (pkg, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code, *argv],
+                         env=env, capture_output=True, text=True)
+    assert resource.getrlimit(resource.RLIMIT_AS)[0] != limit  # untouched here
+    return out
+
+
 class TestParse:
     def test_stride_eight(self, tmp_path, capsys):
         src = tmp_path / "poses.txt"
@@ -535,21 +549,11 @@ class TestEncode:
     def test_out_of_memory_exits_2(self, tmp_path):
         # the child alone runs under a 600 MB address-space limit; the stem
         # fits, the first residual block at 128 channels of 256x256 does not
-        resource = pytest.importorskip("resource")
         src = tmp_path / "p.npy"
         write_npy_file(np.zeros((4, 6, 256, 256), dtype=np.float32), src)
         out_dir = tmp_path / "feats"
-        limit = 600 << 20
-        code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
-                "from camtraj.cli import main; sys.exit(main(sys.argv[1:]))")
-        pkg = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-            filter(None, (pkg, os.environ.get("PYTHONPATH")))))
-        out = subprocess.run([sys.executable, "-c", code, "encode", "--plucker", str(src),
-                              "--seed", "0", "--unshuffle", "1", "--channels", "128,64,64,64",
-                              "--heads", "1", "--out-dir", str(out_dir)],
-                             env=env, capture_output=True, text=True)
-        assert resource.getrlimit(resource.RLIMIT_AS)[0] != limit  # untouched here
+        out = run_limited("encode", "--plucker", str(src), "--seed", "0", "--unshuffle", "1",
+                          "--channels", "128,64,64,64", "--heads", "1", "--out-dir", str(out_dir))
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr.startswith(
             "error: cannot allocate the forward pass of input shape (1, 4, 6, 256, 256): ")
@@ -567,6 +571,25 @@ class TestEncode:
 
 
 class TestTopLevel:
+    @pytest.mark.parametrize("header, argv", [
+        (None, ("parse", "--input", "{src}", "--width", "8", "--height", "8", "--out", "{out}")),
+        ((256, 6, 512, 512), ("encode", "--plucker", "{src}", "--seed", "0", "--out-dir", "{out}")),
+    ], ids=["parse", "encode"])
+    def test_input_past_memory_exits_2(self, tmp_path, header, argv):
+        # sparse inputs past the child's 600 MB address space: parse's text
+        # read fails, and so does the payload array numpy allocates for encode
+        src, out = tmp_path / "input", tmp_path / "out"
+        with open(src, "wb") as f:
+            if header:
+                np.lib.format.write_array_header_1_0(
+                    f, {"descr": "<f4", "fortran_order": False, "shape": header})
+            f.truncate(f.tell() + (4 * math.prod(header) if header else 1 << 30))
+        got = run_limited(*(a.format(src=src, out=out) for a in argv))
+        assert (got.returncode, got.stdout) == (2, "")
+        assert got.stderr.startswith("error: out of memory")
+        assert "Traceback" not in got.stderr
+        assert not out.exists() and no_temp_litter(tmp_path)
+
     def test_no_subcommand(self, capsys):
         assert main([]) == 1
 

@@ -35,6 +35,7 @@ from camtraj.encoder import (
     temporal_attention_block,
 )
 from camtraj.errors import CamTrajError, ConfigError, IndivisibleDims, NonFiniteInput, ShapeMismatch
+from camtraj.plucker import verify_plucker
 
 SMALL = EncoderConfig(unshuffle_factor=2, scale_channels=(8, 16, 16, 16),
                       heads=2, mlp_ratio=2, seed=7)
@@ -247,8 +248,8 @@ class TestConv2d:
     @pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (1, 1), (1, 2)])
     def test_scratch_memory_bound(self, k, stride):
         # the peak is the padded channels-last copy, the tap buffer, the
-        # output and one tap's product; the NCHW copy is made after the first
-        # two are freed. An im2col buffer alone is k*k tap buffers.
+        # output and one tap's product; the output is returned as an NCHW
+        # view, with no copy. An im2col buffer alone is k*k tap buffers.
         n, cin, cout, h, w = 8, 16, 16, 24, 20
         rng = np.random.default_rng(37)
         x = rand(rng, (n, cin, h, w))
@@ -806,5 +807,77 @@ def test_conv2d_matches_direct_summation(case):
     x, w, b, stride = case
     got = conv2d(x, w, b, stride=stride)
     ref = naive_conv2d(x, w, b, stride)
-    assert got.shape == ref.shape and got.dtype == np.float32 and got.flags.c_contiguous
+    # a view of (Ho, Wo, N, Cout) storage
+    assert got.shape == ref.shape and got.dtype == np.float32
+    assert got.transpose(2, 3, 0, 1).flags.c_contiguous
     np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-5)
+
+
+@pytest.mark.parametrize("call, error", [
+    (lambda: pixel_unshuffle(np.zeros((1, 1, 4, 4, 4), np.float32), 0), IndivisibleDims),
+    (lambda: pixel_unshuffle(np.zeros((1, 1, 4, 4, 4), np.float32), -2), IndivisibleDims),
+    (lambda: pixel_shuffle(np.zeros((1, 1, 4, 4, 4), np.float32), 0), IndivisibleDims),
+    (lambda: pixel_shuffle(np.zeros((1, 1, 4, 4, 4), np.float32), -2), IndivisibleDims),
+    (lambda: temporal_attention_block(np.zeros((2, 3, 8), np.float32), small_attention(), 0),
+     ShapeMismatch),
+    (lambda: temporal_attention_block(np.zeros((2, 3, 8), np.float32), small_attention(), -2),
+     ShapeMismatch),
+    (lambda: verify_plucker(np.zeros((0, 6, 4, 4), np.float32)), ShapeMismatch),
+    (lambda: verify_plucker(np.zeros((2, 6, 0, 4), np.float32)), ShapeMismatch),
+], ids=["unshuffle-r0", "unshuffle-r-2", "shuffle-r0", "shuffle-r-2", "heads0", "heads-2",
+        "verify-no-frames", "verify-no-rows"])
+def test_degenerate_arguments_raise_typed_errors(call, error):
+    with pytest.raises(error):
+        call()
+
+
+def nchw_forward(x, cfg, weights):
+    """encoder_forward with C-contiguous (b*n, c, h, w) activations between
+    blocks and attention token rows in (b, y, x) order, made by copies."""
+    b, n = x.shape[:2]
+    x = pixel_unshuffle(x, cfg.unshuffle_factor)
+    x = np.ascontiguousarray(conv2d(x.reshape(b * n, *x.shape[2:]), weights.stem.w,
+                                    weights.stem.b))
+    feats = []
+    for sw in weights.scales:
+        for blk, attn in ((sw.down, sw.down_attn), (sw.res, sw.res_attn)):
+            if blk is None:
+                continue
+            x = np.ascontiguousarray(res_block(x, blk))
+            bn, c, h, w = x.shape
+            rows = np.ascontiguousarray(x.reshape(b, n, c, h, w).transpose(0, 3, 4, 1, 2))
+            out = temporal_attention_block(rows.reshape(-1, n, c), attn, cfg.heads,
+                                           cfg.use_posemb)
+            out = out.reshape(b, h, w, n, c).transpose(0, 3, 4, 1, 2)
+            x = np.ascontiguousarray(out).reshape(bn, c, h, w)
+        feats.append(x.reshape(b, n, *x.shape[1:]))
+    return feats
+
+
+@pytest.mark.parametrize("b, n", [(1, 3), (2, 4)])
+@pytest.mark.parametrize("use_posemb", [True, False])
+def test_forward_matches_nchw_layout_bytes(b, n, use_posemb):
+    cfg = dataclasses.replace(SMALL, use_posemb=use_posemb)
+    x = rand(np.random.default_rng(39), (b, n, 6, 16, 32))
+    ref = nchw_forward(x, cfg, build_encoder_weights(cfg))
+    got = encoder_forward(x, cfg)
+    assert [f.shape for f in got] == [f.shape for f in ref]
+    assert [f.tobytes() for f in got] == [f.tobytes() for f in ref]
+
+
+def test_attend_passes_and_returns_views(monkeypatch):
+    # activations are stored (h, w, b*n, c): the token rows handed to the block
+    # and the maps returned from it share memory with them, so nothing is copied
+    real, seen = enc.temporal_attention_block, {}
+
+    def recording(x, p, heads, use_posemb):
+        seen["rows"] = x
+        seen["out"] = real(x, p, heads, use_posemb)
+        return seen["out"]
+
+    monkeypatch.setattr(enc, "temporal_attention_block", recording)
+    b, n, c, h, w = 2, 3, 8, 4, 5
+    x = rand(np.random.default_rng(40), (h, w, b * n, c)).transpose(2, 3, 0, 1)
+    got = enc._attend(x, small_attention(c=c), dataclasses.replace(SMALL, heads=2), n)
+    assert seen["rows"].shape == (h * w * b, n, c) and np.shares_memory(seen["rows"], x)
+    assert got.shape == (b * n, c, h, w) and np.shares_memory(got, seen["out"])
