@@ -143,7 +143,7 @@ def cmd_embed(args) -> int:
         report = plucker.verify_plucker(back)
         status = "ok" if report["ok"] else "FAILED"
         print(f"verify {status}: max |norm(d)-1| = {report['direction_norm']:.3e}, "
-              f"max |m.d| = {report['moment_dot']:.3e}")
+              f"max |m.d|/max(1,|m|) = {report['moment_dot']:.3e}")
         if not report["ok"]:
             raise CamTrajError("written embedding failed invariant check")
     return EXIT_OK
@@ -164,10 +164,9 @@ def cmd_eval(args) -> int:
 
 
 def cmd_encode(args) -> int:
-    seq = npyio.read_npy_file(args.plucker)
     cfg = encoder.EncoderConfig(**{f.name: getattr(args, f.name)
                                    for f in dataclasses.fields(encoder.EncoderConfig)})
-    feats = encoder.encoder_forward(seq, cfg)
+    feats = encoder.encoder_forward(npyio.read_npy_file(args.plucker), cfg)
     os.makedirs(args.out_dir, exist_ok=True)
     paths = [os.path.join(args.out_dir, f"scale{i}.npy") for i in range(1, len(feats) + 1)]
     _atomic_write_all([(path, functools.partial(npyio.write_npy, feat))

@@ -473,18 +473,20 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
         IndivisibleDims: spatial dims not divisible by 8 * unshuffle_factor.
         ShapeMismatch: wrong rank or channel count, or an empty batch,
             frame or spatial dim.
-        NonFiniteInput: the input holds NaN or infinity.
+        NonFiniteInput: the input holds NaN or infinity, or the forward pass
+            overflows float32, naming the input shape and the stage reached.
         ConfigError: the forward pass runs out of memory, naming the input
             shape and the stage it reached.
     """
     x = np.asarray(p, dtype=np.float32)
+    del p  # a caller that passes its only reference gets the input freed after unshuffle
     if x.ndim == 4:
         x = x[None]
     if x.ndim != 5:
         raise ShapeMismatch(f"expected 4D or 5D input, got shape {x.shape}")
     if x.shape[2] != _IN_CHANNELS:
         raise ShapeMismatch(f"expected {_IN_CHANNELS} input channels, got {x.shape[2]}")
-    b, n, _, h, w = x.shape
+    b, n, _, h, w = shape = x.shape
     if 0 in (b, n, h, w):
         raise ShapeMismatch(f"empty batch, frame or spatial dim in shape {x.shape}")
     shape_schedule(cfg, b, n, h, w)  # validates divisibility up front
@@ -493,24 +495,27 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
         raise NonFiniteInput(f"input holds {bad} non-finite values")
     stage = "pixel unshuffle"
     try:
-        x = pixel_unshuffle(x, cfg.unshuffle_factor)
-        x = x.reshape(b * n, *x.shape[2:])  # frames are independent outside attention
-        blocks = _draw_blocks(cfg) if weights is None else _blocks(weights)
-        stage = "the stem"
-        stem = next(blocks)
-        x = conv2d(x, stem.w, stem.b)
-        feats = []
-        for i, blk in enumerate(blocks):
-            stage = f"scale {i // 4 + 1} " + ("downsample block", "downsample attention",
-                                              "residual block", "attention")[i % 4]
-            if isinstance(blk, ResBlockParams):
-                x = res_block(x, blk)
-            elif blk is not None:
-                x = _attend(x, blk, cfg, n)
-            if i % 4 == 3:  # a scale ends with its plain block's attention
-                feats.append(x.reshape(b, n, *x.shape[1:]))
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            x = pixel_unshuffle(x, cfg.unshuffle_factor)
+            x = x.reshape(b * n, *x.shape[2:])  # frames are independent outside attention
+            blocks = _draw_blocks(cfg) if weights is None else _blocks(weights)
+            stage = "the stem"
+            stem = next(blocks)
+            x = conv2d(x, stem.w, stem.b)
+            feats = []
+            for i, blk in enumerate(blocks):
+                stage = f"scale {i // 4 + 1} " + ("downsample block", "downsample attention",
+                                                  "residual block", "attention")[i % 4]
+                if isinstance(blk, ResBlockParams):
+                    x = res_block(x, blk)
+                elif blk is not None:
+                    x = _attend(x, blk, cfg, n)
+                if i % 4 == 3:  # a scale ends with its plain block's attention
+                    feats.append(x.reshape(b, n, *x.shape[1:]))
     except MemoryError:
-        raise ConfigError(f"cannot allocate the forward pass of input shape "
-                          f"{(b, n, _IN_CHANNELS, h, w)}: "
+        raise ConfigError(f"cannot allocate the forward pass of input shape {shape}: "
                           f"out of memory in {stage}") from None
+    except FloatingPointError:
+        raise NonFiniteInput(f"the forward pass of input shape {shape} overflows float32 "
+                             f"in {stage}") from None
     return MultiScaleCameraFeatures(feats)

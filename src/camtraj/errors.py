@@ -139,7 +139,7 @@ class ShapeMismatch(CamTrajError):
 
 
 class NonFiniteInput(CamTrajError):
-    """An input tensor held NaN or infinity."""
+    """An input tensor held NaN or infinity, or values that overflow a computation."""
 
 
 # --- tensor export ----------------------------------------------------------

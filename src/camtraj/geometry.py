@@ -145,14 +145,6 @@ class Intrinsics:
             [0.0, 0.0, 1.0],
         ])
 
-    def inverse_matrix(self) -> np.ndarray:
-        """Closed-form K^-1 (avoids a generic solve)."""
-        return np.array([
-            [1.0 / self.fx, 0.0, -self.cx / self.fx],
-            [0.0, 1.0 / self.fy, -self.cy / self.fy],
-            [0.0, 0.0, 1.0],
-        ])
-
 
 @dataclass(frozen=True)
 class Extrinsics:

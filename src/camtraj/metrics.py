@@ -5,10 +5,10 @@ over frames without averaging. Translation error sums SQUARED Euclidean
 distances between translation vectors; the unsquared sum is also reported
 for cross-comparison with implementations that read the norm unsquared.
 
-The full pipeline in :func:`evaluate` re-expresses both trajectories
-relative to their first frame, removes the reconstruction scale ambiguity
-by matching first-interval translation magnitudes, and only then measures
-errors; all comparisons happen in the world-to-camera convention.
+The full pipeline in :func:`evaluate` converts both trajectories to the
+world-to-camera convention, re-expresses them relative to their first
+frame, removes the reconstruction scale ambiguity by matching
+first-interval translation magnitudes, and only then measures errors.
 """
 
 from __future__ import annotations
@@ -142,17 +142,17 @@ def _to_w2c(traj: Trajectory) -> Trajectory:
 def evaluate(gt: Trajectory, gen: Trajectory) -> AlignmentReport:
     """Full comparison pipeline for a ground-truth / generated pair.
 
-    Relativize both, match first-interval translation scale, then sum
-    rotation and translation errors over all frames (frame 0 contributes
-    exactly zero by construction). Inputs may carry either convention; the
-    comparison itself happens on world-to-camera relative poses.
+    Convert both to world-to-camera once, relativize, match first-interval
+    translation scale, then sum rotation and translation errors over all
+    frames (frame 0 contributes exactly zero by construction). The same
+    poses score the same bits whichever convention stores them.
 
     Raises:
         LengthMismatch, DegenerateBaseline.
     """
     _check_lengths(gt, gen)
-    rel_gt = _to_w2c(relativize(gt))
-    rel_gen = _to_w2c(relativize(gen))
+    rel_gt = relativize(_to_w2c(gt))
+    rel_gen = relativize(_to_w2c(gen))
     rel_gen, factor = normalize_scale(rel_gt, rel_gen)
     r_total, r_frames = rot_err(rel_gt, rel_gen)
     t_total, t_frames = trans_err(rel_gt, rel_gen)

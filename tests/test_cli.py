@@ -326,6 +326,37 @@ class TestEmbed:
                          "--pixel-origin", "middle")
         assert code == 1
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("intrinsics, motion, frame", [
+        ({}, {"direction": [1, 0, 0], "interval": 1e39}, 1),  # moments past float32
+        ({"fx": 1e-320}, {}, 0),  # directions past float64
+        ({"cx": 1e308}, {}, 0),  # finite map, but d0^2 overflows the norm
+    ])
+    def test_rays_out_of_float_range_exit_2(self, tmp_path, capsys, intrinsics, motion, frame):
+        spec = {"frames": 3, "width": 16, "height": 8,
+                "intrinsics": {"fx": 8, "fy": 8, "cx": 8, "cy": 4, **intrinsics},
+                "motion": {"kind": "pan", "direction": [1, 0, 0], "interval": 0.1, **motion}}
+        traj = synth_traj_json(tmp_path, capsys, spec)
+        out = tmp_path / "p.npy"
+        code, stdout, stderr = run(capsys, "embed", "--traj", str(traj), "--out", str(out),
+                                   "--verify")
+        assert (code, stdout) == (2, "")
+        assert stderr.startswith(f"error: frame {frame}: Plucker map out of float range: ")
+        assert not out.exists() and no_temp_litter(tmp_path)
+
+    def test_verify_accepts_far_camera_centers(self, tmp_path, capsys):
+        # centers 140 from the origin: float32 rounding leaves |m.d| at 3e-6
+        spec = {"frames": 8, "width": 64, "height": 32,
+                "intrinsics": {"fx": 32, "fy": 32, "cx": 32, "cy": 16},
+                "motions": [{"kind": "pan", "direction": [0.6, 0, 0.8], "interval": 20},
+                            {"kind": "rotate", "axis": [0, 1, 0], "degrees": 30}]}
+        traj = synth_traj_json(tmp_path, capsys, spec)
+        code, stdout, _ = run(capsys, "embed", "--traj", str(traj),
+                              "--out", str(tmp_path / "p.npy"), "--verify")
+        assert code == 0
+        assert "verify ok: max |norm(d)-1| = " in stdout
+        assert ", max |m.d|/max(1,|m|) = " in stdout
+
 
 class TestEval:
     def test_identical_files(self, tmp_path, capsys):
@@ -483,6 +514,19 @@ class TestEncode:
                               *ENCODE_FLAGS)
         assert code == 2
         assert "non-finite" in stderr
+        assert not out_dir.exists()
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("value, stage", [(3e38, "the stem"), (1e30, "scale 1 attention")])
+    def test_overflowing_forward_exits_2(self, tmp_path, capsys, value, stage):
+        src = tmp_path / "p.npy"
+        write_npy_file(np.full((2, 6, 16, 32), value, dtype=np.float32), src)
+        out_dir = tmp_path / "f"
+        code, stdout, stderr = run(capsys, "encode", "--plucker", str(src), "--seed", "0",
+                                   "--out-dir", str(out_dir), *ENCODE_FLAGS)
+        assert (code, stdout) == (2, "")
+        assert stderr == ("error: the forward pass of input shape (1, 2, 6, 16, 32) "
+                          f"overflows float32 in {stage}\n")
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("shape", [(0, 6, 16, 32), (2, 6, 0, 32), (2, 6, 16, 0)])

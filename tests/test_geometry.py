@@ -73,14 +73,6 @@ class TestIntrinsics:
         k = Intrinsics(100.0, 120.0, 32.0, 24.0).matrix()
         assert np.array_equal(k, [[100, 0, 32], [0, 120, 24], [0, 0, 1]])
 
-    def test_inverse_matches_solve(self):
-        rng = np.random.default_rng(3)
-        for _ in range(50):
-            intr = Intrinsics(rng.uniform(10, 500), rng.uniform(10, 500),
-                              rng.uniform(-50, 400), rng.uniform(-50, 300))
-            np.testing.assert_allclose(
-                intr.inverse_matrix(), np.linalg.inv(intr.matrix()), atol=1e-12)
-
     def test_rejects_non_positive_focal(self):
         with pytest.raises(ValueError):
             Intrinsics(0.0, 1.0, 0.0, 0.0)

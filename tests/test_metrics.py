@@ -13,6 +13,8 @@ from camtraj.geometry import (
     Extrinsics,
     Intrinsics,
     Trajectory,
+    convert_extrinsics,
+    first_bad_frame,
     invert_extrinsics,
     relativize,
     rotation_about_axis,
@@ -295,6 +297,26 @@ class TestEvaluate:
         b = evaluate(gt, gen_c2w)
         assert abs(a.rot_err_total - b.rot_err_total) < 1e-9
         assert abs(a.trans_err_total - b.trans_err_total) < 1e-9
+
+    def test_stored_convention_does_not_move_the_score(self):
+        # six-decimal rotations, as RealEstate10K prints them, are orthonormal to
+        # about 1e-6 only, so each c2w <-> w2c round trip moves their translations
+        rng = np.random.default_rng(0)
+        rots = [r for r in np.round([random_rotation(rng) for _ in range(1000)], 6)
+                if all(first_bad_frame(m[None], np.zeros((1, 3)), np.empty((0, 4))) is None
+                       for m in (r, r.T))]
+        n, c2w, w2c = 200, Convention.CAMERA_TO_WORLD, Convention.WORLD_TO_CAMERA
+        assert len(rots) >= 2 * n
+        k = np.tile([10.0, 10.0, 5.0, 5.0], (n, 1))
+        gt = Trajectory.from_arrays(rots[:n], rng.standard_normal((n, 3)), k, c2w, 8, 8)
+        r, t = rots[n:2 * n], rng.standard_normal((n, 3))
+        gen = Trajectory.from_arrays(r, t, k, c2w, 8, 8)
+        as_w2c = Trajectory.from_arrays(*convert_extrinsics(np.array(r), t, c2w, w2c), k, w2c,
+                                        8, 8)
+        a, b = evaluate(gt, gen), evaluate(gt, as_w2c)
+        for name in ("rot_err_total", "trans_err_total", "trans_err_unsquared_total",
+                     "rescale_factor"):
+            assert getattr(a, name) == pytest.approx(getattr(b, name), rel=1e-12, abs=0)
 
     def test_propagates_length_mismatch(self):
         rng = np.random.default_rng(21)

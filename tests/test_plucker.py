@@ -18,6 +18,7 @@ from camtraj.geometry import (
     convert_extrinsics,
 )
 from camtraj.plucker import (
+    VERIFY_TOL,
     _fill_map,
     camera_center,
     plucker_map,
@@ -98,6 +99,13 @@ class TestRayDirection:
         pose = random_pose(np.random.default_rng(0))
         with pytest.raises(ValueError):
             ray_direction(pose, 0, 0, "middle")
+
+    @pytest.mark.parametrize("intr", [(1e-320, 8.0, 8.0, 4.0), (8.0, 8.0, 1e308, 4.0)])
+    def test_out_of_float_range_is_typed(self, intr):
+        pose = CameraPose(Intrinsics(*intr), Extrinsics.identity(Convention.CAMERA_TO_WORLD))
+        for call in (lambda: ray_direction(pose, 0, 0), lambda: plucker_map(pose, 16, 8)):
+            with pytest.raises(CamTrajError, match="^Plucker map out of float range: "):
+                call()
 
 
 class TestPluckerMap:
@@ -221,6 +229,28 @@ class TestVerify:
         pmap[3:6] *= 2.0
         assert not verify_plucker(pmap)["ok"]
 
+    @staticmethod
+    def far_trajectory(rng, distance):
+        traj = random_trajectory(rng, 4, Convention.CAMERA_TO_WORLD, width=24, height=16)
+        return Trajectory.from_arrays(traj.rotations, distance * traj.translations,
+                                      traj.intrinsics, traj.convention, 24, 16)
+
+    def test_accepts_far_camera_centers(self):
+        # float32 rounding of m leaves |m . d| near 2e-7 * |m| on a valid map
+        seq = plucker_sequence(self.far_trajectory(np.random.default_rng(26), 200.0))
+        m, d = seq[:, 0:3].astype(np.float64), seq[:, 3:6].astype(np.float64)
+        assert np.abs((m * d).sum(axis=1)).max() > VERIFY_TOL  # an absolute bound fails it
+        assert verify_plucker(seq)["ok"]
+
+    @pytest.mark.parametrize("distance", [0.01, 200.0])
+    def test_flags_moment_along_direction(self, distance):
+        seq = plucker_sequence(self.far_trajectory(np.random.default_rng(27), distance))
+        for frame, y, x in ((0, 0, 0), (3, 9, 17)):
+            bad = seq.astype(np.float64)
+            m, d = bad[frame, 0:3, y, x], bad[frame, 3:6, y, x]
+            m += 1.5 * VERIFY_TOL * max(1.0, float(np.linalg.norm(m))) * d
+            assert not verify_plucker(bad)["ok"]
+
 
 # --- the pixel-major formulas the planar kernel and frame-by-frame check replace
 
@@ -252,7 +282,8 @@ def whole_array_verify(arr, tol=1e-6):
     m = np.moveaxis(a[..., 0:3, :, :], -3, -1)
     d = np.moveaxis(a[..., 3:6, :, :], -3, -1)
     norm_dev = float(np.abs(np.linalg.norm(d, axis=-1) - 1.0).max())
-    dot_dev = float(np.abs((m * d).sum(axis=-1)).max())
+    m_norm = np.maximum(np.linalg.norm(m, axis=-1), 1.0)
+    dot_dev = float(np.abs((m * d).sum(axis=-1) / m_norm).max())
     return {"direction_norm": norm_dev, "moment_dot": dot_dev,
             "ok": norm_dev < tol and dot_dev < tol}
 
@@ -319,8 +350,25 @@ class TestPlanarKernel:
                     == pixel_major_sequence(traj, 0.0, np.float64).tobytes())
 
 
+class TestRayDirectionKernel:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(small_trajectories(), st.sampled_from([("center", 0.5), ("corner", 0.0)]),
+           st.data())
+    def test_runs_the_map_kernel(self, traj, origin, data):
+        # at integer pixels, the float64 map's direction, up to a rounding of the
+        # principal point shift and BLAS's choice of kernel for one column
+        name, off = origin
+        planes = TestPlanarKernel.float64_planes(traj, off)
+        for i, pose in enumerate(traj.poses):
+            u = data.draw(st.integers(0, traj.width - 1))
+            v = data.draw(st.integers(0, traj.height - 1))
+            np.testing.assert_allclose(ray_direction(pose, u, v, name), planes[i, 3:6, v, u],
+                                       rtol=0, atol=1e-15)
+
+
 class TestVerifyFrameByFrame:
-    @pytest.mark.parametrize("shape", [(6, 5, 7), (3, 6, 5, 7), (2, 3, 6, 4, 9)])
+    @pytest.mark.parametrize("shape", [(6, 5, 7), (3, 6, 5, 7), (2, 3, 6, 4, 9),
+                                       (2, 6, 300, 120)])  # the last: three blocks of rows
     def test_equals_whole_array_formula(self, shape):
         rng = np.random.default_rng(21)
         x = rng.standard_normal(shape).astype(np.float32)
