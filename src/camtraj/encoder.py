@@ -13,7 +13,8 @@ so the forward pass is reproducible bit-for-bit from the seed: the same seed
 and config give the same output bits on every run. Conv and linear weights
 are fan-in uniform (He et al., ICCV 2015), ``(2u - 1) * sqrt(3 / fan_in)``
 for float32 ``u = rng.random(shape)``, std 1/sqrt(fan_in); biases start at
-zero, LayerNorm affine at identity.
+zero, LayerNorm affine at identity. Conv weights are drawn tap-major, as
+(k, k, cin, cout), and kept as (cout, cin, k, k) views of that storage.
 
 The draw order is the forward order, so ``encoder_forward`` without explicit
 weights draws each block on the calling thread just before it runs and drops
@@ -23,9 +24,10 @@ returns the same stream as a full set, for callers that reuse or modify it.
 
 From the stem's output on, every activation is stored once as (h, w, b*n, c)
 and each block reads a free view of it: (b*n, c, h, w) frames for the k*k
-shifted GEMMs of :func:`conv2d` (no im2col), (h*w*b, n, c) token rows for
-temporal attention, and (b, n, c, h, w) for the returned features. Every
-attention linear runs as one 2-D GEMM on the flattened (rows * n, c) tokens.
+shifted GEMMs of :func:`conv2d` (no im2col, no per-tap weight copy),
+(h*w*b, n, c) token rows for temporal attention, and (b, n, c, h, w) for the
+returned features. Attention runs over tiles of whole token rows, bounded
+by ``_TILE_BYTES``; each linear is one 2-D GEMM on a tile's (rows * n, c) tokens.
 Q, K and V are stored fused, one (c, 3c) weight and one (3c,) bias per block,
 drawn as three (c, c) blocks in Q, K, V order, so they come from a single
 product with no per-call copy. Bias and residual adds and the SiLU,
@@ -43,6 +45,7 @@ import numpy as np
 from .errors import ConfigError, IndivisibleDims, NonFiniteInput, ShapeMismatch
 
 LN_EPS = 1e-5
+_TILE_BYTES = 8 << 20  # bound on the widest temporary of one temporal_attention_block tile
 _IN_CHANNELS = 6  # the Plücker ray layout: moment, then direction
 
 
@@ -75,7 +78,7 @@ class EncoderConfig:
 
 @dataclass(frozen=True)
 class ConvParams:
-    w: np.ndarray  # (cout, cin, k, k)
+    w: np.ndarray  # (cout, cin, k, k); drawn as a view of (k, k, cin, cout) storage
     b: np.ndarray  # (cout,)
 
 
@@ -208,15 +211,18 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
 
     Reads ``x`` as (H, W, N, C), a free view of encoder activations. Each
     tap's shifted (for stride 2, strided) view of the zero-padded copy goes
-    into one reused buffer, times ``w[:, :, dy, dx].T``, into one
-    (Ho, Wo, N, Cout) output, returned as an (N, Cout, Ho, Wo) view. No im2col:
-    scratch is the padded copy, the tap buffer and one tap's product.
+    into one reused buffer, times the tap's ``w.transpose(2, 3, 1, 0)[dy, dx]``,
+    into one (Ho, Wo, N, Cout) output, returned as an (N, Cout, Ho, Wo) view.
+    No im2col: scratch is the padded copy, the tap buffer and one tap's
+    product. BLAS reads the tap-major weights of this module in place; a
+    C-contiguous (Cout, Cin, k, k) array gives the same bytes via a copy.
     """
     cout, cin, k, _ = w.shape
     n, _, h, wd = x.shape
     pad = (k - 1) // 2
     ho, wo = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
     src = x.transpose(2, 3, 0, 1)  # (H, W, N, C); a padded copy when k > 1
+    taps = w.transpose(2, 3, 1, 0)  # (k, k, Cin, Cout)
     if pad:
         src = np.pad(src, ((pad, pad), (pad, pad), (0, 0), (0, 0)))
     m = ho * wo * n
@@ -226,9 +232,9 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
         dy, dx = divmod(t, k)
         np.copyto(tap, src[dy:dy + stride * ho:stride, dx:dx + stride * wo:stride])
         if t:
-            out += tap.reshape(m, cin) @ w[:, :, dy, dx].T
+            out += tap.reshape(m, cin) @ taps[dy, dx]
         else:
-            np.matmul(tap.reshape(m, cin), w[:, :, dy, dx].T, out=out)
+            np.matmul(tap.reshape(m, cin), taps[dy, dx], out=out)
     out += b
     return out.reshape(ho, wo, n, cout).transpose(2, 3, 0, 1)
 
@@ -275,8 +281,12 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
     out = MLP(LayerNorm(z2)) + z2
 
     With the attention output projection and the MLP final layer at zero,
-    both branches vanish and out is exactly x + PosEmb. The MLP runs on the
-    flattened (R * n, c) rows.
+    both branches vanish and out is exactly x + PosEmb. Rows are independent,
+    so the block runs over tiles of whole rows, each written straight into one
+    (R, n, c) output; every row gets the same bits at any tile size. A tile
+    holds as many rows (at least one) as keep its widest temporary, the
+    (rows * n, hidden) MLP layer, the (rows * n, 3c) QKV or the
+    (rows, heads, n, n) scores, within ``_TILE_BYTES``.
 
     Raises:
         ShapeMismatch: for non-3D input, a width not matching the weights,
@@ -289,17 +299,23 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
         raise ShapeMismatch(f"input width {c} does not match weights width {p.width}")
     if heads < 1 or c % heads:
         raise ShapeMismatch(f"heads={heads} must divide width {c}")
-    z = x + sinusoidal_posemb(n, c) if use_posemb else x
-    z2 = multi_head_self_attention(layer_norm(z, p.ln1_gamma, p.ln1_beta), p, heads)
-    z2 += z
-    del z  # free the posemb sum before the MLP's wide temporaries
-    h = layer_norm(z2, p.ln2_gamma, p.ln2_beta).reshape(r * n, c) @ p.mlp_w1
-    h += p.mlp_b1
-    h = silu(h)
-    out = h @ p.mlp_w2
-    out += p.mlp_b2
-    out += z2.reshape(r * n, c)
-    return out.reshape(r, n, c)
+    pe = sinusoidal_posemb(n, c) if use_posemb else None
+    out = np.empty((r, n, c), dtype=np.result_type(x, p.mlp_w2))
+    widest = out.itemsize * n * max(p.mlp_w1.shape[1], 3 * c, heads * n)
+    step = max(1, _TILE_BYTES // widest)
+    for i in range(0, r, step):
+        z = x[i:i + step] + pe if use_posemb else x[i:i + step]
+        z2 = multi_head_self_attention(layer_norm(z, p.ln1_gamma, p.ln1_beta), p, heads)
+        z2 += z
+        del z  # free the posemb sum before the MLP's wide temporaries
+        h = layer_norm(z2, p.ln2_gamma, p.ln2_beta).reshape(-1, c) @ p.mlp_w1
+        h += p.mlp_b1
+        h = silu(h)
+        tile = out[i:i + step].reshape(-1, c)
+        np.matmul(h, p.mlp_w2, out=tile)
+        tile += p.mlp_b2
+        tile += z2.reshape(-1, c)
+    return out
 
 
 def fuse(z: np.ndarray, c: np.ndarray, weight: np.ndarray,
@@ -342,7 +358,7 @@ def _uniform(rng, shape: tuple, fan_in: int) -> np.ndarray:
 
 
 def _init_conv(rng, cout: int, cin: int, k: int) -> ConvParams:
-    w = _uniform(rng, (cout, cin, k, k), cin * k * k)
+    w = _uniform(rng, (k, k, cin, cout), cin * k * k).transpose(3, 2, 0, 1)  # tap-major
     return ConvParams(w, np.zeros(cout, dtype=np.float32))
 
 
@@ -400,7 +416,8 @@ def build_encoder_weights(cfg: EncoderConfig) -> EncoderWeights:
     present, its attention, plain block, its attention). Each conv and
     linear weight is ``(2u - 1) * sqrt(3 / fan_in)`` for float32 uniform
     ``u = rng.random(shape)``: within +-sqrt(3 / fan_in), std 1/sqrt(fan_in).
-    Biases zero; LayerNorm affine at identity. Changing any
+    Conv weights are drawn as (k, k, cin, cout), kept as (cout, cin, k, k)
+    views. Biases zero; LayerNorm affine at identity. Changing any
     architectural field changes the stream, so weights are only comparable
     across identical configs. :func:`encoder_forward` draws the same stream
     block by block when no weights are passed.
@@ -473,13 +490,16 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
         IndivisibleDims: spatial dims not divisible by 8 * unshuffle_factor.
         ShapeMismatch: wrong rank or channel count, or an empty batch,
             frame or spatial dim.
-        NonFiniteInput: the input holds NaN or infinity, or the forward pass
-            overflows float32, naming the input shape and the stage reached.
+        NonFiniteInput: the input holds NaN, infinity or values past the
+            float32 range, or the forward pass overflows float32, naming the
+            input shape and the stage reached.
         ConfigError: the forward pass runs out of memory, naming the input
             shape and the stage it reached.
     """
-    x = np.asarray(p, dtype=np.float32)
+    src = np.asarray(p)
     del p  # a caller that passes its only reference gets the input freed after unshuffle
+    with np.errstate(over="ignore"):  # values cast past float32's range are counted below
+        x = src.astype(np.float32, copy=False)
     if x.ndim == 4:
         x = x[None]
     if x.ndim != 5:
@@ -492,7 +512,10 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
     shape_schedule(cfg, b, n, h, w)  # validates divisibility up front
     bad = x.size - np.count_nonzero(np.isfinite(x))
     if bad:
-        raise NonFiniteInput(f"input holds {bad} non-finite values")
+        past = np.count_nonzero(np.isfinite(src)) - (x.size - bad)
+        raise NonFiniteInput(f"input holds {past} finite values outside the float32 range"
+                             if past else f"input holds {bad} non-finite values")
+    del src
     stage = "pixel unshuffle"
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):

@@ -604,6 +604,21 @@ class TestEncode:
         assert "Traceback" not in out.stderr
         assert not out_dir.exists()
 
+    def test_row_tiled_attention_fits_600_mb(self, tmp_path):
+        # at 160x160 the scale 1 attention block, run on all token rows at once,
+        # did not fit under the child's 600 MB address-space limit; in row tiles
+        # the whole forward does
+        src = tmp_path / "p.npy"
+        write_npy_file(np.zeros((4, 6, 160, 160), dtype=np.float32), src)
+        out_dir = tmp_path / "feats"
+        out = run_limited("encode", "--plucker", str(src), "--seed", "0", "--unshuffle", "1",
+                          "--channels", "128,64,64,64", "--heads", "1", "--out-dir", str(out_dir))
+        assert (out.returncode, out.stderr) == (0, "")
+        feats = [read_npy_file(out_dir / f"scale{i}.npy") for i in range(1, 5)]
+        assert [f.shape for f in feats] == [(1, 4, 128, 160, 160), (1, 4, 64, 80, 80),
+                                            (1, 4, 64, 40, 40), (1, 4, 64, 20, 20)]
+        assert all(np.isfinite(f).all() for f in feats)
+
     def test_bad_channels(self, tmp_path, capsys):
         code, _, _ = run(capsys, "encode", "--plucker", "p.npy", "--seed", "0",
                          "--out-dir", "d", "--channels", "1,2")

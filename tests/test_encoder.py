@@ -8,6 +8,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -429,6 +430,36 @@ class TestTemporalAttentionBlock:
             temporal_attention_block(x, p, heads=2, use_posemb=False)[:, perm],
             atol=1e-5)
 
+    @pytest.mark.parametrize("rows", [1, 3, 11])
+    @pytest.mark.parametrize("use_posemb", [True, False])
+    def test_tiles_match_one_call_per_row(self, monkeypatch, rows, use_posemb):
+        # c=8, mlp_ratio 2, n=5: the widest temporary is the (5, 24) QKV of a row,
+        # 480 bytes, so tiles hold 4 rows and 11 rows end in a ragged tile of 3
+        monkeypatch.setattr(enc, "_TILE_BYTES", 4 * 480)
+        p = small_attention()
+        x = rand(np.random.default_rng(41), (rows, 5, 8))
+        got = temporal_attention_block(x, p, heads=2, use_posemb=use_posemb)
+        per_row = [temporal_attention_block(x[i:i + 1], p, 2, use_posemb) for i in range(rows)]
+        assert got.shape == x.shape
+        assert got.tobytes() == b"".join(r.tobytes() for r in per_row)
+
+    def test_tile_memory_bound(self, monkeypatch):
+        # the temporaries of one tile, not of all rows: beyond the (rows, n, c)
+        # output, the traced peak stays within a few tile budgets at any row count
+        budget = 16 << 10
+        monkeypatch.setattr(enc, "_TILE_BYTES", budget)
+        p = small_attention(seed=42, c=16, ratio=4)  # a (rows * 5, 64) MLP hidden layer
+        rng = np.random.default_rng(43)
+        for rows in (64, 1024):
+            x = rand(rng, (rows, 5, 16))
+            tracemalloc.start()
+            try:
+                temporal_attention_block(x, p, heads=2)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= x.nbytes + 6 * budget
+
     def test_shape_errors(self):
         p = small_attention()
         with pytest.raises(ShapeMismatch):
@@ -494,9 +525,29 @@ class TestWeights:
             u = rng.random(shape, dtype=np.float32)
             return (2 * u - 1) * np.float32(math.sqrt(3.0 / fan_in))
 
-        np.testing.assert_array_equal(w.stem.w, uniform((8, cin, 3, 3), cin * 9))
+        # conv weights are drawn tap-major, (k, k, cin, cout), and kept as (cout, cin, k, k)
+        np.testing.assert_array_equal(w.stem.w,
+                                      uniform((3, 3, cin, 8), cin * 9).transpose(3, 2, 0, 1))
         # scale 1 has no downsample stage, so its plain block draws next
-        np.testing.assert_array_equal(w.scales[0].res.conv1.w, uniform((8, 8, 3, 3), 8 * 9))
+        np.testing.assert_array_equal(w.scales[0].res.conv1.w,
+                                      uniform((3, 3, 8, 8), 8 * 9).transpose(3, 2, 0, 1))
+
+    def test_conv_weights_tap_major(self):
+        # each tap's (cin, cout) weight is contiguous, so conv2d hands it to BLAS
+        # in place; a C-contiguous copy, as a caller may build, gives the same bytes
+        w = build_encoder_weights(SMALL)
+        convs = [w.stem] + [conv for s in w.scales for blk in (s.down, s.res) if blk
+                            for conv in (blk.conv1, blk.conv2, blk.skip) if conv]
+        assert len(convs) == 18  # the stem, two in scale 1, five in each later scale
+        rng = np.random.default_rng(44)
+        for conv in convs:
+            assert conv.w.transpose(2, 3, 1, 0).flags.c_contiguous
+            copy = np.ascontiguousarray(conv.w)
+            assert copy.flags.c_contiguous and not conv.w.flags.c_contiguous
+            x = rand(rng, (2, conv.w.shape[1], 6, 8))
+            for stride in (1, 2):
+                assert (conv2d(x, copy, conv.b, stride).tobytes()
+                        == conv2d(x, conv.w, conv.b, stride).tobytes())
 
     def test_attention_draw_replication(self):
         # Q, K and V are three (c, c) draws side by side in wqkv, then wo follows
@@ -653,6 +704,17 @@ class TestEncoderForward:
         with pytest.raises(NonFiniteInput, match="1 non-finite"):
             encoder_forward(x, SMALL)
 
+
+    def test_float64_past_float32_range_rejected(self):
+        # finite float64 values the float32 cast would overflow: named as such,
+        # with no RuntimeWarning from the cast
+        x = np.full((2, 6, 16, 32), 1e39)
+        x[0, 0, 0, :4] = (np.nan, np.inf, 3e38, -1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteInput,
+                               match="^input holds 6141 finite values outside the float32 range$"):
+                encoder_forward(x, SMALL)
 
     def test_out_of_memory_names_shape_and_stage(self, monkeypatch):
         real = enc.res_block
