@@ -11,15 +11,11 @@ from .geometry import (
     Extrinsics,
     Intrinsics,
     Trajectory,
-    as_convention,
-    compose,
-    invert_extrinsics,
-    orthonormalize,
     relativize,
     rotation_about_axis,
 )
 from .metrics import AlignmentReport, evaluate, normalize_scale, rot_err, trans_err
-from .plucker import camera_center, plucker_map, plucker_sequence, ray_direction
+from .plucker import camera_center, plucker_sequence, ray_direction
 from .pose_io import (
     PoseFile,
     PoseRecord,
@@ -36,8 +32,6 @@ from .synth import (
     SynthesisPlan,
     compose_motions,
     scale_intensity,
-    synth_intrinsic_motion,
-    synth_pan,
     synth_rotation,
     synthesize,
 )
@@ -45,7 +39,6 @@ from .encoder import (
     EncoderConfig,
     MultiScaleCameraFeatures,
     encoder_forward,
-    fuse,
     pixel_unshuffle,
     shape_schedule,
     temporal_attention_block,
@@ -68,20 +61,14 @@ __all__ = [
     "PoseRecord",
     "SynthesisPlan",
     "Trajectory",
-    "as_convention",
     "camera_center",
-    "compose",
     "compose_motions",
     "encoder_forward",
     "evaluate",
-    "fuse",
-    "invert_extrinsics",
     "normalize_scale",
-    "orthonormalize",
     "parse_pose_file",
     "parse_trajectory_spec",
     "pixel_unshuffle",
-    "plucker_map",
     "plucker_sequence",
     "ray_direction",
     "read_npy",
@@ -92,8 +79,6 @@ __all__ = [
     "scale_intensity",
     "serialize_pose_file",
     "shape_schedule",
-    "synth_intrinsic_motion",
-    "synth_pan",
     "synth_rotation",
     "synthesize",
     "temporal_attention_block",

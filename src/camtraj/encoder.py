@@ -195,17 +195,6 @@ def pixel_unshuffle(x: np.ndarray, r: int) -> np.ndarray:
     return np.ascontiguousarray(y).reshape(b, n, c * r * r, h // r, w // r)
 
 
-def pixel_shuffle(x: np.ndarray, r: int) -> np.ndarray:
-    """Inverse of :func:`pixel_unshuffle`."""
-    if x.ndim != 5:
-        raise ShapeMismatch(f"expected (b, n, c, h, w), got shape {x.shape}")
-    b, n, c, h, w = x.shape
-    if r < 1 or c % (r * r):
-        raise IndivisibleDims(f"channels {c} not divisible by r*r={r * r}")
-    y = x.reshape(b, n, c // (r * r), r, r, h, w).transpose(0, 1, 2, 5, 3, 6, 4)
-    return np.ascontiguousarray(y).reshape(b, n, c // (r * r), h * r, w * r)
-
-
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.ndarray:
     """'Same'-padded 2D convolution on (N, C, H, W) as k*k shifted GEMMs.
 
@@ -316,32 +305,6 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
         tile += p.mlp_b2
         tile += z2.reshape(-1, c)
     return out
-
-
-def fuse(z: np.ndarray, c: np.ndarray, weight: np.ndarray,
-         bias: np.ndarray | None = None) -> np.ndarray:
-    """Linear(z + c) over the channel axis of two (b, n, ch, h, w) maps.
-
-    ``weight`` is (ch_in, ch_out), applied per spatial position.
-
-    Raises:
-        ShapeMismatch: if the maps differ in shape or the weight's input
-            width does not match their channel count.
-    """
-    z = np.asarray(z)
-    c = np.asarray(c)
-    if z.shape != c.shape:
-        raise ShapeMismatch(f"feature shapes differ: {z.shape} vs {c.shape}")
-    if z.ndim != 5:
-        raise ShapeMismatch(f"expected (b, n, c, h, w), got shape {z.shape}")
-    if weight.shape[0] != z.shape[2]:
-        raise ShapeMismatch(
-            f"weight input width {weight.shape[0]} != channels {z.shape[2]}")
-    s = z + c
-    out = np.tensordot(s, weight, axes=([2], [0]))  # (b, n, h, w, ch_out)
-    if bias is not None:
-        out = out + bias
-    return np.ascontiguousarray(np.moveaxis(out, -1, 2))
 
 
 # --- weight construction ----------------------------------------------------

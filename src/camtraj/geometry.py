@@ -7,11 +7,10 @@ within 1e-6, max-abs elementwise.
 
 A :class:`Trajectory` holds its frames as arrays. Outside arrays are
 validated in one pass by :meth:`Trajectory.from_arrays`. A trajectory or
-extrinsics derived from checked ones (:func:`relativize`, :func:`compose`,
-:func:`invert_extrinsics` and the like) is checked only for overflowing
-translations, as a product or transpose of rotations within the tolerance
-may miss it. :func:`convert_extrinsics` is the one place that switches w2c
-and c2w.
+extrinsics derived from checked ones (:func:`relativize` and the like) is
+checked only for overflowing translations, as a product or transpose of
+rotations within the tolerance may miss it. :func:`convert_extrinsics` is
+the one place that switches w2c and c2w.
 """
 
 from __future__ import annotations
@@ -172,8 +171,8 @@ class Extrinsics:
 
     @classmethod
     def _derive(cls, r: np.ndarray, t: np.ndarray, convention: Convention) -> "Extrinsics":
-        """A map computed from checked Extrinsics, its arrays copied and frozen
-        as by the constructor once :func:`_check_derived` passes."""
+        """A frame of a checked or derived trajectory, its arrays copied and
+        frozen as by the constructor once :func:`_check_derived` passes."""
         _check_derived(t)
         return _unchecked(cls, rotation=_frozen_array(r, (3, 3)),
                           translation=_frozen_array(t, (3,)), convention=convention)
@@ -181,45 +180,6 @@ class Extrinsics:
     @classmethod
     def identity(cls, convention: Convention) -> "Extrinsics":
         return cls(np.eye(3), np.zeros(3), convention)
-
-    def is_identity(self) -> bool:
-        return bool((self.rotation == np.eye(3)).all() and (self.translation == 0.0).all())
-
-
-def invert_extrinsics(e: Extrinsics) -> Extrinsics:
-    """Invert the rigid map and flip the convention tag.
-
-    (R, t) -> (R.T, -R.T @ t); a w2c becomes the equivalent c2w and vice
-    versa, so invert(invert(e)) round-trips.
-    """
-    other = (Convention.CAMERA_TO_WORLD
-             if e.convention is Convention.WORLD_TO_CAMERA
-             else Convention.WORLD_TO_CAMERA)
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails in _derive
-        r, t = convert_extrinsics(e.rotation, e.translation, e.convention, other)
-    return Extrinsics._derive(r, t, other)
-
-
-def compose(a: Extrinsics, b: Extrinsics) -> Extrinsics:
-    """Composition applying b first, then a: (R_a @ R_b, R_a @ t_b + t_a).
-
-    Raises:
-        ConventionMismatch: if the two tags differ.
-        CamTrajError: if the translation overflows.
-    """
-    if a.convention is not b.convention:
-        raise ConventionMismatch(
-            f"cannot compose {a.convention.value} with {b.convention.value}")
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails in _derive
-        t = a.rotation @ b.translation + a.translation
-    return Extrinsics._derive(a.rotation @ b.rotation, t, a.convention)
-
-
-def as_convention(e: Extrinsics, convention: Convention) -> Extrinsics:
-    """Return e expressed under the requested convention."""
-    if e.convention is convention:
-        return e
-    return invert_extrinsics(e)
 
 
 def rotation_about_axis(axis, angle_rad) -> np.ndarray:
@@ -250,21 +210,6 @@ def rotation_angle(r: np.ndarray) -> np.ndarray:
                         + (r[..., 0, 2] - r[..., 2, 0]) ** 2
                         + (r[..., 1, 0] - r[..., 0, 1]) ** 2)
     return np.arctan2(sin, cos)
-
-
-def orthonormalize(e: Extrinsics) -> Extrinsics:
-    """Project the rotation onto SO(3) via SVD, keeping translation and tag.
-
-    Intended as an explicit repair step for nearly-valid inputs; construction
-    itself never silently re-orthonormalizes.
-    """
-    u, _, vt = np.linalg.svd(np.asarray(e.rotation))
-    r = u @ vt
-    if np.linalg.det(r) < 0:
-        u = u.copy()
-        u[:, -1] = -u[:, -1]
-        r = u @ vt
-    return Extrinsics(r, e.translation, e.convention)
 
 
 @dataclass(frozen=True)
@@ -366,9 +311,9 @@ def relativize(traj: Trajectory) -> Trajectory:
     unchanged up to roundoff.
     """
     w2c = Convention.WORLD_TO_CAMERA
-    r, t = convert_extrinsics(traj.rotations, traj.translations, traj.convention, w2c)
-    inv_r, inv_t = convert_extrinsics(r[0], t[0], w2c, Convention.CAMERA_TO_WORLD)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails in _derive
+        r, t = convert_extrinsics(traj.rotations, traj.translations, traj.convention, w2c)
+        inv_r, inv_t = convert_extrinsics(r[0], t[0], w2c, Convention.CAMERA_TO_WORLD)
         rel_r, rel_t = convert_extrinsics(r @ inv_r, r @ inv_t + t, w2c, traj.convention)
     rel_r[0], rel_t[0] = np.eye(3), 0.0
     return traj._derive(rel_r, rel_t, traj.convention)

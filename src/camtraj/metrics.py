@@ -135,8 +135,9 @@ def normalize_scale(gt: Trajectory, gen: Trajectory) -> tuple[Trajectory, float]
 
 def _to_w2c(traj: Trajectory) -> Trajectory:
     w2c = Convention.WORLD_TO_CAMERA
-    return traj._derive(*convert_extrinsics(traj.rotations, traj.translations,
-                                            traj.convention, w2c), w2c)
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails in _derive
+        return traj._derive(*convert_extrinsics(traj.rotations, traj.translations,
+                                                traj.convention, w2c), w2c)
 
 
 def evaluate(gt: Trajectory, gen: Trajectory) -> AlignmentReport:

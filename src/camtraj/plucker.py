@@ -48,7 +48,7 @@ def camera_center(e: Extrinsics) -> np.ndarray:
 def ray_direction(pose: CameraPose, u: float, v: float,
                   pixel_origin: str = "center") -> np.ndarray:
     """Unit world-space direction through pixel (u, v), fractional allowed:
-    the :func:`plucker_map` kernel run on a one-pixel float64 map whose
+    the :func:`plucker_sequence` kernel run on a one-pixel float64 map whose
     principal point is shifted by (u, v)."""
     intr = pose.intrinsics
     out = np.empty((6, 1, 1))
@@ -93,26 +93,13 @@ def _fill_map(out: np.ndarray, intrinsics, r_c2w: np.ndarray, center: np.ndarray
         raise CamTrajError(f"Plucker map out of float range: {e}") from None
 
 
-def plucker_map(pose: CameraPose, width: int, height: int,
-                pixel_origin: str = "center") -> np.ndarray:
-    """Dense (6, height, width) float32 Plucker map for one pose.
+def plucker_sequence(traj: Trajectory, pixel_origin: str = "center") -> np.ndarray:
+    """Dense (n, 6, h, w) float32 Plucker maps, one per frame.
 
     Row v, column u of channel block 3..5 holds the unit direction through
-    pixel (u, v); block 0..2 holds o x d. The moment is invariant to sliding
-    the origin along the ray.
-    """
-    off = _pixel_offset(pixel_origin)
-    intr = pose.intrinsics
-    out = np.empty((6, height, width), dtype=np.float32)
-    _fill_map(out, (intr.fx, intr.fy, intr.cx, intr.cy), *_c2w(pose.extrinsics), off)
-    return out
-
-
-def plucker_sequence(traj: Trajectory, pixel_origin: str = "center") -> np.ndarray:
-    """Stack per-frame maps into an (n, 6, h, w) float32 tensor.
-
-    Frames are computed one at a time, so float64 temporaries stay at one
-    frame's size; frame i equals ``plucker_map`` of pose i bit for bit.
+    pixel (u, v); block 0..2 holds o x d, which is invariant to sliding the
+    origin along the ray. Frames are computed one at a time, so float64
+    temporaries stay at one frame's size.
     """
     off = _pixel_offset(pixel_origin)  # validate before any work
     r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention,

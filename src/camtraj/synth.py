@@ -98,27 +98,13 @@ class MotionDirective:
 @dataclass(frozen=True)
 class SynthesisPlan:
     """A validated synthesis request: frame count, image dims, base
-    intrinsics, and the directives to compose in order."""
+    intrinsics, and the directives to apply in order."""
 
     frames: int
     width: int
     height: int
     intrinsics: Intrinsics
     directives: tuple[MotionDirective, ...]
-
-
-def synth_pan(direction, interval: float, n: int,
-              intrinsics: Intrinsics, width: int, height: int) -> Trajectory:
-    """Translate the camera along a fixed unit direction.
-
-    Frame i keeps the identity rotation and sits at center
-    ``i * interval * direction``; intrinsics are constant.
-
-    Raises:
-        NonUnitDirection: if ``direction`` is not unit length within 1e-9.
-    """
-    d = MotionDirective(MotionKind.PAN, n, direction=direction, interval=interval)
-    return compose_motions((d,), n, intrinsics, width, height)
 
 
 def synth_rotation(axis, total_degrees: float, n: int,
@@ -134,26 +120,6 @@ def synth_rotation(axis, total_degrees: float, n: int,
         CamTrajError: if n == 1 with a nonzero total (no increment exists).
     """
     d = MotionDirective(MotionKind.ROTATE, n, direction=axis, interval=total_degrees)
-    return compose_motions((d,), n, intrinsics, width, height)
-
-
-def synth_intrinsic_motion(kind: MotionKind, param, n: int,
-                           intrinsics: Intrinsics, width: int, height: int) -> Trajectory:
-    """Animate intrinsics while every frame keeps the identity extrinsics.
-
-    PRINCIPAL_SHIFT moves the principal point by ``param = (dx, dy)`` pixels
-    per frame; FOCAL_ZOOM multiplies both focals by ``param ** i`` at frame
-    i. The principal point may leave the image bounds.
-
-    Raises:
-        NonPositiveScale: for a FOCAL_ZOOM factor <= 0, or one whose power
-            ``param ** (n - 1)`` overflows to infinity or underflows to 0.
-        CamTrajError: for any other kind.
-    """
-    if kind not in (MotionKind.PRINCIPAL_SHIFT, MotionKind.FOCAL_ZOOM):
-        raise CamTrajError(f"not an intrinsic motion kind: {kind}")
-    ((_, name, size),) = MOTION_FIELDS[kind]
-    d = MotionDirective(kind, n, **{name: float(param) if size is None else tuple(param)})
     return compose_motions((d,), n, intrinsics, width, height)
 
 
@@ -174,8 +140,8 @@ def compose_motions(directives, n: int, intrinsics: Intrinsics,
     i's rotation (from the identity) by its own, PAN and ZOOM add their step
     turned by that rotation to the center (from zero), so the extrinsic is
     the left-associative product of the directives' frame-i transforms;
-    intrinsic directives apply their shifts and factors. The
-    single-directive primitives above are calls to this function.
+    intrinsic directives apply their shifts and factors. :func:`synth_rotation`
+    and :func:`synthesize` are calls to this function.
 
     Raises:
         EmptyDirectives: on an empty list.
@@ -238,7 +204,7 @@ def scale_intensity(traj: Trajectory, k: float) -> Trajectory:
     if not math.isfinite(k):
         raise CamTrajError(f"scale factor must be finite, got {k}")
     c2w = Convention.CAMERA_TO_WORLD
-    r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention, c2w)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails in _derive
+        r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention, c2w)
         r, t = convert_extrinsics(r, c[0] + k * (c - c[0]), c2w, traj.convention)
     return traj._derive(r, t, traj.convention)

@@ -23,10 +23,8 @@ from camtraj.encoder import (
     build_encoder_weights,
     conv2d,
     encoder_forward,
-    fuse,
     layer_norm,
     multi_head_self_attention,
-    pixel_shuffle,
     pixel_unshuffle,
     res_block,
     shape_schedule,
@@ -37,6 +35,7 @@ from camtraj.encoder import (
 )
 from camtraj.errors import CamTrajError, ConfigError, IndivisibleDims, NonFiniteInput, ShapeMismatch
 from camtraj.plucker import verify_plucker
+from util import unshuffle_inverse
 
 SMALL = EncoderConfig(unshuffle_factor=2, scale_channels=(8, 16, 16, 16),
                       heads=2, mlp_ratio=2, seed=7)
@@ -69,9 +68,9 @@ class TestPixelUnshuffle:
     def test_round_trip_bitwise(self):
         rng = np.random.default_rng(1)
         x = rand(rng, (2, 3, 5, 8, 12))
-        np.testing.assert_array_equal(pixel_shuffle(pixel_unshuffle(x, 4), 4), x)
+        np.testing.assert_array_equal(unshuffle_inverse(pixel_unshuffle(x, 4), 4), x)
         y = rand(rng, (1, 2, 32, 3, 5))
-        np.testing.assert_array_equal(pixel_unshuffle(pixel_shuffle(y, 4), 4), y)
+        np.testing.assert_array_equal(pixel_unshuffle(unshuffle_inverse(y, 4), 4), y)
 
     def test_factor_one_is_identity(self):
         rng = np.random.default_rng(2)
@@ -82,14 +81,10 @@ class TestPixelUnshuffle:
         x = np.zeros((1, 1, 1, 5, 8), dtype=np.float32)
         with pytest.raises(IndivisibleDims):
             pixel_unshuffle(x, 2)
-        with pytest.raises(IndivisibleDims):
-            pixel_shuffle(np.zeros((1, 1, 6, 2, 2), dtype=np.float32), 2)
 
     def test_wrong_rank(self):
         with pytest.raises(ShapeMismatch):
             pixel_unshuffle(np.zeros((1, 2, 4, 4), dtype=np.float32), 2)
-        with pytest.raises(ShapeMismatch):
-            pixel_shuffle(np.zeros((4, 4), dtype=np.float32), 2)
 
 
 class TestShapeSchedule:
@@ -470,38 +465,6 @@ class TestTemporalAttentionBlock:
             temporal_attention_block(np.zeros((2, 3, 8), dtype=np.float32), p, 3)
 
 
-class TestFuse:
-    def test_per_position_oracle(self):
-        rng = np.random.default_rng(23)
-        z = rand(rng, (2, 3, 5, 4, 4))
-        c = rand(rng, (2, 3, 5, 4, 4))
-        w = rand(rng, (5, 7))
-        b = rand(rng, (7,))
-        out = fuse(z, c, w, b)
-        assert out.shape == (2, 3, 7, 4, 4)
-        for y in range(4):
-            for x in range(4):
-                ref = (z[:, :, :, y, x] + c[:, :, :, y, x]) @ w + b
-                np.testing.assert_allclose(out[:, :, :, y, x], ref, atol=1e-6)
-
-    def test_no_bias(self):
-        rng = np.random.default_rng(24)
-        z = rand(rng, (1, 2, 3, 2, 2))
-        c = rand(rng, (1, 2, 3, 2, 2))
-        w = rand(rng, (3, 3))
-        np.testing.assert_allclose(
-            fuse(z, c, w), fuse(z, c, w, np.zeros(3, dtype=np.float32)), atol=0)
-
-    def test_shape_errors(self):
-        z = np.zeros((1, 2, 3, 2, 2), dtype=np.float32)
-        with pytest.raises(ShapeMismatch):
-            fuse(z, np.zeros((1, 2, 3, 2, 3), dtype=np.float32), np.zeros((3, 3)))
-        with pytest.raises(ShapeMismatch):
-            fuse(z, z, np.zeros((4, 3)))
-        with pytest.raises(ShapeMismatch):
-            fuse(z[0], z[0], np.zeros((3, 3)))
-
-
 class TestWeights:
     def test_deterministic_rebuild(self):
         a = build_encoder_weights(SMALL)
@@ -848,8 +811,8 @@ def test_pixel_shuffle_inverts_unshuffle_exactly(case):
     x, r = case
     y = pixel_unshuffle(x, r)
     assert y.shape == (*x.shape[:2], x.shape[2] * r * r, x.shape[3] // r, x.shape[4] // r)
-    assert pixel_shuffle(y, r).tobytes() == x.tobytes()
-    assert pixel_unshuffle(pixel_shuffle(y, r), r).tobytes() == y.tobytes()
+    assert unshuffle_inverse(y, r).tobytes() == x.tobytes()
+    assert pixel_unshuffle(unshuffle_inverse(y, r), r).tobytes() == y.tobytes()
 
 
 @st.composite
@@ -878,16 +841,14 @@ def test_conv2d_matches_direct_summation(case):
 @pytest.mark.parametrize("call, error", [
     (lambda: pixel_unshuffle(np.zeros((1, 1, 4, 4, 4), np.float32), 0), IndivisibleDims),
     (lambda: pixel_unshuffle(np.zeros((1, 1, 4, 4, 4), np.float32), -2), IndivisibleDims),
-    (lambda: pixel_shuffle(np.zeros((1, 1, 4, 4, 4), np.float32), 0), IndivisibleDims),
-    (lambda: pixel_shuffle(np.zeros((1, 1, 4, 4, 4), np.float32), -2), IndivisibleDims),
     (lambda: temporal_attention_block(np.zeros((2, 3, 8), np.float32), small_attention(), 0),
      ShapeMismatch),
     (lambda: temporal_attention_block(np.zeros((2, 3, 8), np.float32), small_attention(), -2),
      ShapeMismatch),
     (lambda: verify_plucker(np.zeros((0, 6, 4, 4), np.float32)), ShapeMismatch),
     (lambda: verify_plucker(np.zeros((2, 6, 0, 4), np.float32)), ShapeMismatch),
-], ids=["unshuffle-r0", "unshuffle-r-2", "shuffle-r0", "shuffle-r-2", "heads0", "heads-2",
-        "verify-no-frames", "verify-no-rows"])
+], ids=["unshuffle-r0", "unshuffle-r-2", "heads0", "heads-2", "verify-no-frames",
+        "verify-no-rows"])
 def test_degenerate_arguments_raise_typed_errors(call, error):
     with pytest.raises(error):
         call()

@@ -14,16 +14,15 @@ from camtraj.geometry import (
     Extrinsics,
     Intrinsics,
     Trajectory,
-    as_convention,
-    compose,
+    convert_extrinsics,
     first_bad_frame,
-    invert_extrinsics,
-    orthonormalize,
     relativize,
     rotation_about_axis,
     unit_vector,
 )
-from util import random_extrinsics, random_rotation, random_trajectory
+from util import compose_rt, random_extrinsics, random_rotation, random_trajectory
+
+W2C, C2W = Convention.WORLD_TO_CAMERA, Convention.CAMERA_TO_WORLD
 
 
 def homog(r, t):
@@ -84,113 +83,129 @@ class TestIntrinsics:
 
 
 class TestInvertCompose:
+    """Inversion is convert_extrinsics between conventions; composition with an
+    inverse is what relativize does to every frame."""
+
     def test_invert_round_trip(self):
         rng = np.random.default_rng(42)
         for _ in range(1000):
             e = random_extrinsics(rng)
-            back = invert_extrinsics(invert_extrinsics(e))
-            assert back.convention is e.convention
-            np.testing.assert_allclose(back.rotation, e.rotation, atol=1e-12)
-            np.testing.assert_allclose(back.translation, e.translation, atol=1e-12)
+            back = convert_extrinsics(*convert_extrinsics(e.rotation, e.translation, W2C, C2W),
+                                      C2W, W2C)
+            np.testing.assert_allclose(back[0], e.rotation, atol=1e-12)
+            np.testing.assert_allclose(back[1], e.translation, atol=1e-12)
 
     def test_invert_matches_matrix_inverse(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            e = random_extrinsics(rng)
-            inv = invert_extrinsics(e)
+        es = [random_extrinsics(rng) for _ in range(200)]
+        r, t = convert_extrinsics(np.array([e.rotation for e in es]),
+                                  np.array([e.translation for e in es]), W2C, C2W)
+        for e, ri, ti in zip(es, r, t):
             oracle = np.linalg.inv(homog(e.rotation, e.translation))
-            np.testing.assert_allclose(homog(inv.rotation, inv.translation),
-                                       oracle, atol=1e-10)
+            np.testing.assert_allclose(homog(ri, ti), oracle, atol=1e-10)
 
     def test_invert_flips_tag(self):
-        e = random_extrinsics(np.random.default_rng(0), Convention.WORLD_TO_CAMERA)
-        assert invert_extrinsics(e).convention is Convention.CAMERA_TO_WORLD
+        # the converted arrays tagged c2w map each camera's points back to the world
+        rng = np.random.default_rng(0)
+        traj = random_trajectory(rng, 8, W2C)
+        flipped = Trajectory.from_arrays(
+            *convert_extrinsics(traj.rotations, traj.translations, W2C, C2W),
+            traj.intrinsics, C2W, traj.width, traj.height)
+        x = rng.standard_normal(3)
+        for a, b in zip(traj.poses, flipped.poses):
+            assert b.extrinsics.convention is C2W
+            cam = a.extrinsics.rotation @ x + a.extrinsics.translation
+            np.testing.assert_allclose(b.extrinsics.rotation @ cam + b.extrinsics.translation,
+                                       x, atol=1e-12)
 
     def test_compose_matches_matrix_product(self):
+        # the (R, t) reference the property tests compose with
         rng = np.random.default_rng(13)
         for _ in range(200):
             a = random_extrinsics(rng)
             b = random_extrinsics(rng)
-            c = compose(a, b)
+            c = compose_rt((a.rotation, a.translation), (b.rotation, b.translation))
             oracle = homog(a.rotation, a.translation) @ homog(b.rotation, b.translation)
-            np.testing.assert_allclose(homog(c.rotation, c.translation),
-                                       oracle, atol=1e-12)
+            np.testing.assert_allclose(homog(*c), oracle, atol=1e-12)
 
     def test_compose_with_inverse_is_identity(self):
         rng = np.random.default_rng(21)
-        for _ in range(200):
-            e = random_extrinsics(rng)
-            inv = invert_extrinsics(e)
-            retagged = Extrinsics(inv.rotation, inv.translation, e.convention)
-            ident = compose(e, retagged)
-            np.testing.assert_allclose(ident.rotation, np.eye(3), atol=1e-12)
-            np.testing.assert_allclose(ident.translation, 0.0, atol=1e-12)
-
-    def test_compose_rejects_mixed_conventions(self):
-        rng = np.random.default_rng(5)
-        a = random_extrinsics(rng, Convention.WORLD_TO_CAMERA)
-        b = random_extrinsics(rng, Convention.CAMERA_TO_WORLD)
-        with pytest.raises(ConventionMismatch):
-            compose(a, b)
+        for conv in Convention:
+            for _ in range(100):
+                e = random_extrinsics(rng, conv)
+                traj = Trajectory.from_arrays([e.rotation] * 2, [e.translation] * 2,
+                                              [[10, 10, 5, 5]] * 2, conv, 10, 10)
+                rel = relativize(traj)
+                np.testing.assert_allclose(rel.rotations[1], np.eye(3), atol=1e-12)
+                np.testing.assert_allclose(rel.translations[1], 0.0, atol=1e-12)
 
     def test_as_convention_round_trip(self):
         rng = np.random.default_rng(17)
         e = random_extrinsics(rng)
-        same = as_convention(e, e.convention)
-        assert same is e
-        flipped = as_convention(e, Convention.CAMERA_TO_WORLD)
-        assert flipped.convention is Convention.CAMERA_TO_WORLD
-        np.testing.assert_allclose(flipped.rotation, e.rotation.T, atol=1e-15)
+        r, t = convert_extrinsics(e.rotation, e.translation, W2C, W2C)
+        assert r is e.rotation and t is e.translation
+        flipped, _ = convert_extrinsics(e.rotation, e.translation, W2C, C2W)
+        np.testing.assert_allclose(flipped, e.rotation.T, atol=1e-15)
 
     def test_compose_near_tolerance(self):
-        # R.T @ R of the product deviates by 1.8e-6, past ORTHO_TOL, though
-        # each factor passes; a derived map is not re-checked
+        # R.T @ R of the relative rotation deviates by 1.8e-6, past ORTHO_TOL,
+        # though each frame passes; a derived trajectory is not re-checked
         r = np.diag([1.00000045, 0.99999955, 1.0])
-        e = Extrinsics(r, [1.0, 2.0, 3.0], Convention.WORLD_TO_CAMERA)
-        c = compose(e, e)
-        np.testing.assert_array_equal(c.rotation, r @ r)
-        np.testing.assert_array_equal(c.translation, r @ e.translation + e.translation)
+        a, b = np.array([1.0, 2.0, 3.0]), np.array([-2.0, 0.5, 1.0])
+        traj = Trajectory.from_arrays([r, r], [a, b], [[10, 10, 5, 5]] * 2, W2C, 10, 10)
+        rel = relativize(traj)
+        np.testing.assert_array_equal(rel.rotations[1], r @ r)
+        np.testing.assert_array_equal(rel.translations[1], r @ (-r @ a) + b)
 
     def test_derived_from_near_tolerance_rotations(self):
         # R @ R.T and R.T @ R deviate differently, so an accepted R may have
-        # an inverse (or a square) that the constructor would reject
+        # an inverse (or a product with one) that the constructor would reject
         rng = np.random.default_rng(60)
         accepted = 0
         for _ in range(1000):
             r = random_rotation(rng) + rng.uniform(-6e-7, 6e-7, (3, 3))
             try:
-                e = Extrinsics(r, rng.standard_normal(3), Convention.WORLD_TO_CAMERA)
+                e = Extrinsics(r, rng.standard_normal(3), W2C)
             except RotationInvalid:
                 continue
             accepted += 1
-            inv = as_convention(e, Convention.CAMERA_TO_WORLD)
-            assert inv.convention is Convention.CAMERA_TO_WORLD
-            np.testing.assert_array_equal(inv.rotation, e.rotation.T)
-            np.testing.assert_array_equal(inv.translation, -e.rotation.T @ e.translation)
-            c = compose(e, e)
-            np.testing.assert_array_equal(c.rotation, e.rotation @ e.rotation)
+            inv_r, inv_t = convert_extrinsics(e.rotation, e.translation, W2C, C2W)
+            np.testing.assert_array_equal(inv_r, e.rotation.T)
+            np.testing.assert_array_equal(inv_t, -e.rotation.T @ e.translation)
+            traj = Trajectory.from_arrays([e.rotation] * 2, [e.translation] * 2,
+                                          [[10, 10, 5, 5]] * 2, W2C, 10, 10)
+            np.testing.assert_array_equal(relativize(traj).rotations[1],
+                                          e.rotation @ e.rotation.T)
         assert accepted > 400
 
     def test_derived_arrays_copied_and_frozen(self):
-        e = random_extrinsics(np.random.default_rng(61))
-        for d in (invert_extrinsics(e), compose(e, e)):
-            for a in (d.rotation, d.translation):
+        for conv in Convention:
+            traj = random_trajectory(np.random.default_rng(61), 4, conv)
+            rel = relativize(traj)
+            for a in (rel.rotations, rel.translations):
                 assert not a.flags.writeable
-                assert not np.shares_memory(a, e.rotation)
+                assert not np.shares_memory(a, traj.rotations)
+                assert not np.shares_memory(a, traj.translations)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_compose_fails_typed(self):
-        e = Extrinsics(np.eye(3), [1e308, 0.0, 0.0], Convention.WORLD_TO_CAMERA)
+        # frame 1 composed with frame 0's inverse overflows; each alone is finite
+        c = math.sqrt(0.5)
+        r = np.array([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]])
+        traj = Trajectory.from_arrays([np.eye(3), r], [[-1.2e308, 0.0, 0.0], [1.2e308] * 3],
+                                      [[10, 10, 5, 5]] * 2, W2C, 10, 10)
         with pytest.raises(CamTrajError, match="^array contains non-finite entries$"):
-            compose(e, e)
+            relativize(traj)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_invert_fails_typed(self):
+        # frame 0's c2w -> w2c inverse overflows inside relativize
         c = math.sqrt(0.5)
         r = np.array([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]])
-        e = Extrinsics(r, [1.5e308, 1.5e308, 0.0], Convention.CAMERA_TO_WORLD)
+        traj = Trajectory.from_arrays([r, np.eye(3)], [[1.5e308, 1.5e308, 0.0], [0.0] * 3],
+                                      [[10, 10, 5, 5]] * 2, C2W, 10, 10)
         with pytest.raises(CamTrajError, match="^array contains non-finite entries$"):
-            invert_extrinsics(e)
+            relativize(traj)
 
 
 class TestRotationAboutAxis:
@@ -226,27 +241,6 @@ class TestRotationAboutAxis:
                 rotation_about_axis(axis, 0.1)
             with pytest.raises(NonUnitDirection):
                 unit_vector(axis, NonUnitDirection)
-
-
-class TestOrthonormalize:
-    def test_repairs_noisy_rotation(self):
-        rng = np.random.default_rng(8)
-        for _ in range(100):
-            clean = random_rotation(rng)
-            noisy = clean + 1e-4 * rng.standard_normal((3, 3))
-            e = Extrinsics.__new__(Extrinsics)  # bypass validation to feed noise
-            object.__setattr__(e, "rotation", noisy)
-            object.__setattr__(e, "translation", np.zeros(3))
-            object.__setattr__(e, "convention", Convention.WORLD_TO_CAMERA)
-            fixed = orthonormalize(e)
-            assert np.abs(fixed.rotation.T @ fixed.rotation - np.eye(3)).max() < 1e-12
-            assert abs(np.linalg.det(fixed.rotation) - 1) < 1e-12
-            assert np.abs(fixed.rotation - clean).max() < 1e-3
-
-    def test_identity_fixed_point(self):
-        e = Extrinsics.identity(Convention.WORLD_TO_CAMERA)
-        fixed = orthonormalize(e)
-        np.testing.assert_allclose(fixed.rotation, np.eye(3), atol=1e-15)
 
 
 class TestTrajectory:

@@ -15,7 +15,6 @@ from camtraj.geometry import (
     Trajectory,
     convert_extrinsics,
     first_bad_frame,
-    invert_extrinsics,
     relativize,
     rotation_about_axis,
 )
@@ -290,9 +289,10 @@ class TestEvaluate:
         rng = np.random.default_rng(20)
         gt = random_trajectory(rng, 6, Convention.WORLD_TO_CAMERA)
         gen = random_trajectory(rng, 6, Convention.WORLD_TO_CAMERA)
-        gen_c2w = Trajectory(tuple(
-            CameraPose(p.intrinsics, invert_extrinsics(p.extrinsics))
-            for p in gen.poses), gen.width, gen.height)
+        gen_c2w = Trajectory.from_arrays(
+            *convert_extrinsics(gen.rotations, gen.translations, Convention.WORLD_TO_CAMERA,
+                                Convention.CAMERA_TO_WORLD),
+            gen.intrinsics, Convention.CAMERA_TO_WORLD, gen.width, gen.height)
         a = evaluate(gt, gen)
         b = evaluate(gt, gen_c2w)
         assert abs(a.rot_err_total - b.rot_err_total) < 1e-9

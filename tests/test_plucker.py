@@ -21,12 +21,12 @@ from camtraj.plucker import (
     VERIFY_TOL,
     _fill_map,
     camera_center,
-    plucker_map,
     plucker_sequence,
     ray_direction,
     verify_plucker,
 )
-from util import quat_to_matrix, random_extrinsics, random_pose, random_trajectory
+from util import (plucker_frame, quat_to_matrix, random_extrinsics, random_pose,
+                  random_trajectory)
 
 
 def center_oracle(e):
@@ -103,15 +103,16 @@ class TestRayDirection:
     @pytest.mark.parametrize("intr", [(1e-320, 8.0, 8.0, 4.0), (8.0, 8.0, 1e308, 4.0)])
     def test_out_of_float_range_is_typed(self, intr):
         pose = CameraPose(Intrinsics(*intr), Extrinsics.identity(Convention.CAMERA_TO_WORLD))
-        for call in (lambda: ray_direction(pose, 0, 0), lambda: plucker_map(pose, 16, 8)):
-            with pytest.raises(CamTrajError, match="^Plucker map out of float range: "):
-                call()
+        with pytest.raises(CamTrajError, match="^Plucker map out of float range: "):
+            ray_direction(pose, 0, 0)
+        with pytest.raises(CamTrajError, match="^frame 0: Plucker map out of float range: "):
+            plucker_frame(pose, 16, 8)
 
 
 class TestPluckerMap:
     def test_shape_and_dtype(self):
         pose = random_pose(np.random.default_rng(5))
-        m = plucker_map(pose, 64, 48)
+        m = plucker_frame(pose, 64, 48)
         assert m.shape == (6, 48, 64)
         assert m.dtype == np.float32
 
@@ -119,7 +120,7 @@ class TestPluckerMap:
         rng = np.random.default_rng(6)
         for conv in Convention:
             pose = random_pose(rng, conv)
-            pmap = plucker_map(pose, 16, 12)
+            pmap = plucker_frame(pose, 16, 12)
             o = center_oracle(pose.extrinsics)
             for _ in range(25):
                 u = int(rng.integers(0, 16))
@@ -132,14 +133,14 @@ class TestPluckerMap:
         rng = np.random.default_rng(7)
         for _ in range(20):
             pose = random_pose(rng)
-            report = verify_plucker(plucker_map(pose, 32, 24))
+            report = verify_plucker(plucker_frame(pose, 32, 24))
             assert report["ok"], report
 
     def test_origin_shift_leaves_moments(self):
         # moments are origin-independent along the ray: (o + t*d) x d == o x d
         rng = np.random.default_rng(8)
         pose = random_pose(rng)
-        pmap = np.asarray(plucker_map(pose, 16, 12), dtype=np.float64)
+        pmap = np.asarray(plucker_frame(pose, 16, 12), dtype=np.float64)
         o = center_oracle(pose.extrinsics)
         d = np.moveaxis(pmap[3:6], 0, -1)
         for lam in (0.5, -2.0, 10.0):
@@ -150,7 +151,7 @@ class TestPluckerMap:
     def test_identity_pose_zero_moments(self):
         pose = CameraPose(Intrinsics(10, 10, 8, 6),
                           Extrinsics.identity(Convention.WORLD_TO_CAMERA))
-        pmap = plucker_map(pose, 16, 12)
+        pmap = plucker_frame(pose, 16, 12)
         assert np.abs(pmap[0:3]).max() == 0.0
 
     def test_horizontal_flip_permutes_channels(self):
@@ -168,8 +169,8 @@ class TestPluckerMap:
                 Intrinsics(intr.fx, intr.fy, w - intr.cx, intr.cy),
                 Extrinsics(mirror @ e.rotation @ mirror, mirror @ e.translation,
                            e.convention))
-            a = np.asarray(plucker_map(pose, w, h), dtype=np.float64)
-            b = np.asarray(plucker_map(mirrored, w, h), dtype=np.float64)
+            a = np.asarray(plucker_frame(pose, w, h), dtype=np.float64)
+            b = np.asarray(plucker_frame(mirrored, w, h), dtype=np.float64)
             flipped = a[:, :, ::-1]
             signs = np.array([1.0, -1.0, -1.0, -1.0, 1.0, 1.0])
             np.testing.assert_allclose(b, signs[:, None, None] * flipped, atol=1e-9)
@@ -182,7 +183,7 @@ class TestPluckerSequence:
         seq = plucker_sequence(traj)
         assert seq.shape == (5, 6, 12, 16)
         for i, pose in enumerate(traj.poses):
-            np.testing.assert_array_equal(seq[i], plucker_map(pose, 16, 12))
+            np.testing.assert_array_equal(seq[i], plucker_frame(pose, 16, 12))
 
     def test_pixel_origin_changes_values(self):
         rng = np.random.default_rng(12)
@@ -225,7 +226,7 @@ class TestVerify:
 
     def test_flags_broken_norms(self):
         rng = np.random.default_rng(14)
-        pmap = plucker_map(random_pose(rng), 8, 8).copy()
+        pmap = plucker_frame(random_pose(rng), 8, 8).copy()
         pmap[3:6] *= 2.0
         assert not verify_plucker(pmap)["ok"]
 
@@ -321,7 +322,7 @@ class TestPlanarKernel:
         seq = plucker_sequence(traj, pixel_origin=name)
         assert seq.tobytes() == pixel_major_sequence(traj, off).tobytes()
         for i, pose in enumerate(traj.poses):
-            assert plucker_map(pose, traj.width, traj.height, name).tobytes() == seq[i].tobytes()
+            assert plucker_frame(pose, traj.width, traj.height, name).tobytes() == seq[i].tobytes()
 
     @staticmethod
     def float64_planes(traj, off):

@@ -15,10 +15,8 @@ from camtraj.geometry import (
     Extrinsics,
     Intrinsics,
     Trajectory,
-    as_convention,
-    compose,
+    convert_extrinsics,
     first_bad_frame,
-    invert_extrinsics,
     relativize,
     rotation_about_axis,
 )
@@ -31,7 +29,7 @@ from camtraj.synth import (
     scale_intensity,
     synthesize,
 )
-from util import quat_to_matrix, random_unit
+from util import as_rt, compose_rt, quat_to_matrix, random_unit
 
 W2C, C2W = Convention.WORLD_TO_CAMERA, Convention.CAMERA_TO_WORLD
 # derandomized so a tier-1 run is reproducible; raise max_examples to explore
@@ -136,24 +134,23 @@ def test_pose_constructor_agrees_with_array_constructor(traj):
 
 
 # --- per-frame references -----------------------------------------------------
-# The array code keeps the arithmetic of the per-frame Extrinsics operations,
-# so it must agree with these loops bit for bit (rotation angles excepted:
+# The array code keeps the arithmetic of these loops over per-frame (R, t)
+# pairs, so it must agree with them bit for bit (rotation angles excepted:
 # np.arctan2 may differ from math.atan2 in the last bit).
 
 def loop_relativize(traj):
-    w2c = [as_convention(p.extrinsics, W2C) for p in traj.poses]
-    inv0 = invert_extrinsics(w2c[0])
-    base = Extrinsics(inv0.rotation, inv0.translation, W2C)
-    return [as_convention(compose(e, base), traj.convention) for e in w2c]
+    w2c = [as_rt(p.extrinsics, W2C) for p in traj.poses]
+    base = convert_extrinsics(*w2c[0], W2C, C2W)  # frame 0's inverse, applied as a w2c map
+    return [convert_extrinsics(*compose_rt(e, base), W2C, traj.convention) for e in w2c]
 
 
 @checked
 @given(trajectories())
 def test_relativize_matches_per_frame_loop(traj):
     rel = relativize(traj)
-    for i, e in enumerate(loop_relativize(traj)[1:], start=1):
-        assert np.array_equal(rel.rotations[i], e.rotation)
-        assert np.array_equal(rel.translations[i], e.translation)
+    for i, (r, t) in enumerate(loop_relativize(traj)[1:], start=1):
+        assert np.array_equal(rel.rotations[i], r)
+        assert np.array_equal(rel.translations[i], t)
 
 
 @checked
@@ -192,12 +189,12 @@ def test_compose_motions_matches_per_frame_loop(n, seed, degrees, interval, scal
     step = 0.0 if n == 1 else math.radians(degrees) / (n - 1)
     rot, pan = directives[:2]
     for i, p in enumerate(traj.poses):
-        e = compose(compose(
-            Extrinsics(rotation_about_axis(rot.direction, i * step), np.zeros(3), C2W),
-            Extrinsics(np.eye(3), i * interval * np.asarray(pan.direction), C2W)),
-            Extrinsics(np.eye(3), np.array([0.0, 0.0, i * -interval]), C2W))
-        assert np.array_equal(p.extrinsics.rotation, e.rotation)
-        assert np.array_equal(p.extrinsics.translation, e.translation)
+        r, t = compose_rt(compose_rt(
+            (rotation_about_axis(rot.direction, i * step), np.zeros(3)),
+            (np.eye(3), i * interval * np.asarray(pan.direction))),
+            (np.eye(3), np.array([0.0, 0.0, i * -interval])))
+        assert np.array_equal(p.extrinsics.rotation, r)
+        assert np.array_equal(p.extrinsics.translation, t)
         f = scale ** i
         assert p.intrinsics == Intrinsics(300.0 * f, 310.0 * f, 160.0 + i * interval,
                                           120.0 + i * 1.5)
@@ -269,10 +266,10 @@ def test_composed_plan_matches_per_directive_loop(plan):
 @given(trajectories(), st.floats(-3.0, 3.0))
 def test_scale_intensity_matches_per_frame_loop(traj, k):
     scaled = scale_intensity(traj, k)
-    c2w = [as_convention(p.extrinsics, C2W) for p in traj.poses]
-    c0 = c2w[0].translation
-    for i, (p, e) in enumerate(zip(traj.poses, c2w)):
-        new_c = c0 + k * (e.translation - c0)
+    centers = [as_rt(p.extrinsics, C2W)[1] for p in traj.poses]
+    c0 = centers[0]
+    for i, (p, c) in enumerate(zip(traj.poses, centers)):
+        new_c = c0 + k * (c - c0)
         t = new_c if traj.convention is C2W else -p.extrinsics.rotation @ new_c
         assert np.array_equal(scaled.rotations[i], p.extrinsics.rotation)
         assert np.array_equal(scaled.translations[i], t)

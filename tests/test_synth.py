@@ -23,23 +23,27 @@ from camtraj.synth import (
     SynthesisPlan,
     compose_motions,
     scale_intensity,
-    synth_intrinsic_motion,
-    synth_pan,
     synth_rotation,
     synthesize,
 )
-from util import random_trajectory
+from util import one_motion, random_trajectory
 
 INTR = Intrinsics(192.0, 228.0, 192.0, 128.0)
+PAN, SHIFT, FOCAL = MotionKind.PAN, MotionKind.PRINCIPAL_SHIFT, MotionKind.FOCAL_ZOOM
 
 
 def centers(traj):
     return np.array([camera_center(p.extrinsics) for p in traj.poses])
 
 
+def assert_identity(e):
+    np.testing.assert_array_equal(e.rotation, np.eye(3))
+    np.testing.assert_array_equal(e.translation, np.zeros(3))
+
+
 class TestPan:
     def test_linear_centers(self):
-        traj = synth_pan([-1.0, 0.0, 0.0], 0.1, 16, INTR, 384, 256)
+        traj = one_motion(PAN, 16, INTR, 384, 256, direction=(-1.0, 0.0, 0.0), interval=0.1)
         assert traj.convention is Convention.CAMERA_TO_WORLD
         c = centers(traj)
         expected = np.outer(0.1 * np.arange(16), [-1.0, 0.0, 0.0])
@@ -48,12 +52,12 @@ class TestPan:
             np.testing.assert_array_equal(p.extrinsics.rotation, np.eye(3))
 
     def test_frame_zero_identity(self):
-        traj = synth_pan([0.0, 1.0, 0.0], -2.5, 4, INTR, 8, 8)
-        assert traj.poses[0].extrinsics.is_identity()
+        traj = one_motion(PAN, 4, INTR, 8, 8, direction=(0.0, 1.0, 0.0), interval=-2.5)
+        assert_identity(traj.poses[0].extrinsics)
 
     def test_non_unit_direction(self):
         with pytest.raises(NonUnitDirection):
-            synth_pan([1.0, 1.0, 0.0], 0.1, 4, INTR, 8, 8)
+            one_motion(PAN, 4, INTR, 8, 8, direction=(1.0, 1.0, 0.0), interval=0.1)
 
 
 class TestRotation:
@@ -74,7 +78,7 @@ class TestRotation:
 
     def test_single_frame_zero_total_ok(self):
         traj = synth_rotation([0.0, 0.0, 1.0], 0.0, 1, INTR, 8, 8)
-        assert traj.poses[0].extrinsics.is_identity()
+        assert_identity(traj.poses[0].extrinsics)
 
     def test_single_frame_nonzero_total_rejected(self):
         with pytest.raises(ValueError):
@@ -87,21 +91,19 @@ class TestRotation:
 
 class TestIntrinsicMotion:
     def test_principal_shift(self):
-        traj = synth_intrinsic_motion(MotionKind.PRINCIPAL_SHIFT, (2.0, -1.0),
-                                      5, INTR, 8, 8)
+        traj = one_motion(SHIFT, 5, INTR, 8, 8, shift=(2.0, -1.0))
         for i, p in enumerate(traj.poses):
             assert p.intrinsics.cx == INTR.cx + 2.0 * i
             assert p.intrinsics.cy == INTR.cy - 1.0 * i
             assert p.intrinsics.fx == INTR.fx
-            assert p.extrinsics.is_identity()
+            assert_identity(p.extrinsics)
 
     def test_principal_point_may_leave_image(self):
-        traj = synth_intrinsic_motion(MotionKind.PRINCIPAL_SHIFT, (500.0, 0.0),
-                                      4, INTR, 8, 8)
+        traj = one_motion(SHIFT, 4, INTR, 8, 8, shift=(500.0, 0.0))
         assert traj.poses[-1].intrinsics.cx > 8
 
     def test_focal_zoom_powers(self):
-        traj = synth_intrinsic_motion(MotionKind.FOCAL_ZOOM, 1.1, 5, INTR, 8, 8)
+        traj = one_motion(FOCAL, 5, INTR, 8, 8, interval=1.1)
         for i, p in enumerate(traj.poses):
             assert abs(p.intrinsics.fx - INTR.fx * 1.1 ** i) < 1e-9
             assert abs(p.intrinsics.fy - INTR.fy * 1.1 ** i) < 1e-9
@@ -109,9 +111,9 @@ class TestIntrinsicMotion:
 
     def test_focal_zoom_rejects_non_positive(self):
         with pytest.raises(NonPositiveScale):
-            synth_intrinsic_motion(MotionKind.FOCAL_ZOOM, 0.0, 4, INTR, 8, 8)
+            one_motion(FOCAL, 4, INTR, 8, 8, interval=0.0)
         with pytest.raises(NonPositiveScale):
-            synth_intrinsic_motion(MotionKind.FOCAL_ZOOM, -2.0, 4, INTR, 8, 8)
+            one_motion(FOCAL, 4, INTR, 8, 8, interval=-2.0)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("scales, frame, value", [
@@ -154,10 +156,6 @@ class TestIntrinsicMotion:
                 compose_motions(directives, 3, INTR, 8, 8)
             assert str(exc.value).startswith(f"{message} to inf at frame 2")
 
-    def test_rejects_extrinsic_kind(self):
-        with pytest.raises(ValueError):
-            synth_intrinsic_motion(MotionKind.PAN, 1.0, 4, INTR, 8, 8)
-
 
 class TestCompose:
     def test_center_zeros_do_not_depend_on_directive_order(self):
@@ -171,12 +169,12 @@ class TestCompose:
 
     def test_singleton_matches_primitive(self):
         n = 6
-        d = MotionDirective(MotionKind.PAN, n, direction=(0.0, 0.0, 1.0), interval=0.25)
+        d = MotionDirective(MotionKind.PAN, n, direction=(-0.6, 0.0, 0.8), interval=0.25)
         composed = compose_motions([d], n, INTR, 8, 8)
-        primitive = synth_pan([0.0, 0.0, 1.0], 0.25, n, INTR, 8, 8)
-        for a, b in zip(composed.poses, primitive.poses):
-            np.testing.assert_array_equal(a.extrinsics.rotation, b.extrinsics.rotation)
-            np.testing.assert_array_equal(a.extrinsics.translation, b.extrinsics.translation)
+        # a pan alone is the closed form: identity rotations, centers i * interval * d
+        np.testing.assert_array_equal(composed.rotations, np.tile(np.eye(3), (n, 1, 1)))
+        np.testing.assert_array_equal(composed.translations,
+                                      (0.25 * np.arange(n))[:, None] * np.array(d.direction))
 
     def test_matches_explicit_matrix_product(self):
         n = 5
@@ -186,7 +184,7 @@ class TestCompose:
                               interval=0.5)
         composed = compose_motions([rot, pan], n, INTR, 8, 8)
         rot_traj = synth_rotation([0.0, 1.0, 0.0], 40.0, n, INTR, 8, 8)
-        pan_traj = synth_pan([1.0, 0.0, 0.0], 0.5, n, INTR, 8, 8)
+        pan_traj = one_motion(PAN, n, INTR, 8, 8, direction=(1.0, 0.0, 0.0), interval=0.5)
         for i in range(n):
             a = np.eye(4)
             a[:3, :3] = rot_traj.poses[i].extrinsics.rotation
@@ -218,7 +216,7 @@ class TestCompose:
         p2 = traj.poses[2]
         assert p2.intrinsics.fx == INTR.fx * 4.0
         assert p2.intrinsics.cx == INTR.cx + 2.0
-        assert p2.extrinsics.is_identity()
+        assert_identity(p2.extrinsics)
 
     def test_empty_rejected(self):
         with pytest.raises(EmptyDirectives):
@@ -239,7 +237,7 @@ class TestCompose:
 
 class TestScaleIntensity:
     def test_scales_centers_about_frame0(self):
-        traj = synth_pan([0.0, 0.0, 1.0], 0.5, 6, INTR, 8, 8)
+        traj = one_motion(PAN, 6, INTR, 8, 8, direction=(0.0, 0.0, 1.0), interval=0.5)
         scaled = scale_intensity(traj, 4.0)
         np.testing.assert_allclose(centers(scaled), 4.0 * centers(traj), atol=1e-12)
 
@@ -285,13 +283,13 @@ class TestScaleIntensity:
         np.testing.assert_allclose(centers(twice), centers(once), atol=1e-9)
 
     def test_rejects_non_finite(self):
-        traj = synth_pan([1.0, 0.0, 0.0], 0.1, 3, INTR, 8, 8)
+        traj = one_motion(PAN, 3, INTR, 8, 8, direction=(1.0, 0.0, 0.0), interval=0.1)
         with pytest.raises(ValueError):
             scale_intensity(traj, float("inf"))
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_centers_fail_typed(self):
-        traj = synth_pan([1.0, 0.0, 0.0], 10.0, 3, INTR, 8, 8)
+        traj = one_motion(PAN, 3, INTR, 8, 8, direction=(1.0, 0.0, 0.0), interval=10.0)
         with pytest.raises(CamTrajError, match="^array contains non-finite entries$"):
             scale_intensity(traj, 1e308)
 

@@ -1,4 +1,4 @@
-"""Shared random-input builders for the test suite.
+"""Shared random-input builders and small references for the test suite.
 
 Rotations are generated from random unit quaternions, independently of the
 library's own rotation construction, so library code never feeds its own
@@ -13,7 +13,10 @@ from camtraj.geometry import (
     Extrinsics,
     Intrinsics,
     Trajectory,
+    convert_extrinsics,
 )
+from camtraj.plucker import plucker_sequence
+from camtraj.synth import MotionDirective, compose_motions
 
 
 def quat_to_matrix(q):
@@ -58,3 +61,35 @@ def random_trajectory(rng, n=8, convention=Convention.WORLD_TO_CAMERA,
                       width=64, height=48):
     poses = tuple(random_pose(rng, convention, width, height) for _ in range(n))
     return Trajectory(poses, width, height)
+
+
+# --- small references ---------------------------------------------------------
+
+def compose_rt(a, b):
+    """Rigid maps as plain (R, t) pairs, b applied first, then a:
+    (R_a @ R_b, R_a @ t_b + t_a)."""
+    (ra, ta), (rb, tb) = a, b
+    return ra @ rb, ra @ tb + ta
+
+
+def as_rt(e, convention):
+    """(R, t) of Extrinsics ``e`` expressed under ``convention``."""
+    return convert_extrinsics(e.rotation, e.translation, e.convention, convention)
+
+
+def unshuffle_inverse(y, r):
+    """Channel-to-space rearrangement undoing ``pixel_unshuffle(x, r)``."""
+    b, n, c, h, w = y.shape
+    x = y.reshape(b, n, c // (r * r), r, r, h, w).transpose(0, 1, 2, 5, 3, 6, 4)
+    return x.reshape(b, n, c // (r * r), h * r, w * r)
+
+
+def plucker_frame(pose, width, height, pixel_origin="center"):
+    """(6, height, width) float32 Plucker map of one pose."""
+    return plucker_sequence(Trajectory((pose,), width, height), pixel_origin)[0]
+
+
+def one_motion(kind, n, intrinsics, width, height, **fields):
+    """Trajectory of a single motion directive of ``kind`` over ``n`` frames."""
+    return compose_motions((MotionDirective(kind, n, **fields),), n, intrinsics,
+                           width, height)
