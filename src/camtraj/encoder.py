@@ -16,11 +16,14 @@ for float32 ``u = rng.random(shape)``, std 1/sqrt(fan_in); biases start at
 zero, LayerNorm affine at identity. Conv weights are drawn tap-major, as
 (k, k, cin, cout), and kept as (cout, cin, k, k) views of that storage.
 
-The draw order is the forward order, so ``encoder_forward`` without explicit
-weights draws each block on the calling thread just before it runs and drops
-it when the next is drawn: at most two blocks, about 0.2 GB at the default
-config, are held instead of the full 0.9 GB. ``build_encoder_weights``
-returns the same stream as a full set, for callers that reuse or modify it.
+The network is one sequence of blocks, named by the stages errors print:
+"the stem", then per scale k "scale k downsample block" and
+"scale k downsample attention" (from scale 2 on), "scale k residual block"
+and "scale k attention", whose output is scale k's feature map. Weights are
+drawn in this order, so ``encoder_forward`` without weights draws each block
+just before it runs and drops it when the next is drawn: at most two blocks,
+about 0.2 GB at the default config, are held instead of the full 0.9 GB.
+``build_encoder_weights`` returns the stream as a dict from stage name to block.
 
 From the stem's output on, every activation is stored once as (h, w, b*n, c)
 and each block reads a free view of it: (b*n, c, h, w) frames for the k*k
@@ -112,18 +115,7 @@ class AttentionParams:
         return self.wo.shape[0]
 
 
-@dataclass(frozen=True)
-class ScaleParams:
-    down: ResBlockParams | None
-    down_attn: AttentionParams | None
-    res: ResBlockParams
-    res_attn: AttentionParams
-
-
-@dataclass(frozen=True)
-class EncoderWeights:
-    stem: ConvParams
-    scales: tuple[ScaleParams, ...]
+Block = ConvParams | ResBlockParams | AttentionParams
 
 
 class MultiScaleCameraFeatures(tuple):
@@ -349,54 +341,33 @@ def _init_res_block(rng, cin: int, cout: int, stride: int) -> ResBlockParams:
     return ResBlockParams(conv1, conv2, skip, stride)
 
 
-def _draw_blocks(cfg: EncoderConfig) -> Iterator:
-    """Draw the weights of :func:`build_encoder_weights` one block at a time.
-
-    Yields the stem conv, then per scale the four fields of ScaleParams in
-    order: downsample block and its attention (None for the first scale),
-    plain block, its attention. This is both the draw order and the forward
-    order.
-    """
+def _draw_blocks(cfg: EncoderConfig) -> Iterator[tuple[str, Block]]:
+    """The (stage, block) pairs of :func:`build_encoder_weights`, each drawn when asked for."""
     rng = np.random.default_rng(cfg.seed)
-    r = cfg.unshuffle_factor
-    yield _init_conv(rng, cfg.scale_channels[0], _IN_CHANNELS * r * r, 3)
-    prev = cfg.scale_channels[0]
-    for i, c in enumerate(cfg.scale_channels):
-        if i == 0:
-            yield from (None, None)
-        else:
-            yield _init_res_block(rng, prev, c, stride=2)
-            yield _init_attention(rng, c, cfg.mlp_ratio)
-        yield _init_res_block(rng, c, c, stride=1)
-        yield _init_attention(rng, c, cfg.mlp_ratio)
-        prev = c
+    r, c1 = cfg.unshuffle_factor, cfg.scale_channels[0]
+    yield "the stem", _init_conv(rng, c1, _IN_CHANNELS * r * r, 3)
+    for k, (prev, c) in enumerate(zip((c1, *cfg.scale_channels), cfg.scale_channels), 1):
+        if k > 1:
+            yield f"scale {k} downsample block", _init_res_block(rng, prev, c, stride=2)
+            yield f"scale {k} downsample attention", _init_attention(rng, c, cfg.mlp_ratio)
+        yield f"scale {k} residual block", _init_res_block(rng, c, c, stride=1)
+        yield f"scale {k} attention", _init_attention(rng, c, cfg.mlp_ratio)
 
 
-def build_encoder_weights(cfg: EncoderConfig) -> EncoderWeights:
+def build_encoder_weights(cfg: EncoderConfig) -> dict[str, Block]:
     """Draw all weights from PCG64 seeded with cfg.seed.
 
-    Draw order: stem conv, then per scale in order (downsample block where
-    present, its attention, plain block, its attention). Each conv and
-    linear weight is ``(2u - 1) * sqrt(3 / fan_in)`` for float32 uniform
-    ``u = rng.random(shape)``: within +-sqrt(3 / fan_in), std 1/sqrt(fan_in).
-    Conv weights are drawn as (k, k, cin, cout), kept as (cout, cin, k, k)
-    views. Biases zero; LayerNorm affine at identity. Changing any
-    architectural field changes the stream, so weights are only comparable
-    across identical configs. :func:`encoder_forward` draws the same stream
-    block by block when no weights are passed.
+    Returns a dict from stage name to block (ConvParams, ResBlockParams or
+    AttentionParams), in forward order, keyed by the names errors print.
+    Each conv and linear weight is ``(2u - 1) * sqrt(3 / fan_in)`` for
+    float32 uniform ``u = rng.random(shape)``: within +-sqrt(3 / fan_in),
+    std 1/sqrt(fan_in). Conv weights are drawn as (k, k, cin, cout), kept as
+    (cout, cin, k, k) views. Biases zero; LayerNorm affine at identity.
+    Changing any architectural field changes the stream, so weights are only
+    comparable across identical configs. :func:`encoder_forward` draws the
+    same stream block by block when no weights are passed.
     """
-    blocks = _draw_blocks(cfg)
-    stem = next(blocks)
-    fields = list(blocks)
-    scales = tuple(ScaleParams(*fields[i:i + 4]) for i in range(0, len(fields), 4))
-    return EncoderWeights(stem, scales)
-
-
-def _blocks(weights: EncoderWeights) -> Iterator:
-    """The blocks of ``weights`` in the order :func:`_draw_blocks` yields them."""
-    yield weights.stem
-    for sw in weights.scales:
-        yield from (sw.down, sw.down_attn, sw.res, sw.res_attn)
+    return dict(_draw_blocks(cfg))
 
 
 # --- full forward -----------------------------------------------------------
@@ -439,15 +410,16 @@ def _attend(x: np.ndarray, p: AttentionParams, cfg: EncoderConfig, n: int) -> np
 
 
 def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
-                    weights: EncoderWeights | None = None) -> MultiScaleCameraFeatures:
+                    weights: dict[str, Block] | None = None) -> MultiScaleCameraFeatures:
     """Run the full encoder on an (n, c, h, w) or (b, n, c, h, w) input.
 
     A 4D input is treated as batch size 1. Without ``weights`` the weights of
     :func:`build_encoder_weights` are drawn inline, each block just before it
-    runs, so the full set is never held at once. Pass them explicitly to
-    reuse across calls or to probe modified parameters; both run the same
-    loop and give byte-identical features. Each feature map is a
-    (b, n, c, h, w) view of its (h, w, b*n, c) storage.
+    runs, so the full set is never held at once. Pass that dict explicitly
+    to reuse it across calls or to probe modified parameters. Either way one
+    loop runs each (stage, block) pair by the block's type and takes a
+    feature map after each "scale k attention", a (b, n, c, h, w) view of its
+    (h, w, b*n, c) storage; both give byte-identical features.
 
     Raises:
         IndivisibleDims: spatial dims not divisible by 8 * unshuffle_factor.
@@ -484,19 +456,15 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             x = pixel_unshuffle(x, cfg.unshuffle_factor)
             x = x.reshape(b * n, *x.shape[2:])  # frames are independent outside attention
-            blocks = _draw_blocks(cfg) if weights is None else _blocks(weights)
-            stage = "the stem"
-            stem = next(blocks)
-            x = conv2d(x, stem.w, stem.b)
             feats = []
-            for i, blk in enumerate(blocks):
-                stage = f"scale {i // 4 + 1} " + ("downsample block", "downsample attention",
-                                                  "residual block", "attention")[i % 4]
-                if isinstance(blk, ResBlockParams):
+            for stage, blk in _draw_blocks(cfg) if weights is None else weights.items():
+                if isinstance(blk, ConvParams):
+                    x = conv2d(x, blk.w, blk.b)
+                elif isinstance(blk, ResBlockParams):
                     x = res_block(x, blk)
-                elif blk is not None:
+                else:
                     x = _attend(x, blk, cfg, n)
-                if i % 4 == 3:  # a scale ends with its plain block's attention
+                if stage == f"scale {len(feats) + 1} attention":
                     feats.append(x.reshape(b, n, *x.shape[1:]))
     except MemoryError:
         raise ConfigError(f"cannot allocate the forward pass of input shape {shape}: "

@@ -49,12 +49,12 @@ def _unchecked(cls, **fields):
     return obj
 
 
-def _check_derived(t: np.ndarray) -> None:
-    """Rigid maps computed from checked ones keep rotations valid and
-    translations finite unless they overflow, the one thing checked
-    (CamTrajError)."""
-    if not np.isfinite(t).all():
-        raise CamTrajError("array contains non-finite entries")
+def check_finite_frames(a: np.ndarray, what: str) -> None:
+    """Raise a CamTrajError naming the first frame of (..., 3) ``a`` that is not finite:
+    the one check of rigid maps computed from checked ones, which only overflow can break."""
+    finite = np.isfinite(a).all(axis=-1)
+    if not finite.all():
+        raise CamTrajError(f"frame {np.argmin(finite)}: {what} overflows float64")
 
 
 def unit_vector(vec, exc: type[Exception]) -> np.ndarray:
@@ -172,8 +172,8 @@ class Extrinsics:
     @classmethod
     def _derive(cls, r: np.ndarray, t: np.ndarray, convention: Convention) -> "Extrinsics":
         """A frame of a checked or derived trajectory, its arrays copied and
-        frozen as by the constructor once :func:`_check_derived` passes."""
-        _check_derived(t)
+        frozen as by the constructor once :func:`check_finite_frames` passes."""
+        check_finite_frames(t, "translation")
         return _unchecked(cls, rotation=_frozen_array(r, (3, 3)),
                           translation=_frozen_array(t, (3,)), convention=convention)
 
@@ -285,8 +285,8 @@ class Trajectory:
 
     def _derive(self, r: np.ndarray, t: np.ndarray, convention: Convention) -> "Trajectory":
         """Frames computed from this trajectory's by rigid maps, wrapped with its
-        intrinsics and dims once :func:`_check_derived` passes."""
-        _check_derived(t)
+        intrinsics and dims once :func:`check_finite_frames` passes."""
+        check_finite_frames(t, "translation")
         return self._wrap(r, t, self.intrinsics, convention, self.width, self.height)
 
     def __len__(self) -> int:

@@ -14,11 +14,12 @@ first-interval translation magnitudes, and only then measures errors.
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBaseline, LengthMismatch
+from .errors import CamTrajError, DegenerateBaseline, LengthMismatch
 from .geometry import (
     Convention,
     Trajectory,
@@ -70,6 +71,15 @@ class AlignmentReport:
 def _check_lengths(gt: Trajectory, gen: Trajectory) -> None:
     if len(gt) != len(gen):
         raise LengthMismatch(f"gt has {len(gt)} frames, gen has {len(gen)}")
+
+
+@contextmanager
+def _naming(name: str):
+    """Prefix ``name`` to a CamTrajError raised inside, telling gt from gen."""
+    try:
+        yield
+    except CamTrajError as e:
+        raise CamTrajError(f"{name}: {e}") from None
 
 
 def rot_err(gt: Trajectory, gen: Trajectory) -> tuple[float, list[float]]:
@@ -129,7 +139,7 @@ def normalize_scale(gt: Trajectory, gen: Trajectory) -> tuple[Trajectory, float]
     if not (math.isfinite(gap_gt) and math.isfinite(gap_gen)):  # then the factor is finite
         raise DegenerateBaseline(f"{norms} overflow float64")
     factor = gap_gt / gap_gen
-    with np.errstate(over="ignore"):  # an overflowing product fails in _derive
+    with np.errstate(over="ignore"), _naming("gen"):  # an overflowing product fails in _derive
         return gen._derive(gen.rotations, factor * gen.translations, gen.convention), factor
 
 
@@ -149,11 +159,13 @@ def evaluate(gt: Trajectory, gen: Trajectory) -> AlignmentReport:
     poses score the same bits whichever convention stores them.
 
     Raises:
-        LengthMismatch, DegenerateBaseline.
+        LengthMismatch, DegenerateBaseline, CamTrajError (an overflow, naming gt or gen).
     """
     _check_lengths(gt, gen)
-    rel_gt = relativize(_to_w2c(gt))
-    rel_gen = relativize(_to_w2c(gen))
+    with _naming("gt"):
+        rel_gt = relativize(_to_w2c(gt))
+    with _naming("gen"):
+        rel_gen = relativize(_to_w2c(gen))
     rel_gen, factor = normalize_scale(rel_gt, rel_gen)
     r_total, r_frames = rot_err(rel_gt, rel_gen)
     t_total, t_frames = trans_err(rel_gt, rel_gen)

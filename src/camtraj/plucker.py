@@ -21,7 +21,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import CamTrajError, ShapeMismatch
-from .geometry import CameraPose, Convention, Extrinsics, Trajectory, convert_extrinsics
+from .geometry import (CameraPose, Convention, Extrinsics, Trajectory, check_finite_frames,
+                       convert_extrinsics)
 
 PIXEL_ORIGINS = ("center", "corner")
 VERIFY_TOL = 1e-6
@@ -99,11 +100,14 @@ def plucker_sequence(traj: Trajectory, pixel_origin: str = "center") -> np.ndarr
     Row v, column u of channel block 3..5 holds the unit direction through
     pixel (u, v); block 0..2 holds o x d, which is invariant to sliding the
     origin along the ray. Frames are computed one at a time, so float64
-    temporaries stay at one frame's size.
+    temporaries stay at one frame's size. A camera center past float64 raises
+    a CamTrajError naming its frame before the maps are allocated.
     """
     off = _pixel_offset(pixel_origin)  # validate before any work
-    r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention,
-                              Convention.CAMERA_TO_WORLD)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing center fails below
+        r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention,
+                                  Convention.CAMERA_TO_WORLD)
+    check_finite_frames(c, "camera center")
     shape = (len(traj), 6, traj.height, traj.width)
     try:
         out = np.empty(shape, dtype=np.float32)

@@ -271,6 +271,19 @@ def synth_traj_json(tmp_path, capsys, spec_dict, name="traj.json"):
     return out
 
 
+def far_center_json(tmp_path, capsys, convention):
+    """A 2-frame trajectory whose frame 0 (R a 45-degree turn about z,
+    t = (1.5e308, 1.5e308, 0)) overflows float64 when converted to the
+    other convention."""
+    doc = json.loads(synth_traj_json(tmp_path, capsys, {**PAN_SPEC, "frames": 2}).read_text())
+    c = math.sqrt(0.5)
+    doc["convention"] = convention
+    doc["poses"][0].update(R=[c, -c, 0, c, c, 0, 0, 0, 1], t=[1.5e308, 1.5e308, 0])
+    path = tmp_path / f"far_{convention}.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
 class TestEmbed:
     def test_reference_shape(self, tmp_path, capsys):
         traj = synth_traj_json(tmp_path, capsys, PAN_SPEC)
@@ -342,6 +355,16 @@ class TestEmbed:
                                    "--verify")
         assert (code, stdout) == (2, "")
         assert stderr.startswith(f"error: frame {frame}: Plucker map out of float range: ")
+        assert not out.exists() and no_temp_litter(tmp_path)
+
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_camera_center_exits_2(self, tmp_path, capsys):
+        # checked before the map is allocated, with no RuntimeWarning
+        out = tmp_path / "p.npy"
+        code, stdout, stderr = run(capsys, "embed", "--traj",
+                                   str(far_center_json(tmp_path, capsys, "w2c")), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: frame 0: camera center overflows float64\n"
         assert not out.exists() and no_temp_litter(tmp_path)
 
     def test_verify_accepts_far_camera_centers(self, tmp_path, capsys):
@@ -440,6 +463,18 @@ class TestEval:
                          "--out", str(tmp_path / "report.json"))
         assert code == 0
         assert calls == [16, 16]
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("far", ["gt", "gen"])
+    def test_overflowing_translation_names_input_and_frame(self, tmp_path, capsys, far):
+        traj = synth_traj_json(tmp_path, capsys, {**PAN_SPEC, "frames": 2})
+        paths = {"gt": traj, "gen": traj, far: far_center_json(tmp_path, capsys, "c2w")}
+        out = tmp_path / "report.json"
+        code, stdout, stderr = run(capsys, "eval", "--gt", str(paths["gt"]),
+                                   "--gen", str(paths["gen"]), "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: {far}: frame 0: translation overflows float64\n"
+        assert not out.exists()
 
     def test_missing_input(self, tmp_path, capsys):
         code, _, _ = run(capsys, "eval", "--gt", str(tmp_path / "no.json"),

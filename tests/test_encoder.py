@@ -20,6 +20,7 @@ import camtraj.encoder as enc
 from camtraj.encoder import (
     EncoderConfig,
     MultiScaleCameraFeatures,
+    ResBlockParams,
     build_encoder_weights,
     conv2d,
     encoder_forward,
@@ -268,8 +269,7 @@ class TestConv2d:
 class TestResBlock:
     def test_no_skip_composition(self):
         rng = np.random.default_rng(11)
-        w = build_encoder_weights(SMALL)
-        p = w.scales[0].res
+        p = build_encoder_weights(SMALL)["scale 1 residual block"]
         assert p.skip is None
         x = rand(rng, (2, 8, 8, 8))
         h = conv2d(x, p.conv1.w, p.conv1.b)
@@ -278,8 +278,7 @@ class TestResBlock:
 
     def test_downsample_skip(self):
         rng = np.random.default_rng(12)
-        w = build_encoder_weights(SMALL)
-        p = w.scales[1].down
+        p = build_encoder_weights(SMALL)["scale 2 downsample block"]
         assert p.skip is not None and p.stride == 2
         x = rand(rng, (2, 8, 8, 8))
         out = res_block(x, p)
@@ -469,14 +468,21 @@ class TestWeights:
     def test_deterministic_rebuild(self):
         a = build_encoder_weights(SMALL)
         b = build_encoder_weights(SMALL)
-        np.testing.assert_array_equal(a.stem.w, b.stem.w)
-        np.testing.assert_array_equal(a.scales[3].res_attn.mlp_w2,
-                                      b.scales[3].res_attn.mlp_w2)
+        np.testing.assert_array_equal(a["the stem"].w, b["the stem"].w)
+        np.testing.assert_array_equal(a["scale 4 attention"].mlp_w2,
+                                      b["scale 4 attention"].mlp_w2)
 
     def test_seed_changes_weights(self):
         a = build_encoder_weights(SMALL)
         b = build_encoder_weights(dataclasses.replace(SMALL, seed=8))
-        assert np.abs(a.stem.w - b.stem.w).max() > 0
+        assert np.abs(a["the stem"].w - b["the stem"].w).max() > 0
+
+    def test_stage_names_in_forward_order(self):
+        # the keys are the stage names errors print, in draw and forward order
+        later = [f"scale {k} {s}" for k in (2, 3, 4) for s in
+                 ("downsample block", "downsample attention", "residual block", "attention")]
+        assert list(build_encoder_weights(SMALL)) == [
+            "the stem", "scale 1 residual block", "scale 1 attention", *later]
 
     def test_stem_draw_replication(self):
         # pins the documented draw order: stem comes first from the stream
@@ -489,18 +495,18 @@ class TestWeights:
             return (2 * u - 1) * np.float32(math.sqrt(3.0 / fan_in))
 
         # conv weights are drawn tap-major, (k, k, cin, cout), and kept as (cout, cin, k, k)
-        np.testing.assert_array_equal(w.stem.w,
+        np.testing.assert_array_equal(w["the stem"].w,
                                       uniform((3, 3, cin, 8), cin * 9).transpose(3, 2, 0, 1))
         # scale 1 has no downsample stage, so its plain block draws next
-        np.testing.assert_array_equal(w.scales[0].res.conv1.w,
+        np.testing.assert_array_equal(w["scale 1 residual block"].conv1.w,
                                       uniform((3, 3, 8, 8), 8 * 9).transpose(3, 2, 0, 1))
 
     def test_conv_weights_tap_major(self):
         # each tap's (cin, cout) weight is contiguous, so conv2d hands it to BLAS
         # in place; a C-contiguous copy, as a caller may build, gives the same bytes
         w = build_encoder_weights(SMALL)
-        convs = [w.stem] + [conv for s in w.scales for blk in (s.down, s.res) if blk
-                            for conv in (blk.conv1, blk.conv2, blk.skip) if conv]
+        convs = [w["the stem"]] + [conv for blk in w.values() if isinstance(blk, ResBlockParams)
+                                   for conv in (blk.conv1, blk.conv2, blk.skip) if conv]
         assert len(convs) == 18  # the stem, two in scale 1, five in each later scale
         rng = np.random.default_rng(44)
         for conv in convs:
@@ -526,8 +532,8 @@ class TestWeights:
         assert len(dataclasses.fields(p)) == 12
 
     @pytest.mark.parametrize("pick, fan_in", [
-        (lambda w: w.scales[1].down.conv1.w, 32 * 9),
-        (lambda w: w.scales[3].res_attn.mlp_w2, 2 * 64)])
+        (lambda w: w["scale 2 downsample block"].conv1.w, 32 * 9),
+        (lambda w: w["scale 4 attention"].mlp_w2, 2 * 64)])
     def test_uniform_range_and_std(self, pick, fan_in):
         w = pick(build_encoder_weights(EncoderConfig(
             unshuffle_factor=2, scale_channels=(32, 64, 64, 64), heads=2, mlp_ratio=2, seed=3)))
@@ -536,23 +542,22 @@ class TestWeights:
 
     def test_biases_zero_affine_identity(self):
         w = build_encoder_weights(SMALL)
-        assert np.all(w.stem.b == 0)
-        attn = w.scales[2].down_attn
+        assert np.all(w["the stem"].b == 0)
+        attn = w["scale 3 downsample attention"]
         assert np.all(attn.bqkv == 0) and np.all(attn.bo == 0)
         assert np.all(attn.ln1_gamma == 1) and np.all(attn.ln1_beta == 0)
         assert np.all(attn.ln2_gamma == 1) and np.all(attn.ln2_beta == 0)
 
     def test_skip_placement(self):
         w = build_encoder_weights(SMALL)
-        assert w.scales[0].down is None and w.scales[0].down_attn is None
-        assert w.scales[1].down.skip is not None  # 8 -> 16 with stride 2
-        assert w.scales[2].down.skip is not None  # stride 2 alone forces it
-        assert w.scales[0].res.skip is None
-        assert all(s.res.skip is None for s in w.scales)
+        assert "scale 1 downsample block" not in w and "scale 1 downsample attention" not in w
+        assert w["scale 2 downsample block"].skip is not None  # 8 -> 16 with stride 2
+        assert w["scale 3 downsample block"].skip is not None  # stride 2 alone forces it
+        assert all(w[f"scale {k} residual block"].skip is None for k in range(1, 5))
 
     def test_fan_in_scale(self):
         w = build_encoder_weights(EncoderConfig())
-        measured = float(w.stem.w.std())
+        measured = float(w["the stem"].w.std())
         assert abs(measured - 1.0 / math.sqrt(384 * 9)) < 0.1 / math.sqrt(384 * 9)
 
     def test_config_validation(self):
@@ -680,22 +685,28 @@ class TestEncoderForward:
                 encoder_forward(x, SMALL)
 
     def test_out_of_memory_names_shape_and_stage(self, monkeypatch):
-        real = enc.res_block
-        calls = []
+        def fails(name, fail_at):
+            real, calls = getattr(enc, name), []
 
-        def fails_third(x, p):
-            calls.append(1)
-            if len(calls) == 3:  # the second block of scale 2
-                raise MemoryError
-            return real(x, p)
+            def wrapper(*args):
+                calls.append(1)
+                if len(calls) == fail_at:
+                    raise MemoryError
+                return real(*args)
+            return wrapper
 
-        monkeypatch.setattr(enc, "res_block", fails_third)
         x = rand(np.random.default_rng(38), (2, 6, 16, 16))
-        with pytest.raises(ConfigError) as exc:
-            encoder_forward(x, SMALL)
-        assert str(exc.value) == ("cannot allocate the forward pass of input shape "
-                                  "(1, 2, 6, 16, 16): out of memory in scale 2 residual block")
-        assert exc.value.__cause__ is None and exc.value.__suppress_context__
+        # the third residual block is scale 2's plain block; the second attention
+        # block is scale 2's first
+        for name, fail_at, stage in (("res_block", 3, "scale 2 residual block"),
+                                     ("_attend", 2, "scale 2 downsample attention")):
+            monkeypatch.setattr(enc, name, fails(name, fail_at))
+            with pytest.raises(ConfigError) as exc:
+                encoder_forward(x, SMALL)
+            monkeypatch.undo()
+            assert str(exc.value) == ("cannot allocate the forward pass of input shape "
+                                      f"(1, 2, 6, 16, 16): out of memory in {stage}")
+            assert exc.value.__cause__ is None and exc.value.__suppress_context__
 
 
 class TestWeightStream:
@@ -712,7 +723,7 @@ class TestWeightStream:
             assert a.shape == b.shape
             assert a.tobytes() == b.tobytes()
 
-    def test_draw_error_propagates_and_thread_joins(self, monkeypatch):
+    def test_draw_error_propagates_and_starts_no_thread(self, monkeypatch):
         boom = RuntimeError("draw failed")
         real = enc._init_attention
         calls = []
@@ -732,7 +743,7 @@ class TestWeightStream:
         assert len(calls) == 3
         assert threading.active_count() == before
 
-    def test_compute_error_joins_thread(self, monkeypatch):
+    def test_compute_error_propagates_and_starts_no_thread(self, monkeypatch):
         boom = RuntimeError("forward failed")
 
         def failing(*args, **kwargs):
@@ -746,7 +757,7 @@ class TestWeightStream:
         assert info.value is boom
         assert threading.active_count() == before
 
-    def test_success_joins_thread(self):
+    def test_success_starts_no_thread(self):
         before = threading.active_count()
         encoder_forward(rand(np.random.default_rng(36), (1, 2, 6, 16, 16)), SMALL)
         assert threading.active_count() == before
@@ -859,13 +870,15 @@ def nchw_forward(x, cfg, weights):
     blocks and attention token rows in (b, y, x) order, made by copies."""
     b, n = x.shape[:2]
     x = pixel_unshuffle(x, cfg.unshuffle_factor)
-    x = np.ascontiguousarray(conv2d(x.reshape(b * n, *x.shape[2:]), weights.stem.w,
-                                    weights.stem.b))
+    stem = weights["the stem"]
+    x = np.ascontiguousarray(conv2d(x.reshape(b * n, *x.shape[2:]), stem.w, stem.b))
     feats = []
-    for sw in weights.scales:
-        for blk, attn in ((sw.down, sw.down_attn), (sw.res, sw.res_attn)):
-            if blk is None:
-                continue
+    for k in range(1, 5):
+        stages = [("residual block", "attention")]
+        if k > 1:
+            stages.insert(0, ("downsample block", "downsample attention"))
+        for blk, attn in ((weights[f"scale {k} {s}"], weights[f"scale {k} {a}"])
+                          for s, a in stages):
             x = np.ascontiguousarray(res_block(x, blk))
             bn, c, h, w = x.shape
             rows = np.ascontiguousarray(x.reshape(b, n, c, h, w).transpose(0, 3, 4, 1, 2))
