@@ -20,10 +20,11 @@ The network is one sequence of blocks, named by the stages errors print:
 "the stem", then per scale k "scale k downsample block" and
 "scale k downsample attention" (from scale 2 on), "scale k residual block"
 and "scale k attention", whose output is scale k's feature map. Weights are
-drawn in this order, so ``encoder_forward`` without weights draws each block
-just before it runs and drops it when the next is drawn: at most two blocks,
-about 0.2 GB at the default config, are held instead of the full 0.9 GB.
-``build_encoder_weights`` returns the stream as a dict from stage name to block.
+drawn in this order, so ``encoder_forward`` without weights draws each conv
+or attention block just before it runs and drops it before the next draw: one
+of them, at most 79 MB at the default config, is held instead of the full
+0.9 GB. ``build_encoder_weights`` returns the drawn blocks as a dict from stage
+name to block.
 
 From the stem's output on, every activation is stored once as (h, w, b*n, c)
 and each block reads a free view of it: (b*n, c, h, w) frames for the k*k
@@ -40,8 +41,9 @@ LayerNorm and softmax steps work in place on their own temporaries.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -79,8 +81,7 @@ class EncoderConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
-@dataclass(frozen=True)
-class ConvParams:
+class ConvParams(NamedTuple):
     w: np.ndarray  # (cout, cin, k, k); drawn as a view of (k, k, cin, cout) storage
     b: np.ndarray  # (cout,)
 
@@ -91,6 +92,16 @@ class ResBlockParams:
     conv2: ConvParams
     skip: ConvParams | None  # 1x1, present when channels or stride change
     stride: int = 1
+
+    @property
+    def convs(self) -> Iterator[ConvParams | None]:  # in the order res_block runs them
+        return iter((self.conv1, self.conv2, self.skip))
+
+
+class _ResBlockDraw(NamedTuple):
+    """A residual block of the inline stream: ``convs`` draws each conv as it is taken."""
+    convs: Iterator[ConvParams | None]
+    stride: int
 
 
 @dataclass(frozen=True)
@@ -191,10 +202,10 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
     """'Same'-padded 2D convolution on (N, C, H, W) as k*k shifted GEMMs.
 
     Reads ``x`` as (H, W, N, C), a free view of encoder activations. Each
-    tap's shifted (for stride 2, strided) view of the zero-padded copy goes
+    tap's shifted (for stride 2, strided) window, zero past the border, goes
     into one reused buffer, times the tap's ``w.transpose(2, 3, 1, 0)[dy, dx]``,
     into one (Ho, Wo, N, Cout) output, returned as an (N, Cout, Ho, Wo) view.
-    No im2col: scratch is the padded copy, the tap buffer and one tap's
+    No im2col and no padded copy: scratch is the tap buffer and one tap's
     product. BLAS reads the tap-major weights of this module in place; a
     C-contiguous (Cout, Cin, k, k) array gives the same bytes via a copy.
     """
@@ -202,16 +213,21 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
     n, _, h, wd = x.shape
     pad = (k - 1) // 2
     ho, wo = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
-    src = x.transpose(2, 3, 0, 1)  # (H, W, N, C); a padded copy when k > 1
+    src = x.transpose(2, 3, 0, 1)  # (H, W, N, C)
     taps = w.transpose(2, 3, 1, 0)  # (k, k, Cin, Cout)
-    if pad:
-        src = np.pad(src, ((pad, pad), (pad, pad), (0, 0), (0, 0)))
+
+    def window(size, n_out, off):  # outputs [lo, hi) whose input i * stride + off is in range
+        lo = max(0, -(off // stride))
+        hi = max(lo, min(n_out, (size - 1 - off) // stride + 1))
+        return lo, hi, slice(lo * stride + off, hi * stride + off, stride)
     m = ho * wo * n
     tap = np.empty((ho, wo, n, cin), dtype=np.float32)
     out = np.empty((m, cout), dtype=np.float32)
     for t in range(k * k):
         dy, dx = divmod(t, k)
-        np.copyto(tap, src[dy:dy + stride * ho:stride, dx:dx + stride * wo:stride])
+        (y0, y1, ys), (x0, x1, xs) = window(h, ho, dy - pad), window(wd, wo, dx - pad)
+        tap[:y0] = tap[y1:] = tap[y0:y1, :x0] = tap[y0:y1, x1:] = 0  # taps past the border
+        np.copyto(tap[y0:y1, x0:x1], src[ys, xs])
         if t:
             out += tap.reshape(m, cin) @ taps[dy, dx]
         else:
@@ -220,11 +236,14 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
     return out.reshape(ho, wo, n, cout).transpose(2, 3, 0, 1)
 
 
-def res_block(x: np.ndarray, p: ResBlockParams) -> np.ndarray:
+def res_block(x: np.ndarray, p: ResBlockParams | _ResBlockDraw) -> np.ndarray:
     """conv3x3 -> SiLU -> conv3x3 plus skip; 1x1 skip conv when present."""
-    h = conv2d(x, p.conv1.w, p.conv1.b, stride=p.stride)
-    h = conv2d(silu(h), p.conv2.w, p.conv2.b, stride=1)
-    h += x if p.skip is None else conv2d(x, p.skip.w, p.skip.b, stride=p.stride)
+    convs = p.convs  # each taken just before it runs, so a streamed block draws it then
+    h = conv2d(x, *next(convs), p.stride)
+    h = silu(h)
+    h = conv2d(h, *next(convs), 1)
+    skip = next(convs)
+    h += x if skip is None else conv2d(x, *skip, p.stride)
     return h
 
 
@@ -334,24 +353,24 @@ def _init_attention(rng, c: int, mlp_ratio: int) -> AttentionParams:
                            ones.copy(), zeros.copy(), w1, b1, w2, b2)
 
 
-def _init_res_block(rng, cin: int, cout: int, stride: int) -> ResBlockParams:
-    conv1 = _init_conv(rng, cout, cin, 3)
-    conv2 = _init_conv(rng, cout, cout, 3)
-    skip = _init_conv(rng, cout, cin, 1) if cin != cout or stride != 1 else None
-    return ResBlockParams(conv1, conv2, skip, stride)
+def _init_res_block(rng, cin: int, cout: int, stride: int) -> _ResBlockDraw:
+    def convs():  # conv1, conv2, skip: the draw order is the run order
+        yield _init_conv(rng, cout, cin, 3)
+        yield _init_conv(rng, cout, cout, 3)
+        yield _init_conv(rng, cout, cin, 1) if cin != cout or stride != 1 else None
+    return _ResBlockDraw(convs(), stride)
 
 
-def _draw_blocks(cfg: EncoderConfig) -> Iterator[tuple[str, Block]]:
-    """The (stage, block) pairs of :func:`build_encoder_weights`, each drawn when asked for."""
-    rng = np.random.default_rng(cfg.seed)
+def _stages(cfg: EncoderConfig) -> Iterator[tuple[str, Callable, tuple]]:
+    """(stage, init, args) in forward order: ``init(rng, *args)`` draws the stage's block."""
     r, c1 = cfg.unshuffle_factor, cfg.scale_channels[0]
-    yield "the stem", _init_conv(rng, c1, _IN_CHANNELS * r * r, 3)
+    yield "the stem", _init_conv, (c1, _IN_CHANNELS * r * r, 3)
     for k, (prev, c) in enumerate(zip((c1, *cfg.scale_channels), cfg.scale_channels), 1):
         if k > 1:
-            yield f"scale {k} downsample block", _init_res_block(rng, prev, c, stride=2)
-            yield f"scale {k} downsample attention", _init_attention(rng, c, cfg.mlp_ratio)
-        yield f"scale {k} residual block", _init_res_block(rng, c, c, stride=1)
-        yield f"scale {k} attention", _init_attention(rng, c, cfg.mlp_ratio)
+            yield f"scale {k} downsample block", _init_res_block, (prev, c, 2)
+            yield f"scale {k} downsample attention", _init_attention, (c, cfg.mlp_ratio)
+        yield f"scale {k} residual block", _init_res_block, (c, c, 1)
+        yield f"scale {k} attention", _init_attention, (c, cfg.mlp_ratio)
 
 
 def build_encoder_weights(cfg: EncoderConfig) -> dict[str, Block]:
@@ -367,7 +386,10 @@ def build_encoder_weights(cfg: EncoderConfig) -> dict[str, Block]:
     comparable across identical configs. :func:`encoder_forward` draws the
     same stream block by block when no weights are passed.
     """
-    return dict(_draw_blocks(cfg))
+    rng = np.random.default_rng(cfg.seed)
+    blocks = ((stage, init(rng, *args)) for stage, init, args in _stages(cfg))
+    return {stage: ResBlockParams(*b.convs, b.stride) if isinstance(b, _ResBlockDraw) else b
+            for stage, b in blocks}
 
 
 # --- full forward -----------------------------------------------------------
@@ -414,12 +436,12 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
     """Run the full encoder on an (n, c, h, w) or (b, n, c, h, w) input.
 
     A 4D input is treated as batch size 1. Without ``weights`` the weights of
-    :func:`build_encoder_weights` are drawn inline, each block just before it
-    runs, so the full set is never held at once. Pass that dict explicitly
-    to reuse it across calls or to probe modified parameters. Either way one
-    loop runs each (stage, block) pair by the block's type and takes a
-    feature map after each "scale k attention", a (b, n, c, h, w) view of its
-    (h, w, b*n, c) storage; both give byte-identical features.
+    :func:`build_encoder_weights` are drawn inline, each conv or attention
+    block just before it runs, so the full set is never held at once. Pass
+    that dict explicitly to reuse it across calls or to probe modified
+    parameters. Either way one loop runs each stage's block by its type and
+    takes a feature map after each "scale k attention", a (b, n, c, h, w)
+    view of its (h, w, b*n, c) storage; both give byte-identical features.
 
     Raises:
         IndivisibleDims: spatial dims not divisible by 8 * unshuffle_factor.
@@ -456,14 +478,16 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             x = pixel_unshuffle(x, cfg.unshuffle_factor)
             x = x.reshape(b * n, *x.shape[2:])  # frames are independent outside attention
-            feats = []
-            for stage, blk in _draw_blocks(cfg) if weights is None else weights.items():
+            feats, rng = [], np.random.default_rng(cfg.seed)
+            for stage, init, args in _stages(cfg):  # the stage is named before its draw
+                blk = init(rng, *args) if weights is None else weights[stage]
                 if isinstance(blk, ConvParams):
-                    x = conv2d(x, blk.w, blk.b)
-                elif isinstance(blk, ResBlockParams):
-                    x = res_block(x, blk)
-                else:
+                    x = conv2d(x, *blk)
+                elif isinstance(blk, AttentionParams):
                     x = _attend(x, blk, cfg, n)
+                else:
+                    x = res_block(x, blk)
+                del blk  # block i is dead when block i+1 is drawn
                 if stage == f"scale {len(feats) + 1} attention":
                     feats.append(x.reshape(b, n, *x.shape[1:]))
     except MemoryError:

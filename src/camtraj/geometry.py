@@ -315,5 +315,6 @@ def relativize(traj: Trajectory) -> Trajectory:
         r, t = convert_extrinsics(traj.rotations, traj.translations, traj.convention, w2c)
         inv_r, inv_t = convert_extrinsics(r[0], t[0], w2c, Convention.CAMERA_TO_WORLD)
         rel_r, rel_t = convert_extrinsics(r @ inv_r, r @ inv_t + t, w2c, traj.convention)
+    check_finite_frames(inv_t[None], "translation")  # frame 0's own inverse, set below
     rel_r[0], rel_t[0] = np.eye(3), 0.0
     return traj._derive(rel_r, rel_t, traj.convention)

@@ -476,6 +476,20 @@ class TestEval:
         assert stderr == f"error: {far}: frame 0: translation overflows float64\n"
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_frame_0_named_in_either_convention(self, tmp_path, capsys):
+        # the c2w file's frame 0 overflows when converted to w2c; its w2c twin's
+        # frame 0 inverse, which relativize applies to every frame, does
+        traj = synth_traj_json(tmp_path, capsys, {**PAN_SPEC, "frames": 2})
+        for convention in ("c2w", "w2c"):
+            out = tmp_path / f"report_{convention}.json"
+            code, stdout, stderr = run(capsys, "eval", "--gt", str(traj), "--gen",
+                                       str(far_center_json(tmp_path, capsys, convention)),
+                                       "--out", str(out))
+            assert (code, stdout) == (2, "")
+            assert stderr == "error: gen: frame 0: translation overflows float64\n"
+            assert not out.exists()
+
     def test_missing_input(self, tmp_path, capsys):
         code, _, _ = run(capsys, "eval", "--gt", str(tmp_path / "no.json"),
                          "--gen", str(tmp_path / "no.json"),

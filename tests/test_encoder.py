@@ -9,11 +9,12 @@ import sys
 import threading
 import tracemalloc
 import warnings
+import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import camtraj.encoder as enc
@@ -36,7 +37,7 @@ from camtraj.encoder import (
 )
 from camtraj.errors import CamTrajError, ConfigError, IndivisibleDims, NonFiniteInput, ShapeMismatch
 from camtraj.plucker import verify_plucker
-from util import unshuffle_inverse
+from util import padded_conv2d, unshuffle_inverse
 
 SMALL = EncoderConfig(unshuffle_factor=2, scale_channels=(8, 16, 16, 16),
                       heads=2, mlp_ratio=2, seed=7)
@@ -244,17 +245,15 @@ class TestConv2d:
 
     @pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (1, 1), (1, 2)])
     def test_scratch_memory_bound(self, k, stride):
-        # the peak is the padded channels-last copy, the tap buffer, the
-        # output and one tap's product; the output is returned as an NCHW
-        # view, with no copy. An im2col buffer alone is k*k tap buffers.
+        # the peak is the tap buffer, the output and one tap's product, with no
+        # padded copy of the input; the output is returned as an NCHW view, with
+        # no copy. An im2col buffer alone is k*k tap buffers.
         n, cin, cout, h, w = 8, 16, 16, 24, 20
         rng = np.random.default_rng(37)
         x = rand(rng, (n, cin, h, w))
         wt = rand(rng, (cout, cin, k, k))
         b = rand(rng, (cout,))
-        pad = (k - 1) // 2
         ho, wo = (h - 1) // stride + 1, (w - 1) // stride + 1
-        padded = n * (h + 2 * pad) * (w + 2 * pad) * cin * 4 if pad else 0
         tap = n * ho * wo * cin * 4
         out = n * ho * wo * cout * 4
         tracemalloc.start()
@@ -263,7 +262,7 @@ class TestConv2d:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.1 * (padded + tap + 2 * out)
+        assert peak <= 1.1 * (tap + 2 * out)
 
 
 class TestResBlock:
@@ -708,6 +707,29 @@ class TestEncoderForward:
                                       f"(1, 2, 6, 16, 16): out of memory in {stage}")
             assert exc.value.__cause__ is None and exc.value.__suppress_context__
 
+    @pytest.mark.parametrize("name, fail_at, stage", [
+        ("_init_conv", 1, "the stem"),
+        ("_init_conv", 2, "scale 1 residual block"),  # its conv1
+        ("_init_conv", 5, "scale 2 downsample block"),  # its conv2
+        ("_init_attention", 1, "scale 1 attention"),
+        ("_init_attention", 2, "scale 2 downsample attention"),
+    ])
+    def test_out_of_memory_in_a_draw_names_the_stage_drawn(self, monkeypatch, name,
+                                                           fail_at, stage):
+        real, calls = getattr(enc, name), []
+
+        def fails(*args):
+            calls.append(1)
+            if len(calls) == fail_at:
+                raise MemoryError
+            return real(*args)
+
+        monkeypatch.setattr(enc, name, fails)
+        with pytest.raises(ConfigError) as exc:
+            encoder_forward(rand(np.random.default_rng(39), (2, 6, 16, 16)), SMALL)
+        assert str(exc.value) == ("cannot allocate the forward pass of input shape "
+                                  f"(1, 2, 6, 16, 16): out of memory in {stage}")
+
 
 class TestWeightStream:
     CFG = EncoderConfig(unshuffle_factor=2, scale_channels=(8, 16, 16, 16),
@@ -786,14 +808,37 @@ class TestInlineDraw:
         logged("_attend", "run attention", True)
         encoder_forward(rand(np.random.default_rng(37), (1, 2, 6, 16, 16)), SMALL)
 
-        def res(convs):
-            return ["draw conv"] * convs + ["run conv"] * convs + ["run res"]
+        def res(convs):  # each conv drawn just before it runs
+            return ["draw conv", "run conv"] * convs + ["run res"]
 
         attention = ["draw attention", "run attention"]
         want = ["draw conv", "run conv"] + res(2) + attention  # stem, scale 1
         for _ in SMALL.scale_channels[1:]:  # stride-2 block with its 1x1 skip, then plain
             want += res(3) + attention + res(2) + attention
         assert log == want
+
+    def test_drawn_weights_dead_before_the_next_draw(self, monkeypatch):
+        # each conv, a residual block's included, and each attention block is
+        # drawn only once every weight drawn before it has been freed
+        refs, draws = [], []
+
+        def tracked(name, arrays):
+            real = getattr(enc, name)
+
+            def wrapper(*args):
+                assert [r for r in refs if r() is not None] == [], f"draw {len(draws)}"
+                draws.append(name)
+                out = real(*args)
+                refs.extend(weakref.ref(a) for a in arrays(out))
+                return out
+            monkeypatch.setattr(enc, name, wrapper)
+
+        tracked("_init_conv", lambda c: (c.w, c.b))
+        tracked("_init_attention", lambda a: (a.wqkv, a.wo, a.mlp_w1, a.mlp_w2))
+        feats = encoder_forward(rand(np.random.default_rng(40), (1, 2, 6, 16, 16)), SMALL)
+        assert len(feats) == 4
+        assert draws.count("_init_conv") == 18 and draws.count("_init_attention") == 7
+        assert [r for r in refs if r() is not None] == []
 
     def test_cli_import_loads_no_thread_pool(self):
         src = str(Path(enc.__file__).resolve().parent.parent)
@@ -847,6 +892,25 @@ def test_conv2d_matches_direct_summation(case):
     assert got.shape == ref.shape and got.dtype == np.float32
     assert got.transpose(2, 3, 0, 1).flags.c_contiguous
     np.testing.assert_allclose(got, ref, rtol=1e-4, atol=1e-5)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.integers(1, 9), st.integers(1, 9), st.sampled_from((1, 3)), st.sampled_from((1, 2)),
+       st.integers(0, 2 ** 32 - 1))
+@example(1, 1, 3, 1, 0)  # h or w = 1: the outer taps of a 3x3 kernel have no valid window
+@example(1, 8, 3, 2, 1)
+@example(9, 1, 3, 2, 2)
+def test_conv2d_matches_padded_copy_bitwise(h, w, k, stride, seed):
+    # the tap buffers hold the bytes a zero-padded copy gives, so each GEMM and
+    # the output are the same bits
+    rng = np.random.default_rng(seed)
+    n, cin, cout = (int(v) for v in rng.integers(1, 5, 3))
+    x = rand(rng, (h, w, n, cin)).transpose(2, 3, 0, 1)  # encoder storage, an NCHW view
+    wt = rand(rng, (k, k, cin, cout)).transpose(3, 2, 0, 1)  # tap-major, as drawn
+    b = rand(rng, (cout,))
+    got, ref = conv2d(x, wt, b, stride), padded_conv2d(x, wt, b, stride)
+    assert got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
 
 
 @pytest.mark.parametrize("call, error", [

@@ -199,12 +199,13 @@ class TestInvertCompose:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_invert_fails_typed(self):
-        # frame 0's c2w -> w2c inverse overflows inside relativize
+        # frame 0's c2w -> w2c inverse overflows inside relativize; it is named,
+        # though relativize then sets frame 0 to the identity
         c = math.sqrt(0.5)
         r = np.array([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]])
         traj = Trajectory.from_arrays([r, np.eye(3)], [[1.5e308, 1.5e308, 0.0], [0.0] * 3],
                                       [[10, 10, 5, 5]] * 2, C2W, 10, 10)
-        with pytest.raises(CamTrajError, match="^frame 1: translation overflows float64$"):
+        with pytest.raises(CamTrajError, match="^frame 0: translation overflows float64$"):
             relativize(traj)
 
 

@@ -84,6 +84,29 @@ def unshuffle_inverse(y, r):
     return x.reshape(b, n, c // (r * r), h * r, w * r)
 
 
+def padded_conv2d(x, w, b, stride=1):
+    """The shifted-GEMM conv of ``camtraj.encoder.conv2d`` run on a zero-padded
+    copy of the input: the same tap buffers and GEMMs, so the same bits."""
+    cout, cin, k, _ = w.shape
+    n, _, h, wd = x.shape
+    pad = (k - 1) // 2
+    ho, wo = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
+    src = np.pad(x.transpose(2, 3, 0, 1), ((pad, pad), (pad, pad), (0, 0), (0, 0)))
+    taps = w.transpose(2, 3, 1, 0)
+    m = ho * wo * n
+    tap = np.empty((ho, wo, n, cin), dtype=np.float32)
+    out = np.empty((m, cout), dtype=np.float32)
+    for t in range(k * k):
+        dy, dx = divmod(t, k)
+        np.copyto(tap, src[dy:dy + stride * ho:stride, dx:dx + stride * wo:stride])
+        if t:
+            out += tap.reshape(m, cin) @ taps[dy, dx]
+        else:
+            np.matmul(tap.reshape(m, cin), taps[dy, dx], out=out)
+    out += b
+    return out.reshape(ho, wo, n, cout).transpose(2, 3, 0, 1)
+
+
 def plucker_frame(pose, width, height, pixel_origin="center"):
     """(6, height, width) float32 Plucker map of one pose."""
     return plucker_sequence(Trajectory((pose,), width, height), pixel_origin)[0]
