@@ -134,17 +134,18 @@ def cmd_synth(args) -> int:
 
 def cmd_embed(args) -> int:
     traj = pose_io.trajectory_from_json(_read_text(args.traj))
-    seq = plucker.plucker_sequence(traj, pixel_origin=args.pixel_origin)
-    _atomic_write_all([(args.out, functools.partial(npyio.write_npy, seq))])
-    print(f"embedded {seq.shape} -> {args.out}")
-    del seq  # the check reads the file back; do not hold both copies
-    if args.verify:
-        back = npyio.read_npy_file(args.out)
-        report = plucker.verify_plucker(back)
-        status = "ok" if report["ok"] else "FAILED"
-        print(f"verify {status}: max |norm(d)-1| = {report['direction_norm']:.3e}, "
-              f"max |m.d|/max(1,|m|) = {report['moment_dot']:.3e}")
-        if not report["ok"]:
+    shape = (len(traj), 6, traj.height, traj.width)
+    frames = plucker.plucker_frames(traj, pixel_origin=args.pixel_origin)
+    _atomic_write_all([(args.out, functools.partial(npyio.write_npy_frames, frames, shape))])
+    print(f"embedded {shape} -> {args.out}")
+    if args.verify:  # frame by frame, as written: maxima over frames are the whole map's
+        with open(args.out, "rb") as f:
+            reports = [plucker.verify_plucker(frame) for frame in npyio.read_npy_frames(f)]
+        norm_dev, dot_dev = np.max([(r["direction_norm"], r["moment_dot"]) for r in reports], 0)
+        ok = all(r["ok"] for r in reports)
+        print(f"verify {'ok' if ok else 'FAILED'}: max |norm(d)-1| = {norm_dev:.3e}, "
+              f"max |m.d|/max(1,|m|) = {dot_dev:.3e}")
+        if not ok:
             raise CamTrajError("written embedding failed invariant check")
     return EXIT_OK
 

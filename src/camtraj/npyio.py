@@ -17,11 +17,13 @@ import ast
 import io
 import math
 import struct
+from collections.abc import Iterable, Iterator
 from typing import BinaryIO
 
 import numpy as np
 
-from .errors import BadMagic, TruncatedPayload, UnsupportedDtype, UnsupportedOrder
+from .errors import (BadMagic, ShapeMismatch, TruncatedPayload, UnsupportedDtype,
+                     UnsupportedOrder)
 
 MAGIC = b"\x93NUMPY"
 VERSION = b"\x01\x00"
@@ -29,33 +31,39 @@ ALIGN = 64
 READ_CHUNK = 1 << 24  # bytes per read from a source that cannot seek
 
 
-def _header_bytes(shape: tuple[int, ...]) -> bytes:
+def _write_header(shape: tuple[int, ...], sink: BinaryIO) -> None:
     header = ("{'descr': '<f4', 'fortran_order': False, 'shape': "
               f"{tuple(int(s) for s in shape)!r}, }}")
-    base = len(MAGIC) + len(VERSION) + 2  # preamble before the dict text
-    pad = ALIGN - (base + len(header) + 1) % ALIGN
-    if pad == ALIGN:
-        pad = 0
-    return (header + " " * pad + "\n").encode("ascii")
+    header += " " * (-(len(MAGIC) + len(VERSION) + 2 + len(header) + 1) % ALIGN) + "\n"
+    sink.write(MAGIC + VERSION + struct.pack("<H", len(header)) + header.encode("ascii"))
 
 
-def write_npy(arr: np.ndarray, sink: BinaryIO) -> None:
-    """Write a float32 array to ``sink`` as NPY v1.0.
-
-    The array is converted to C order if needed; dtype must already be
-    float32 (no silent casts of actual values).
-    """
+def _payload(arr: np.ndarray) -> memoryview:
+    """C-order bytes of a float32 array: no silent casts of actual values."""
     a = np.asarray(arr)
     if a.dtype != np.float32:
         raise UnsupportedDtype(f"write_npy only emits float32, got {a.dtype}")
-    shape = a.shape
-    a = np.ascontiguousarray(a)  # promotes 0-d to (1,); header keeps the true shape
-    header = _header_bytes(shape)
-    sink.write(MAGIC)
-    sink.write(VERSION)
-    sink.write(struct.pack("<H", len(header)))
-    sink.write(header)
-    sink.write(a.data)
+    return np.ascontiguousarray(a).data  # promotes 0-d to (1,); the header keeps the shape
+
+
+def write_npy(arr: np.ndarray, sink: BinaryIO) -> None:
+    """Write a float32 array to ``sink`` as NPY v1.0, converted to C order if needed."""
+    data = _payload(arr)
+    _write_header(np.shape(arr), sink)
+    sink.write(data)
+
+
+def write_npy_frames(frames: Iterable[np.ndarray], shape: tuple[int, ...], sink: BinaryIO):
+    """Write an NPY v1.0 float32 array of ``shape`` from its frames along
+    axis 0, taken one at a time: the bytes of :func:`write_npy`, one frame held."""
+    _write_header(shape, sink)
+    count = 0
+    for count, frame in enumerate(frames, start=1):
+        if np.shape(frame) != tuple(shape[1:]):
+            raise ShapeMismatch(f"frame of shape {np.shape(frame)} in an array of shape {shape}")
+        sink.write(_payload(frame))
+    if count != shape[0]:
+        raise ShapeMismatch(f"{count} frames written to an array of shape {shape}")
 
 
 def write_npy_file(arr: np.ndarray, path) -> None:
@@ -63,18 +71,8 @@ def write_npy_file(arr: np.ndarray, path) -> None:
         write_npy(arr, f)
 
 
-def read_npy(source: BinaryIO) -> np.ndarray:
-    """Read an NPY v1.0 float32 C-order array from ``source``.
-
-    Raises:
-        BadMagic: wrong magic bytes, wrong version, or a malformed header.
-        UnsupportedDtype: descr other than '<f4'.
-        UnsupportedOrder: fortran_order true.
-        TruncatedPayload: fewer payload bytes than the shape requires;
-            checked before allocating when ``source`` is seekable, and
-            before allocating more than one chunk past the bytes received
-            when it is not.
-    """
+def _read_header(source: BinaryIO) -> tuple[int, ...]:
+    """Shape in the NPY preamble at ``source``, checked as :func:`read_npy` documents."""
     magic = source.read(len(MAGIC))
     if magic != MAGIC:
         raise BadMagic(f"bad magic bytes {magic!r}")
@@ -102,22 +100,59 @@ def read_npy(source: BinaryIO) -> np.ndarray:
     if (not isinstance(shape, tuple)
             or not all(isinstance(s, int) and s >= 0 for s in shape)):
         raise BadMagic(f"invalid shape {shape!r}")
-    expected = math.prod(shape) * 4
-    if not source.seekable():
-        return _read_unseekable(source, shape, expected)
-    here = source.tell()
-    left = source.seek(0, io.SEEK_END) - here
-    source.seek(here)
-    if left < expected:
-        raise TruncatedPayload(expected, left)
+    if source.seekable():
+        here = source.tell()
+        left = source.seek(0, io.SEEK_END) - here
+        source.seek(here)
+        if left < math.prod(shape) * 4:
+            raise TruncatedPayload(math.prod(shape) * 4, left)
+    return shape
+
+
+def _empty(shape: tuple[int, ...]) -> np.ndarray:
     try:
-        arr = np.empty(shape, dtype="<f4")
+        return np.empty(shape, dtype="<f4")
     except ValueError:  # more dims than numpy allows, or a size past its limit
         raise BadMagic(f"invalid shape {shape!r}") from None
+
+
+def read_npy(source: BinaryIO) -> np.ndarray:
+    """Read an NPY v1.0 float32 C-order array from ``source``.
+
+    Raises:
+        BadMagic: wrong magic bytes, wrong version, or a malformed header.
+        UnsupportedDtype: descr other than '<f4'.
+        UnsupportedOrder: fortran_order true.
+        TruncatedPayload: fewer payload bytes than the shape requires;
+            checked before allocating when ``source`` is seekable, and
+            before allocating more than one chunk past the bytes received
+            when it is not.
+    """
+    shape = _read_header(source)
+    if not source.seekable():
+        return _read_unseekable(source, shape, math.prod(shape) * 4)
+    arr = _empty(shape)
     got = source.readinto(arr.reshape(-1).view(np.uint8))
-    if got != expected:
-        raise TruncatedPayload(expected, got)
+    if got != arr.nbytes:
+        raise TruncatedPayload(arr.nbytes, got)
     return arr
+
+
+def read_npy_frames(source: BinaryIO) -> Iterator[np.ndarray]:
+    """Yield each frame along axis 0 of the NPY v1.0 array at ``source``, read into one
+    reused buffer; raises what :func:`read_npy` raises, and ShapeMismatch for a 0-d array."""
+    shape = _read_header(source)
+    if not shape:
+        raise ShapeMismatch("a 0-d array has no frames to read")
+    buf = _empty((min(shape[0], 1), *shape[1:]))  # one frame, or none: numpy checks all dims
+    view = buf.reshape(-1).view(np.uint8)
+    for i in range(shape[0]):
+        got = 0
+        while got < len(view) and (n := source.readinto(view[got:])):  # a pipe reads short
+            got += n
+        if got != len(view):
+            raise TruncatedPayload(math.prod(shape) * 4, i * len(view) + got)
+        yield buf[0]
 
 
 def _read_unseekable(source: BinaryIO, shape: tuple[int, ...], expected: int) -> np.ndarray:

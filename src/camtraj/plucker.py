@@ -12,11 +12,15 @@ Rays are sampled at pixel centers by default (u + 0.5, v + 0.5); pass
 One kernel computes every ray, one frame at a time on contiguous (h, w)
 float64 planes, bit for bit the pixel-major (h, w, 3) matmul/norm/cross
 form (``ray_direction`` runs it on one pixel); a ray out of float range
-raises a CamTrajError. ``verify_plucker`` reads blocks of about 16K pixels,
-so checking an (n, 6, h, w) map needs about 1 MB of float64 beyond the map.
+raises a CamTrajError naming its frame. ``plucker_frames`` runs it into one
+reused buffer, which ``camtraj embed`` streams to disk, or into the (n, 6, h,
+w) map of ``plucker_sequence``. ``verify_plucker`` reads blocks of about 16K
+pixels, so it needs about 1 MB of float64 beyond the map.
 """
 
 from __future__ import annotations
+
+from collections.abc import Iterator
 
 import numpy as np
 
@@ -94,15 +98,12 @@ def _fill_map(out: np.ndarray, intrinsics, r_c2w: np.ndarray, center: np.ndarray
         raise CamTrajError(f"Plucker map out of float range: {e}") from None
 
 
-def plucker_sequence(traj: Trajectory, pixel_origin: str = "center") -> np.ndarray:
-    """Dense (n, 6, h, w) float32 Plucker maps, one per frame.
-
-    Row v, column u of channel block 3..5 holds the unit direction through
-    pixel (u, v); block 0..2 holds o x d, which is invariant to sliding the
-    origin along the ray. Frames are computed one at a time, so float64
-    temporaries stay at one frame's size. A camera center past float64 raises
-    a CamTrajError naming its frame before the maps are allocated.
-    """
+def plucker_frames(traj: Trajectory, pixel_origin: str = "center",
+                   stack: bool = False) -> Iterator[np.ndarray]:
+    """Yield each frame's (6, h, w) float32 Plucker map, in order, computed into
+    one reused buffer, or with ``stack`` into its slot of one (n, 6, h, w) array.
+    A camera center past float64 raises a CamTrajError naming its frame before
+    the buffer is allocated; an allocation failure names the full shape."""
     off = _pixel_offset(pixel_origin)  # validate before any work
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing center fails below
         r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention,
@@ -110,15 +111,23 @@ def plucker_sequence(traj: Trajectory, pixel_origin: str = "center") -> np.ndarr
     check_finite_frames(c, "camera center")
     shape = (len(traj), 6, traj.height, traj.width)
     try:
-        out = np.empty(shape, dtype=np.float32)
+        buf = np.empty(shape if stack else shape[1:], dtype=np.float32)
     except (MemoryError, ValueError):  # ValueError: past numpy's size limit
         raise CamTrajError(f"cannot allocate a float32 embedding of shape {shape}") from None
     for i in range(len(traj)):
+        frame = buf[i] if stack else buf
         try:
-            _fill_map(out[i], traj.intrinsics[i], r[i], c[i], off)
+            _fill_map(frame, traj.intrinsics[i], r[i], c[i], off)
         except CamTrajError as e:
             raise CamTrajError(f"frame {i}: {e}") from None
-    return out
+        yield frame
+
+
+def plucker_sequence(traj: Trajectory, pixel_origin: str = "center") -> np.ndarray:
+    """Dense (n, 6, h, w) float32 Plucker maps, one per frame: row v, column u
+    of channel block 3..5 holds the unit direction through pixel (u, v); block
+    0..2 holds o x d, which is invariant to sliding the origin along the ray."""
+    return [*plucker_frames(traj, pixel_origin, stack=True)][-1].base
 
 
 def _block_deviations(frame: np.ndarray) -> tuple[float, float]:

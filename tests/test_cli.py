@@ -1,22 +1,29 @@
 """End-to-end subcommand tests driving main() directly."""
 
+import contextlib
 import dataclasses
+import io
 import json
 import math
 import os
 import subprocess
 import sys
+import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from camtraj import cli, geometry, pose_io
+from camtraj import cli, geometry, plucker, pose_io
 from camtraj.cli import main
 from camtraj.encoder import EncoderConfig
 from camtraj.geometry import Convention
-from camtraj.npyio import read_npy_file, write_npy_file
-from camtraj.plucker import camera_center
-from camtraj.pose_io import trajectory_from_json
+from camtraj.npyio import read_npy_file, write_npy, write_npy_file
+from camtraj.plucker import camera_center, plucker_sequence, verify_plucker
+from camtraj.pose_io import trajectory_from_json, trajectory_to_json
+from util import random_trajectory
 
 
 def run(capsys, *argv):
@@ -379,6 +386,76 @@ class TestEmbed:
         assert code == 0
         assert "verify ok: max |norm(d)-1| = " in stdout
         assert ", max |m.d|/max(1,|m|) = " in stdout
+
+
+class TestEmbedStream:
+    """embed computes, writes and verifies one frame at a time: its file and
+    its verify line are those of the whole-array library path."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), frames=st.integers(1, 5),
+           height=st.integers(1, 9), width=st.integers(1, 9),
+           pixel_origin=st.sampled_from(plucker.PIXEL_ORIGINS),
+           convention=st.sampled_from(list(Convention)))
+    def test_stream_matches_whole_array(self, seed, frames, height, width, pixel_origin,
+                                        convention):
+        text = trajectory_to_json(random_trajectory(np.random.default_rng(seed), frames,
+                                                    convention, width, height))
+        whole = plucker_sequence(trajectory_from_json(text), pixel_origin)
+        expected = io.BytesIO()
+        write_npy(whole, expected)
+        report = verify_plucker(whole)
+        verify_line = (f"verify {'ok' if report['ok'] else 'FAILED'}: "
+                       f"max |norm(d)-1| = {report['direction_norm']:.3e}, "
+                       f"max |m.d|/max(1,|m|) = {report['moment_dot']:.3e}")
+        with tempfile.TemporaryDirectory() as tmp:
+            traj, out = os.path.join(tmp, "traj.json"), os.path.join(tmp, "p.npy")
+            with open(traj, "w", encoding="utf-8") as f:
+                f.write(text)
+            stdout = io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+                code = main(["embed", "--traj", traj, "--out", out,
+                             "--pixel-origin", pixel_origin, "--verify"])
+            with open(out, "rb") as f:
+                written = f.read()
+        assert code == (0 if report["ok"] else 2)
+        assert written == expected.getvalue()
+        assert stdout.getvalue().splitlines() == [
+            f"embedded {whole.shape} -> {out}", verify_line]
+
+    def test_memory_does_not_scale_with_frames(self, tmp_path, capsys):
+        spec = {"frames": 16, "width": 256, "height": 160,
+                "intrinsics": {"fx": 128, "fy": 128, "cx": 128, "cy": 80},
+                "motions": [{"kind": "pan", "direction": [1, 0, 0], "interval": 0.1},
+                            {"kind": "rotate", "axis": [0, 1, 0], "degrees": 20}]}
+        traj = synth_traj_json(tmp_path, capsys, spec)
+        out = tmp_path / "p.npy"
+        tracemalloc.start()
+        try:
+            code = main(["embed", "--traj", str(traj), "--out", str(out), "--verify"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert "verify ok" in capsys.readouterr().out
+        # the whole map is 16 frames; one frame's float32 map and float64 planes are 3
+        assert peak < out.stat().st_size / 4
+
+    def test_failed_verify_exits_2(self, tmp_path, capsys, monkeypatch):
+        real_fill = plucker._fill_map
+
+        def long_directions(out, *args):
+            real_fill(out, *args)
+            out[3:6] *= 2  # |d| = 2
+
+        monkeypatch.setattr(plucker, "_fill_map", long_directions)
+        traj = synth_traj_json(tmp_path, capsys, {**PAN_SPEC, "frames": 3})
+        code, stdout, stderr = run(capsys, "embed", "--traj", str(traj),
+                                   "--out", str(tmp_path / "p.npy"), "--verify")
+        assert code == 2
+        assert stdout.splitlines()[1].startswith("verify FAILED: max |norm(d)-1| = 1.000e+00")
+        assert stderr == "error: written embedding failed invariant check\n"
+        assert "Traceback" not in stdout + stderr
 
 
 class TestEval:

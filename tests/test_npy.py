@@ -10,9 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
-from camtraj.errors import BadMagic, TruncatedPayload, UnsupportedDtype, UnsupportedOrder
+from camtraj.errors import (BadMagic, ShapeMismatch, TruncatedPayload, UnsupportedDtype,
+                            UnsupportedOrder)
 from camtraj import npyio
-from camtraj.npyio import READ_CHUNK, read_npy, read_npy_file, write_npy, write_npy_file
+from camtraj.npyio import (READ_CHUNK, read_npy, read_npy_file, read_npy_frames, write_npy,
+                           write_npy_file, write_npy_frames)
 
 
 def dumps(arr):
@@ -307,6 +309,68 @@ class TestHostileHeader:
         buf.seek(4)
         assert read_npy(buf).tobytes() == arr.tobytes()
         assert buf.read() == b"tail"
+
+
+class TestFrames:
+    """The frame-stream path writes write_npy's bytes and reads with read_npy's checks."""
+
+    @pytest.mark.parametrize("shape", [(3, 2, 5), (1, 4), (0, 3), (2,)])
+    def test_frames_round_trip(self, shape):
+        arr = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
+        buf = io.BytesIO()
+        write_npy_frames(iter(arr), shape, buf)
+        assert buf.getvalue() == dumps(arr)
+        for source in (io.BytesIO(buf.getvalue()), Unseekable(buf.getvalue())):
+            frames = [f.copy() for f in read_npy_frames(source)]
+            assert len(frames) == shape[0]
+            for got, want in zip(frames, arr):
+                assert got.tobytes() == want.tobytes() and got.shape == want.shape
+
+    def test_short_reads(self):
+        class Trickle(Unseekable):  # a pipe that hands out at most 200 bytes per read
+            def readinto(self, b):
+                return self._src.readinto(memoryview(b)[:200])
+
+        arr = np.arange(2400, dtype=np.float32).reshape(2, 30, 40)
+        frames = [f.copy() for f in read_npy_frames(Trickle(dumps(arr)))]
+        assert np.stack(frames).tobytes() == arr.tobytes()
+
+    def test_one_reused_buffer(self):
+        arr = np.arange(12, dtype=np.float32).reshape(3, 4)
+        bases = {id(f.base) for f in read_npy_frames(io.BytesIO(dumps(arr)))}
+        assert len(bases) == 1
+
+    def test_truncated_before_any_frame(self):
+        data = dumps(np.ones((3, 4), dtype=np.float32))[:-4]
+        frames = read_npy_frames(io.BytesIO(data))
+        with pytest.raises(TruncatedPayload) as exc:
+            next(frames)
+        assert (exc.value.expected, exc.value.actual) == (48, 44)
+        frames = read_npy_frames(Unseekable(data))  # a pipe fails at the short frame
+        next(frames), next(frames)
+        with pytest.raises(TruncatedPayload) as exc:
+            next(frames)
+        assert (exc.value.expected, exc.value.actual) == (48, 44)
+
+    @pytest.mark.parametrize("data, error", [
+        (b"\x93NUMPZ\x01\x00", BadMagic),
+        (preamble((1,) * 70) + b"\0" * 4, BadMagic),
+        (preamble((0, 10 ** 30)), BadMagic),
+        (preamble((0, 2 ** 40, 2 ** 40)), BadMagic),
+        (preamble(()) + b"\0" * 4, ShapeMismatch),
+        (preamble((2,)).replace(b"<f4", b"<f8"), UnsupportedDtype),
+        (preamble((2,)).replace(b"False", b"True "), UnsupportedOrder)])
+    def test_header_faults(self, data, error):
+        with pytest.raises(error):
+            next(read_npy_frames(io.BytesIO(data)))
+
+    def test_writer_checks_frames(self):
+        with pytest.raises(ShapeMismatch):
+            write_npy_frames([np.zeros((2, 3), np.float32)], (1, 3, 2), io.BytesIO())
+        with pytest.raises(ShapeMismatch):
+            write_npy_frames([np.zeros(3, np.float32)], (2, 3), io.BytesIO())
+        with pytest.raises(UnsupportedDtype):
+            write_npy_frames([np.zeros(3)], (1, 3), io.BytesIO())
 
 
 # Any 32-bit pattern as float32, drawn often from the quiet and signalling
