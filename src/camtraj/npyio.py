@@ -9,6 +9,12 @@ Layout: 6 magic bytes (0x93 'NUMPY'), version 1.0, a little-endian u16
 header length, then an ASCII header dict padded with spaces so the whole
 preamble is a multiple of 64 bytes and ends in a newline, then the raw
 little-endian float32 payload.
+
+Every byte moves through one loop per direction, ``_read_into`` and
+``_write_all``, which call ``readinto`` or ``write`` until all bytes have
+moved, so a pipe or raw file that moves fewer per call loses none. Both take
+flat uint8 views of the arrays and copy nothing. The header's shape is
+checked once, by numpy building an array of that shape with no elements.
 """
 
 from __future__ import annotations
@@ -31,26 +37,36 @@ ALIGN = 64
 READ_CHUNK = 1 << 24  # bytes per read from a source that cannot seek
 
 
+def _write_all(sink: BinaryIO, data) -> None:
+    """Write all of ``data``, a flat byte view, calling ``write`` until ``sink`` takes it."""
+    done = 0
+    while done < len(data):
+        if not (n := sink.write(data[done:])):  # 0, or None from a non-blocking raw sink
+            raise OSError(f"sink took no bytes with {len(data) - done} left to write")
+        done += n
+
+
 def _write_header(shape: tuple[int, ...], sink: BinaryIO) -> None:
     header = ("{'descr': '<f4', 'fortran_order': False, 'shape': "
               f"{tuple(int(s) for s in shape)!r}, }}")
     header += " " * (-(len(MAGIC) + len(VERSION) + 2 + len(header) + 1) % ALIGN) + "\n"
-    sink.write(MAGIC + VERSION + struct.pack("<H", len(header)) + header.encode("ascii"))
+    preamble = MAGIC + VERSION + struct.pack("<H", len(header)) + header.encode("ascii")
+    _write_all(sink, memoryview(preamble))
 
 
-def _payload(arr: np.ndarray) -> memoryview:
-    """C-order bytes of a float32 array: no silent casts of actual values."""
+def _payload(arr: np.ndarray) -> np.ndarray:
+    """C-order bytes of a float32 array as a flat uint8 view: no silent casts of actual values."""
     a = np.asarray(arr)
     if a.dtype != np.float32:
         raise UnsupportedDtype(f"write_npy only emits float32, got {a.dtype}")
-    return np.ascontiguousarray(a).data  # promotes 0-d to (1,); the header keeps the shape
+    return np.ascontiguousarray(a).reshape(-1).view(np.uint8)
 
 
 def write_npy(arr: np.ndarray, sink: BinaryIO) -> None:
     """Write a float32 array to ``sink`` as NPY v1.0, converted to C order if needed."""
     data = _payload(arr)
     _write_header(np.shape(arr), sink)
-    sink.write(data)
+    _write_all(sink, data)
 
 
 def write_npy_frames(frames: Iterable[np.ndarray], shape: tuple[int, ...], sink: BinaryIO):
@@ -61,7 +77,7 @@ def write_npy_frames(frames: Iterable[np.ndarray], shape: tuple[int, ...], sink:
     for count, frame in enumerate(frames, start=1):
         if np.shape(frame) != tuple(shape[1:]):
             raise ShapeMismatch(f"frame of shape {np.shape(frame)} in an array of shape {shape}")
-        sink.write(_payload(frame))
+        _write_all(sink, _payload(frame))
     if count != shape[0]:
         raise ShapeMismatch(f"{count} frames written to an array of shape {shape}")
 
@@ -71,23 +87,29 @@ def write_npy_file(arr: np.ndarray, path) -> None:
         write_npy(arr, f)
 
 
+def _read_into(source: BinaryIO, buf) -> int:
+    """Bytes read into the flat byte view ``buf``, by ``readinto`` until full or at the end."""
+    got = 0
+    while got < len(buf) and (n := source.readinto(buf[got:])):
+        got += n
+    return got
+
+
 def _read_header(source: BinaryIO) -> tuple[int, ...]:
     """Shape in the NPY preamble at ``source``, checked as :func:`read_npy` documents."""
-    magic = source.read(len(MAGIC))
-    if magic != MAGIC:
-        raise BadMagic(f"bad magic bytes {magic!r}")
-    version = source.read(2)
-    if version != VERSION:
-        raise BadMagic(f"unsupported version bytes {version!r}, expected 1.0")
-    raw_len = source.read(2)
-    if len(raw_len) != 2:
+    buf = np.empty(len(MAGIC) + len(VERSION) + 2, np.uint8)  # up to the header length
+    fixed = buf[:_read_into(source, buf)].tobytes()
+    if fixed[:6] != MAGIC:
+        raise BadMagic(f"bad magic bytes {fixed[:6]!r}")
+    if fixed[6:8] != VERSION:
+        raise BadMagic(f"unsupported version bytes {fixed[6:8]!r}, expected 1.0")
+    if len(fixed) != 10:
         raise BadMagic("preamble ends before header length")
-    (hlen,) = struct.unpack("<H", raw_len)
-    header = source.read(hlen)
-    if len(header) != hlen:
-        raise BadMagic(f"header truncated: expected {hlen} bytes, got {len(header)}")
+    header = np.empty(struct.unpack("<H", fixed[8:])[0], np.uint8)
+    if (got := _read_into(source, header)) != len(header):
+        raise BadMagic(f"header truncated: expected {len(header)} bytes, got {got}")
     try:
-        meta = ast.literal_eval(header.decode("ascii").strip())
+        meta = ast.literal_eval(header.tobytes().decode("ascii").strip())
     except (ValueError, SyntaxError, MemoryError, RecursionError) as e:  # last two: deep nesting
         raise BadMagic(f"malformed header dict: {e}") from None
     if not isinstance(meta, dict) or set(meta) != {"descr", "fortran_order", "shape"}:
@@ -97,9 +119,12 @@ def _read_header(source: BinaryIO) -> tuple[int, ...]:
     if meta["fortran_order"] is not False:
         raise UnsupportedOrder(f"fortran_order {meta['fortran_order']!r} not supported")
     shape = meta["shape"]
-    if (not isinstance(shape, tuple)
-            or not all(isinstance(s, int) and s >= 0 for s in shape)):
+    if not (isinstance(shape, tuple) and all(type(s) is int and s >= 0 for s in shape)):
         raise BadMagic(f"invalid shape {shape!r}")
+    try:  # numpy checks every dim; with a zero in the shape, or put first, it allocates nothing
+        np.empty(shape if 0 in shape else (0, *shape[1:]), "<f4")
+    except ValueError:  # more dims than numpy allows, or a size past its limit
+        raise BadMagic(f"invalid shape {shape!r}") from None
     if source.seekable():
         here = source.tell()
         left = source.seek(0, io.SEEK_END) - here
@@ -107,13 +132,6 @@ def _read_header(source: BinaryIO) -> tuple[int, ...]:
         if left < math.prod(shape) * 4:
             raise TruncatedPayload(math.prod(shape) * 4, left)
     return shape
-
-
-def _empty(shape: tuple[int, ...]) -> np.ndarray:
-    try:
-        return np.empty(shape, dtype="<f4")
-    except ValueError:  # more dims than numpy allows, or a size past its limit
-        raise BadMagic(f"invalid shape {shape!r}") from None
 
 
 def read_npy(source: BinaryIO) -> np.ndarray:
@@ -129,13 +147,15 @@ def read_npy(source: BinaryIO) -> np.ndarray:
             when it is not.
     """
     shape = _read_header(source)
-    if not source.seekable():
-        return _read_unseekable(source, shape, math.prod(shape) * 4)
-    arr = _empty(shape)
-    got = source.readinto(arr.reshape(-1).view(np.uint8))
-    if got != arr.nbytes:
-        raise TruncatedPayload(arr.nbytes, got)
-    return arr
+    size = math.prod(shape) * 4
+    flat = np.empty(size if source.seekable() else 0, np.uint8)  # a file's length is checked
+    got = _read_into(source, flat)
+    while got == len(flat) < size:  # a pipe, whose header may declare more than it sends
+        flat.resize(min(size, got + READ_CHUNK), refcheck=False)  # no view of flat is left
+        got += _read_into(source, flat[got:])
+    if got != size:
+        raise TruncatedPayload(size, got)
+    return flat.view("<f4").reshape(shape)
 
 
 def read_npy_frames(source: BinaryIO) -> Iterator[np.ndarray]:
@@ -144,32 +164,12 @@ def read_npy_frames(source: BinaryIO) -> Iterator[np.ndarray]:
     shape = _read_header(source)
     if not shape:
         raise ShapeMismatch("a 0-d array has no frames to read")
-    buf = _empty((min(shape[0], 1), *shape[1:]))  # one frame, or none: numpy checks all dims
+    buf = np.empty((min(shape[0], 1), *shape[1:]), "<f4")  # one frame, or none
     view = buf.reshape(-1).view(np.uint8)
     for i in range(shape[0]):
-        got = 0
-        while got < len(view) and (n := source.readinto(view[got:])):  # a pipe reads short
-            got += n
-        if got != len(view):
+        if (got := _read_into(source, view)) != len(view):
             raise TruncatedPayload(math.prod(shape) * 4, i * len(view) + got)
         yield buf[0]
-
-
-def _read_unseekable(source: BinaryIO, shape: tuple[int, ...], expected: int) -> np.ndarray:
-    """Payload of a pipe-like source, read in chunks of at most READ_CHUNK
-    bytes, so a header that declares more than arrives allocates no more
-    than one chunk beyond the bytes received."""
-    chunks, got = [], 0
-    while got < expected:
-        chunk = source.read(min(READ_CHUNK, expected - got))
-        if not chunk:
-            raise TruncatedPayload(expected, got)
-        chunks.append(chunk)
-        got += len(chunk)
-    try:
-        return np.frombuffer(bytearray().join(chunks), dtype="<f4").reshape(shape)
-    except ValueError:  # more dims than numpy allows, or a size past its limit
-        raise BadMagic(f"invalid shape {shape!r}") from None
 
 
 def read_npy_file(path) -> np.ndarray:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import tracemalloc
 
 import numpy as np
@@ -621,6 +622,26 @@ class TestEncode:
             assert a == (d2 / f"scale{i}.npy").read_bytes()
         assert ((d1 / "scale1.npy").read_bytes()
                 != (d3 / "scale1.npy").read_bytes())
+
+    @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+    def test_plucker_from_fifo(self, tmp_path, capsys):
+        # a FIFO cannot seek, so the input is read in pieces; the features match a file's
+        rng = np.random.default_rng(3)
+        src, fifo = tmp_path / "p.npy", tmp_path / "p.fifo"
+        write_npy_file(rng.standard_normal((4, 6, 64, 64)).astype(np.float32), src)
+        os.mkfifo(fifo)
+        feeder = threading.Thread(target=lambda: fifo.write_bytes(src.read_bytes()), daemon=True)
+        feeder.start()
+        flags = ("--seed", "0", "--channels", "8,8,8,8", "--unshuffle", "2")
+        assert run(capsys, "encode", "--plucker", str(fifo), *flags,
+                   "--out-dir", str(tmp_path / "pipe"))[0] == 0
+        feeder.join(timeout=60)
+        assert not feeder.is_alive()
+        assert run(capsys, "encode", "--plucker", str(src), *flags,
+                   "--out-dir", str(tmp_path / "file"))[0] == 0
+        for i in range(1, 5):
+            assert ((tmp_path / "pipe" / f"scale{i}.npy").read_bytes()
+                    == (tmp_path / "file" / f"scale{i}.npy").read_bytes())
 
     def test_indivisible_height(self, tmp_path, capsys):
         src = tmp_path / "p.npy"

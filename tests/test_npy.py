@@ -287,7 +287,8 @@ class TestHostileHeader:
             read_npy(io.BufferedReader(Unseekable(dumps(arr)[:-5])))
         assert (exc.value.expected, exc.value.actual) == (44, 39)
 
-    @pytest.mark.parametrize("shape", [(1,) * 70, (0, 10 ** 30), (0, 2 ** 40, 2 ** 40)])
+    @pytest.mark.parametrize("shape", [(1,) * 70, (0, 10 ** 30), (0, 2 ** 40, 2 ** 40),
+                                       (5, 10 ** 30), (2 ** 63, 0), (True,)])
     def test_shape_numpy_cannot_make_is_bad_magic(self, shape):
         data = preamble(shape) + b"\0" * 4
         for source in (io.BytesIO(data), io.BufferedReader(Unseekable(data))):
@@ -327,13 +328,51 @@ class TestFrames:
                 assert got.tobytes() == want.tobytes() and got.shape == want.shape
 
     def test_short_reads(self):
-        class Trickle(Unseekable):  # a pipe that hands out at most 200 bytes per read
+        class Trickle(Unseekable):  # a pipe that hands out at most `limit` bytes per read
             def readinto(self, b):
-                return self._src.readinto(memoryview(b)[:200])
+                return self._src.readinto(memoryview(b)[:limit])
 
         arr = np.arange(2400, dtype=np.float32).reshape(2, 30, 40)
-        frames = [f.copy() for f in read_npy_frames(Trickle(dumps(arr)))]
-        assert np.stack(frames).tobytes() == arr.tobytes()
+        for limit in (7, 200):
+            frames = [f.copy() for f in read_npy_frames(Trickle(dumps(arr)))]
+            assert np.stack(frames).tobytes() == arr.tobytes()
+            assert read_npy(Trickle(dumps(arr))).tobytes() == arr.tobytes()
+
+    def test_short_writes(self):
+        class Dribble(io.RawIOBase):  # a raw sink that takes at most 7 bytes per write
+            def __init__(self):
+                self.out = io.BytesIO()
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                return self.out.write(memoryview(b)[:7])
+
+        arr = np.arange(48, dtype=np.float32).reshape(2, 3, 8)
+        for write in (lambda sink: write_npy(arr, sink),
+                      lambda sink: write_npy_frames(iter(arr), arr.shape, sink)):
+            sink = Dribble()
+            write(sink)
+            assert sink.out.getvalue() == dumps(arr)
+
+    def test_sink_taking_nothing_raises(self):
+        class Stuck(io.RawIOBase):  # takes no bytes; fails the test instead of spinning forever
+            calls = 0
+
+            def writable(self):
+                return True
+
+            def write(self, b):
+                self.calls += 1
+                assert self.calls < 100, "writer kept calling a sink that takes nothing"
+                return 0
+
+        arr = np.ones((2, 3), dtype=np.float32)
+        with pytest.raises(OSError):
+            write_npy(arr, Stuck())
+        with pytest.raises(OSError):
+            write_npy_frames(iter(arr), arr.shape, Stuck())
 
     def test_one_reused_buffer(self):
         arr = np.arange(12, dtype=np.float32).reshape(3, 4)
@@ -357,6 +396,8 @@ class TestFrames:
         (preamble((1,) * 70) + b"\0" * 4, BadMagic),
         (preamble((0, 10 ** 30)), BadMagic),
         (preamble((0, 2 ** 40, 2 ** 40)), BadMagic),
+        (preamble((5, 10 ** 30)), BadMagic),
+        (preamble((2 ** 63, 0)), BadMagic),
         (preamble(()) + b"\0" * 4, ShapeMismatch),
         (preamble((2,)).replace(b"<f4", b"<f8"), UnsupportedDtype),
         (preamble((2,)).replace(b"False", b"True "), UnsupportedOrder)])
