@@ -6,11 +6,11 @@ Rotations are validated on construction: ``R.T @ R == I`` and ``det R == 1``
 within 1e-6, max-abs elementwise.
 
 A :class:`Trajectory` holds its frames as arrays. Outside arrays are
-validated in one pass by :meth:`Trajectory.from_arrays`. A trajectory or
-extrinsics derived from checked ones (:func:`relativize` and the like) is
-checked only for overflowing translations, as a product or transpose of
-rotations within the tolerance may miss it. :func:`convert_extrinsics` is
-the one place that switches w2c and c2w.
+validated in one pass by :meth:`Trajectory.from_arrays`. A trajectory
+derived from a checked one (:func:`relativize` and the like) is checked
+only for overflowing translations, as a product or transpose of rotations
+within the tolerance may miss it. :func:`convert_extrinsics` is the one
+place that switches w2c and c2w, and the one place such a switch fails.
 """
 
 from __future__ import annotations
@@ -106,15 +106,20 @@ def first_bad_frame(rotations: np.ndarray, translations: np.ndarray,
 
 
 def convert_extrinsics(rotations: np.ndarray, translations: np.ndarray,
-                       src: Convention, dst: Convention) -> tuple[np.ndarray, np.ndarray]:
+                       src: Convention, dst: Convention,
+                       what: str = "translation") -> tuple[np.ndarray, np.ndarray]:
     """Re-express (..., 3, 3) rotations and (..., 3) translations, one frame
     or a whole trajectory, from convention ``src`` in ``dst``: as given when
     the two agree, else each rigid map inverted, (R, t) -> (R.T, -R.T @ t),
-    with R.T a transposed view."""
+    with R.T a transposed view. Raises CamTrajError("frame i: <what>
+    overflows float64") naming the first frame whose -R.T @ t overflows."""
     if src is dst:
         return rotations, translations
     rt = np.swapaxes(rotations, -1, -2)
-    return rt, (-rt @ translations[..., None])[..., 0]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing frame fails below
+        t = (-rt @ translations[..., None])[..., 0]
+    check_finite_frames(t, what)
+    return rt, t
 
 
 @dataclass(frozen=True)
@@ -168,14 +173,6 @@ class Extrinsics:
         object.__setattr__(self, "translation", t)
         if not isinstance(self.convention, Convention):
             raise TypeError(f"convention must be a Convention, got {self.convention!r}")
-
-    @classmethod
-    def _derive(cls, r: np.ndarray, t: np.ndarray, convention: Convention) -> "Extrinsics":
-        """A frame of a checked or derived trajectory, its arrays copied and
-        frozen as by the constructor once :func:`check_finite_frames` passes."""
-        check_finite_frames(t, "translation")
-        return _unchecked(cls, rotation=_frozen_array(r, (3, 3)),
-                          translation=_frozen_array(t, (3,)), convention=convention)
 
     @classmethod
     def identity(cls, convention: Convention) -> "Extrinsics":
@@ -289,6 +286,11 @@ class Trajectory:
         check_finite_frames(t, "translation")
         return self._wrap(r, t, self.intrinsics, convention, self.width, self.height)
 
+    def _to(self, convention: Convention) -> "Trajectory":
+        """This trajectory re-expressed in ``convention`` by :func:`convert_extrinsics`."""
+        return self._derive(*convert_extrinsics(self.rotations, self.translations,
+                                                self.convention, convention), convention)
+
     def __len__(self) -> int:
         return len(self.rotations)
 
@@ -296,7 +298,9 @@ class Trajectory:
     def poses(self) -> tuple[CameraPose, ...]:
         """Per-frame CameraPose values, built on each access without re-checks."""
         return tuple(CameraPose(_unchecked(Intrinsics, **dict(zip(INTRINSICS_FIELDS, k))),
-                                Extrinsics._derive(r, t, self.convention))
+                                _unchecked(Extrinsics, rotation=_frozen_array(r, (3, 3)),
+                                           translation=_frozen_array(t, (3,)),
+                                           convention=self.convention))
                      for k, r, t in zip(self.intrinsics.tolist(), self.rotations,
                                         self.translations))
 
@@ -310,11 +314,10 @@ def relativize(traj: Trajectory) -> Trajectory:
     trajectory whose first frame is already the identity comes back
     unchanged up to roundoff.
     """
-    w2c = Convention.WORLD_TO_CAMERA
+    w2c = traj._to(Convention.WORLD_TO_CAMERA)
+    r, t = w2c.rotations, w2c.translations
+    inv_r, inv_t = convert_extrinsics(r[0], t[0], w2c.convention, Convention.CAMERA_TO_WORLD)
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails in _derive
-        r, t = convert_extrinsics(traj.rotations, traj.translations, traj.convention, w2c)
-        inv_r, inv_t = convert_extrinsics(r[0], t[0], w2c, Convention.CAMERA_TO_WORLD)
-        rel_r, rel_t = convert_extrinsics(r @ inv_r, r @ inv_t + t, w2c, traj.convention)
-    check_finite_frames(inv_t[None], "translation")  # frame 0's own inverse, set below
+        rel_r, rel_t = r @ inv_r, r @ inv_t + t
     rel_r[0], rel_t[0] = np.eye(3), 0.0
-    return traj._derive(rel_r, rel_t, traj.convention)
+    return w2c._derive(rel_r, rel_t, w2c.convention)._to(traj.convention)

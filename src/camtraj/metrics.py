@@ -20,13 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CamTrajError, DegenerateBaseline, LengthMismatch
-from .geometry import (
-    Convention,
-    Trajectory,
-    convert_extrinsics,
-    relativize,
-    rotation_angle,
-)
+from .geometry import Convention, Trajectory, relativize, rotation_angle
 
 BASELINE_EPS = 1e-8
 
@@ -143,13 +137,6 @@ def normalize_scale(gt: Trajectory, gen: Trajectory) -> tuple[Trajectory, float]
         return gen._derive(gen.rotations, factor * gen.translations, gen.convention), factor
 
 
-def _to_w2c(traj: Trajectory) -> Trajectory:
-    w2c = Convention.WORLD_TO_CAMERA
-    with np.errstate(over="ignore", invalid="ignore"):  # overflow fails in _derive
-        return traj._derive(*convert_extrinsics(traj.rotations, traj.translations,
-                                                traj.convention, w2c), w2c)
-
-
 def evaluate(gt: Trajectory, gen: Trajectory) -> AlignmentReport:
     """Full comparison pipeline for a ground-truth / generated pair.
 
@@ -163,9 +150,9 @@ def evaluate(gt: Trajectory, gen: Trajectory) -> AlignmentReport:
     """
     _check_lengths(gt, gen)
     with _naming("gt"):
-        rel_gt = relativize(_to_w2c(gt))
+        rel_gt = relativize(gt._to(Convention.WORLD_TO_CAMERA))
     with _naming("gen"):
-        rel_gen = relativize(_to_w2c(gen))
+        rel_gen = relativize(gen._to(Convention.WORLD_TO_CAMERA))
     rel_gen, factor = normalize_scale(rel_gt, rel_gen)
     r_total, r_frames = rot_err(rel_gt, rel_gen)
     t_total, t_frames = trans_err(rel_gt, rel_gen)

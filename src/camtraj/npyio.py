@@ -159,11 +159,11 @@ def read_npy(source: BinaryIO) -> np.ndarray:
 
 
 def read_npy_frames(source: BinaryIO) -> Iterator[np.ndarray]:
-    """Yield each frame along axis 0 of the NPY v1.0 array at ``source``, read into one
-    reused buffer; raises what :func:`read_npy` raises, and ShapeMismatch for a 0-d array."""
+    """Yield each frame along axis 0 of the NPY v1.0 array at ``source``, into one reused
+    buffer; raises what :func:`read_npy` raises, and ShapeMismatch for 0-d or empty frames."""
     shape = _read_header(source)
-    if not shape:
-        raise ShapeMismatch("a 0-d array has no frames to read")
+    if not shape or 0 in shape[1:]:
+        raise ShapeMismatch(f"an array of shape {shape} has no frames of values to read")
     buf = np.empty((min(shape[0], 1), *shape[1:]), "<f4")  # one frame, or none
     view = buf.reshape(-1).view(np.uint8)
     for i in range(shape[0]):

@@ -25,8 +25,7 @@ from collections.abc import Iterator
 import numpy as np
 
 from .errors import CamTrajError, ShapeMismatch
-from .geometry import (CameraPose, Convention, Extrinsics, Trajectory, check_finite_frames,
-                       convert_extrinsics)
+from .geometry import CameraPose, Convention, Extrinsics, Trajectory, convert_extrinsics
 
 PIXEL_ORIGINS = ("center", "corner")
 VERIFY_TOL = 1e-6
@@ -41,12 +40,12 @@ def _pixel_offset(pixel_origin: str) -> float:
 def _c2w(e: Extrinsics) -> tuple[np.ndarray, np.ndarray]:
     """Camera-to-world rotation and camera center of one extrinsics value."""
     return convert_extrinsics(e.rotation, e.translation, e.convention,
-                              Convention.CAMERA_TO_WORLD)
+                              Convention.CAMERA_TO_WORLD, "camera center")
 
 
 def camera_center(e: Extrinsics) -> np.ndarray:
     """World-space camera center: t itself for camera-to-world, -R.T @ t
-    for world-to-camera."""
+    for world-to-camera. Raises CamTrajError if -R.T @ t overflows float64."""
     return np.array(_c2w(e)[1])
 
 
@@ -102,13 +101,11 @@ def plucker_frames(traj: Trajectory, pixel_origin: str = "center",
                    stack: bool = False) -> Iterator[np.ndarray]:
     """Yield each frame's (6, h, w) float32 Plucker map, in order, computed into
     one reused buffer, or with ``stack`` into its slot of one (n, 6, h, w) array.
-    A camera center past float64 raises a CamTrajError naming its frame before
-    the buffer is allocated; an allocation failure names the full shape."""
+    :func:`convert_extrinsics` names the first frame whose camera center overflows
+    float64, before the buffer is allocated; an allocation failure names its shape."""
     off = _pixel_offset(pixel_origin)  # validate before any work
-    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing center fails below
-        r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention,
-                                  Convention.CAMERA_TO_WORLD)
-    check_finite_frames(c, "camera center")
+    r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention,
+                              Convention.CAMERA_TO_WORLD, "camera center")
     shape = (len(traj), 6, traj.height, traj.width)
     try:
         buf = np.empty(shape if stack else shape[1:], dtype=np.float32)

@@ -20,7 +20,6 @@ from .geometry import (
     Convention,
     Intrinsics,
     Trajectory,
-    convert_extrinsics,
     rotation_about_axis,
     unit_vector,
 )
@@ -203,8 +202,8 @@ def scale_intensity(traj: Trajectory, k: float) -> Trajectory:
     """
     if not math.isfinite(k):
         raise CamTrajError(f"scale factor must be finite, got {k}")
-    c2w = Convention.CAMERA_TO_WORLD
+    c2w = traj._to(Convention.CAMERA_TO_WORLD)
+    c = c2w.translations
     with np.errstate(over="ignore", invalid="ignore"):  # overflow fails in _derive
-        r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention, c2w)
-        r, t = convert_extrinsics(r, c[0] + k * (c - c[0]), c2w, traj.convention)
-    return traj._derive(r, t, traj.convention)
+        c = c[0] + k * (c - c[0])
+    return c2w._derive(c2w.rotations, c, c2w.convention)._to(traj.convention)

@@ -147,6 +147,16 @@ class TestInvertCompose:
         flipped, _ = convert_extrinsics(e.rotation, e.translation, W2C, C2W)
         np.testing.assert_allclose(flipped, e.rotation.T, atol=1e-15)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("src, dst", [(W2C, C2W), (C2W, W2C)])
+    def test_overflowing_invert_names_frame(self, src, dst):
+        # only frame 1's inverse, -R.T @ t of a 45-degree turn, overflows
+        c = math.sqrt(0.5)
+        r = np.array([np.eye(3), [[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]], np.eye(3)])
+        t = np.array([[1e308, 0.0, 0.0], [1.5e308, 1.5e308, 0.0], [0.0, -1e308, 0.0]])
+        with pytest.raises(CamTrajError, match="^frame 1: translation overflows float64$"):
+            convert_extrinsics(r, t, src, dst)
+
     def test_compose_near_tolerance(self):
         # R.T @ R of the relative rotation deviates by 1.8e-6, past ORTHO_TOL,
         # though each frame passes; a derived trajectory is not re-checked

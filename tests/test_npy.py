@@ -399,6 +399,8 @@ class TestFrames:
         (preamble((5, 10 ** 30)), BadMagic),
         (preamble((2 ** 63, 0)), BadMagic),
         (preamble(()) + b"\0" * 4, ShapeMismatch),
+        (preamble((2 ** 60, 0)), ShapeMismatch),
+        (preamble((3, 0)), ShapeMismatch),
         (preamble((2,)).replace(b"<f4", b"<f8"), UnsupportedDtype),
         (preamble((2,)).replace(b"False", b"True "), UnsupportedOrder)])
     def test_header_faults(self, data, error):

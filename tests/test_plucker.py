@@ -68,6 +68,17 @@ class TestCameraCenter:
         c = camera_center(e)
         np.testing.assert_allclose(e.rotation @ c + e.translation, 0.0, atol=1e-12)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_center_fails_typed(self):
+        # -R.T @ t of a 45-degree turn sums two 1.06e308 terms
+        c = math.sqrt(0.5)
+        e = Extrinsics([[c, -c, 0.0], [c, c, 0.0], [0.0, 0.0, 1.0]], [1.5e308, 1.5e308, 0.0],
+                       Convention.WORLD_TO_CAMERA)
+        with pytest.raises(CamTrajError, match="^frame 0: camera center overflows float64$"):
+            camera_center(e)
+        with pytest.raises(CamTrajError, match="^frame 0: camera center overflows float64$"):
+            ray_direction(CameraPose(Intrinsics(8.0, 8.0, 4.0, 4.0), e), 0, 0)
+
 
 class TestRayDirection:
     def test_identity_corner_origin(self):
