@@ -37,7 +37,6 @@ from .synth import (
 )
 from .encoder import (
     EncoderConfig,
-    MultiScaleCameraFeatures,
     encoder_forward,
     pixel_unshuffle,
     shape_schedule,
@@ -56,7 +55,6 @@ __all__ = [
     "Intrinsics",
     "MotionDirective",
     "MotionKind",
-    "MultiScaleCameraFeatures",
     "PoseFile",
     "PoseRecord",
     "SynthesisPlan",

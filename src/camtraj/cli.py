@@ -42,12 +42,14 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write_all(outputs: list[tuple[str, Callable[[BinaryIO], object]]]) -> None:
-    """Write each (path, write) pair to a temp file beside its path, then
-    rename them all into place.
+    """Write each (path, write) pair to a temp file beside its path, with
+    mode 0666 & ~umask as open() gives, then rename them all into place.
 
     Nothing is renamed until every write has succeeded; on failure the temp
     files are removed and existing files keep their contents.
     """
+    umask = os.umask(0o077)  # reading the umask sets it; mkstemp's files are 0600 either way
+    os.umask(umask)
     tmps = []
     try:
         for path, write in outputs:
@@ -55,6 +57,7 @@ def _atomic_write_all(outputs: list[tuple[str, Callable[[BinaryIO], object]]]) -
                                        prefix=".tmp-", suffix=os.path.basename(path))
             tmps.append(tmp)
             with os.fdopen(fd, "wb") as f:
+                os.fchmod(fd, 0o666 & ~umask)
                 write(f)
         for tmp, (path, _) in zip(tmps, outputs):
             os.replace(tmp, path)
@@ -82,7 +85,7 @@ def _read_text(path: str, newline: str | None = None) -> str:
         raise CamTrajError(f"{path}: not UTF-8 text: {e.reason} at byte {e.start}") from None
 
 
-def _parse_frames(spec: str, count: int) -> list[int]:
+def _parse_frames(spec: str, count: int) -> range | list[int]:
     """Frame selection: 'i,j,k' lists or 'start:stop[:step]' ranges."""
     spec = spec.strip()
     if ":" in spec:
@@ -97,10 +100,7 @@ def _parse_frames(spec: str, count: int) -> list[int]:
             raise UsageError(f"bad frame range {spec!r}") from None
         if step == 0:
             raise UsageError("frame range step cannot be 0")
-        # end a range at its first index outside [0, count), which to_trajectory reports
-        end = min(stop, count) if step > 0 else max(stop, -1)
-        inside = len(range(start, end, step)) if 0 <= start < count else 0
-        return list(range(start, stop, step)[:inside + 1])
+        return range(start, stop, step)
     try:
         return [int(p) for p in spec.split(",") if p.strip() != ""]
     except ValueError:
@@ -114,7 +114,7 @@ def cmd_parse(args) -> int:
     if args.frames is not None:
         indices = _parse_frames(args.frames, len(pf))
     else:
-        indices = list(range(len(pf)))
+        indices = range(len(pf))
     traj = pose_io.to_trajectory(pf, args.width, args.height, indices)
     _atomic_write_text(args.out, pose_io.trajectory_to_json(traj))
     print(f"parsed {len(traj)} frames ({traj.convention.value}) -> {args.out}")

@@ -129,10 +129,6 @@ class AttentionParams:
 Block = ConvParams | ResBlockParams | AttentionParams
 
 
-class MultiScaleCameraFeatures(tuple):
-    """One (b, n, c_i, h_i, w_i) feature map per scale: a view of (h_i, w_i, b*n, c_i) storage."""
-
-
 # --- primitive ops ----------------------------------------------------------
 
 def silu(x: np.ndarray) -> np.ndarray:
@@ -432,16 +428,16 @@ def _attend(x: np.ndarray, p: AttentionParams, cfg: EncoderConfig, n: int) -> np
 
 
 def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
-                    weights: dict[str, Block] | None = None) -> MultiScaleCameraFeatures:
+                    weights: dict[str, Block] | None = None) -> tuple[np.ndarray, ...]:
     """Run the full encoder on an (n, c, h, w) or (b, n, c, h, w) input.
 
     A 4D input is treated as batch size 1. Without ``weights`` the weights of
     :func:`build_encoder_weights` are drawn inline, each conv or attention
     block just before it runs, so the full set is never held at once. Pass
-    that dict explicitly to reuse it across calls or to probe modified
-    parameters. Either way one loop runs each stage's block by its type and
-    takes a feature map after each "scale k attention", a (b, n, c, h, w)
-    view of its (h, w, b*n, c) storage; both give byte-identical features.
+    that dict, with byte-identical results, to reuse it across calls or to
+    probe modified parameters. One loop runs each stage's block by its type
+    and returns a plain tuple of the map after each "scale k attention", a
+    (b, n, c, h, w) view of its (h, w, b*n, c) storage.
 
     Raises:
         IndivisibleDims: spatial dims not divisible by 8 * unshuffle_factor.
@@ -496,4 +492,4 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
     except FloatingPointError:
         raise NonFiniteInput(f"the forward pass of input shape {shape} overflows float32 "
                              f"in {stage}") from None
-    return MultiScaleCameraFeatures(feats)
+    return tuple(feats)

@@ -30,7 +30,7 @@ class RotationInvalid(CamTrajError):
     """
 
     def __init__(self, message: str, line: int | None = None):
-        super().__init__(message)
+        super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
 
 

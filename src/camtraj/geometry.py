@@ -141,14 +141,6 @@ class Intrinsics:
         if bad is not None:
             raise bad[2]
 
-    def matrix(self) -> np.ndarray:
-        """3x3 calibration matrix K."""
-        return np.array([
-            [self.fx, 0.0, self.cx],
-            [0.0, self.fy, self.cy],
-            [0.0, 0.0, 1.0],
-        ])
-
 
 @dataclass(frozen=True)
 class Extrinsics:

@@ -64,22 +64,14 @@ class PoseFile:
     normalized intrinsics (fx, fy, cx, cy) and its world-to-camera matrix.
 
     Lines are stored as ``timestamps`` and read-only float64 arrays
-    ``normalized`` (n, 4) and ``w2c`` (n, 3, 4). ``PoseFile(url, records)``
-    stacks PoseRecord values; :meth:`from_arrays` takes the arrays. Neither
-    validates: :func:`parse_pose_file` does.
+    ``normalized`` (n, 4) and ``w2c`` (n, 3, 4). :meth:`from_arrays` is the
+    one constructor and does not validate: :func:`parse_pose_file` does.
     """
 
     url: str
     timestamps: tuple[int, ...]
     normalized: np.ndarray
     w2c: np.ndarray
-
-    def __init__(self, url: str, records):
-        records = tuple(records)
-        pf = PoseFile.from_arrays(url, [r.timestamp for r in records],
-                                  [(r.fx_n, r.fy_n, r.cx_n, r.cy_n) for r in records],
-                                  [r.w2c for r in records])
-        self.__dict__.update(pf.__dict__)
 
     @classmethod
     def from_arrays(cls, url: str, timestamps, normalized, w2c) -> "PoseFile":
@@ -218,19 +210,21 @@ def to_trajectory(pf: PoseFile, width: int, height: int,
                   frame_indices) -> Trajectory:
     """Select records by index and denormalize intrinsics to pixels.
 
-    fx and cx scale by width, fy and cy by height. Indices must be in range
-    and the selection non-empty; order is taken as given.
+    fx and cx scale by width, fy and cy by height. ``frame_indices``, any
+    iterable of ints, is read once and lazily, in the order given, so a huge
+    range fails at its first index outside ``[0, len(pf))``.
 
     Raises:
-        IndexOutOfRange: on an empty selection or an out-of-range index.
+        IndexOutOfRange: at that index, or on an empty selection.
     """
-    indices = list(frame_indices)
+    n = len(pf)
+    indices = []
+    for i in frame_indices:
+        if not 0 <= i < n:
+            raise IndexOutOfRange(f"index {i} out of range for {n} records")
+        indices.append(i)
     if not indices:
         raise IndexOutOfRange("frame selection is empty")
-    n = len(pf)
-    out_of_range = [i for i in indices if not 0 <= i < n]
-    if out_of_range:
-        raise IndexOutOfRange(f"index {out_of_range[0]} out of range for {n} records")
     w2c = pf.w2c[indices]
     with np.errstate(over="ignore"):  # an overflowing focal is inf, and fails in from_arrays
         k = pf.normalized[indices] * [width, height, width, height]

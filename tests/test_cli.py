@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from camtraj import cli, geometry, plucker, pose_io
 from camtraj.cli import main
 from camtraj.encoder import EncoderConfig
+from camtraj.errors import IndexOutOfRange
 from camtraj.geometry import Convention
 from camtraj.npyio import read_npy_file, write_npy, write_npy_file
 from camtraj.plucker import camera_center, plucker_sequence, verify_plucker
@@ -770,6 +771,10 @@ class TestEncode:
         code, _, _ = run(capsys, "encode", "--plucker", "p.npy", "--seed", "0",
                          "--out-dir", "d", "--channels", "1,2")
         assert code == 1
+        code, stdout, stderr = run(capsys, "encode", "--plucker", "p.npy", "--seed", "0",
+                                   "--out-dir", "d", "--channels", "8,x,16,16")
+        assert (code, stdout) == (1, "")
+        assert stderr == "camtraj encode: argument --channels: bad channel list '8,x,16,16'\n"
 
     def test_seed_required(self, tmp_path, capsys):
         code, _, _ = run(capsys, "encode", "--plucker", "p.npy", "--out-dir", "d")
@@ -952,13 +957,59 @@ class TestErrorContract:
     def test_frame_ranges_end_at_first_missing_index(self):
         steps = [s for s in range(-3, 4) if s]
         for count in range(4):
+            pf = pose_io.parse_pose_file("\n".join(["url", *map(pose_line, range(count))]))
             for start in range(-5, 7):
                 for stop in range(-5, 7):
                     for step in steps:
                         full = list(range(start, stop, step))
-                        bad = [j for j, i in enumerate(full) if not 0 <= i < count]
-                        want = full[:bad[0] + 1] if bad else full
-                        assert cli._parse_frames(f"{start}:{stop}:{step}", count) == want
+                        bad = [i for i in full if not 0 <= i < count]
+                        frames = cli._parse_frames(f"{start}:{stop}:{step}", count)
+                        if bad or not full:
+                            message = (f"index {bad[0]} out of range for {count} records"
+                                       if bad else "frame selection is empty")
+                            with pytest.raises(IndexOutOfRange, match=f"^{message}$"):
+                                pose_io.to_trajectory(pf, 4, 4, frames)
+                        else:
+                            traj = pose_io.to_trajectory(pf, 4, 4, frames)
+                            assert traj.translations.tobytes() == pf.w2c[full, :, 3].tobytes()
+
+    @pytest.mark.parametrize("spec, message", [
+        ("0:4:0", "frame range step cannot be 0"), ("0,x", "bad frame list '0,x'")])
+    def test_bad_frame_spec_message(self, tmp_path, capsys, spec, message):
+        out = tmp_path / "t.json"
+        code, stdout, stderr = run(capsys, "parse", "--input",
+                                   str(self.two_line_pose_file(tmp_path)), "--width", "64",
+                                   "--height", "48", "--frames", spec, "--out", str(out))
+        assert (code, stdout, stderr) == (1, "", f"{message}\n")
+        assert not out.exists()
+
+    def test_bad_rotation_names_its_line(self, tmp_path, capsys):
+        src = tmp_path / "poses.txt"
+        src.write_text(f"url\n{pose_line(0).replace(' 1 0 0 0 ', ' 0 0 0 0 ', 1)}\n")
+        out = tmp_path / "t.json"
+        code, stdout, stderr = run(capsys, "parse", "--input", str(src), "--width", "64",
+                                   "--height", "48", "--out", str(out))
+        assert (code, stdout) == (2, "")
+        assert stderr == "error: line 2: R.T @ R deviates from identity by 1.000e+00\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+    def test_outputs_take_the_umask(self, tmp_path, capsys, umask, mode):
+        spec, traj, feats = tmp_path / "plan.json", tmp_path / "t.json", tmp_path / "feats"
+        spec.write_text(json.dumps({**PAN_SPEC, "frames": 2, "width": 32, "height": 16}))
+        traj.write_text("")
+        os.chmod(traj, 0o600 if mode == 0o644 else 0o644)  # overwriting sets the mode too
+        src = tmp_path / "p.npy"
+        write_npy_file(np.zeros((2, 6, 16, 32), dtype=np.float32), src)
+        old = os.umask(umask)
+        try:
+            assert run(capsys, "synth", "--spec", str(spec), "--out", str(traj))[0] == 0
+            assert run(capsys, "encode", "--plucker", str(src), "--seed", "0",
+                       "--out-dir", str(feats), *ENCODE_FLAGS)[0] == 0
+        finally:
+            os.umask(old)
+        outputs = [traj, *(feats / f"scale{i}.npy" for i in range(1, 5))]
+        assert [oct(os.stat(p).st_mode & 0o777) for p in outputs] == [oct(mode)] * 5
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_focal_exits_2_without_warning(self, tmp_path, capsys):

@@ -68,10 +68,6 @@ class TestExtrinsics:
 
 
 class TestIntrinsics:
-    def test_matrix_layout(self):
-        k = Intrinsics(100.0, 120.0, 32.0, 24.0).matrix()
-        assert np.array_equal(k, [[100, 0, 32], [0, 120, 24], [0, 0, 1]])
-
     def test_rejects_non_positive_focal(self):
         with pytest.raises(ValueError):
             Intrinsics(0.0, 1.0, 0.0, 0.0)
@@ -266,6 +262,15 @@ class TestTrajectory:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             Trajectory((), 10, 10)
+        with pytest.raises(CamTrajError, match="^trajectory needs at least one pose$"):
+            Trajectory.from_arrays(np.empty((0, 3, 3)), np.empty((0, 3)), np.empty((0, 4)),
+                                   W2C, 10, 10)
+
+    def test_convention_must_be_a_convention(self):
+        with pytest.raises(TypeError, match="^convention must be a Convention, got 'w2c'$"):
+            Extrinsics(np.eye(3), np.zeros(3), "w2c")
+        with pytest.raises(TypeError, match="^convention must be a Convention, got 'w2c'$"):
+            Trajectory.from_arrays([np.eye(3)], [[0, 0, 0]], [[1, 1, 0, 0]], "w2c", 4, 4)
 
     def test_rejects_bad_dims(self):
         rng = np.random.default_rng(2)

@@ -42,7 +42,8 @@ def center_oracle(e):
 
 def direction_oracle(pose, u, v, off):
     """Unproject a depth-1 point through generic 4x4 algebra and normalize."""
-    k = pose.intrinsics.matrix()
+    i = pose.intrinsics
+    k = np.array([[i.fx, 0.0, i.cx], [0.0, i.fy, i.cy], [0.0, 0.0, 1.0]])
     pc = np.linalg.solve(k, [u + off, v + off, 1.0])
     m = np.eye(4)
     m[:3, :3] = pose.extrinsics.rotation

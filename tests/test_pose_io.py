@@ -1,11 +1,13 @@
 """Pose-file text format, trajectory JSON, and synthesis-plan JSON."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
 
 from camtraj.errors import (
+    CamTrajError,
     FieldCountError,
     IndexOutOfRange,
     IntrinsicsInvalid,
@@ -44,7 +46,10 @@ def make_record(rng, ts):
 
 def make_pose_file(rng, n=8):
     ts = np.cumsum(rng.integers(1, 100000, size=n))
-    return PoseFile("https://example.com/video", tuple(make_record(rng, int(t)) for t in ts))
+    records = [make_record(rng, int(t)) for t in ts]
+    return PoseFile.from_arrays("https://example.com/video", [r.timestamp for r in records],
+                                [(r.fx_n, r.fy_n, r.cx_n, r.cy_n) for r in records],
+                                [r.w2c for r in records])
 
 
 class TestParse:
@@ -111,6 +116,7 @@ class TestParse:
         with pytest.raises(RotationInvalid) as exc:
             parse_pose_file("url\n" + " ".join(bad) + "\n")
         assert exc.value.line == 2
+        assert str(exc.value).startswith("line 2: ")
 
     def test_non_monotonic_timestamp(self):
         line2 = IDENTITY_LINE.split()
@@ -195,6 +201,20 @@ class TestToTrajectory:
         with pytest.raises(IndexOutOfRange):
             to_trajectory(pf, 10, 10, [-1])
 
+    def test_selection_is_read_lazily(self):
+        pf = parse_pose_file(f"url\n{IDENTITY_LINE}\n1 {IDENTITY_LINE[2:]}\n")
+        for selection in (range(0, 10 ** 12), itertools.count()):
+            with pytest.raises(IndexOutOfRange) as exc:
+                to_trajectory(pf, 64, 48, selection)
+            assert str(exc.value) == "index 2 out of range for 2 records"
+        traj = to_trajectory(pf, 64, 48, (i for i in (1, 0, 1)))
+        assert traj.rotations.shape == (3, 3, 3)
+
+    def test_from_arrays_rejects_length_mismatch(self):
+        with pytest.raises(CamTrajError) as exc:
+            PoseFile.from_arrays("u", [0, 1], np.ones((1, 4)), np.zeros((1, 3, 4)))
+        assert str(exc.value) == "got 2 timestamps, 1 intrinsics rows and 1 matrices"
+
 
 class TestErrorPosition:
     """The rotation check runs over all lines at once; the error reported
@@ -258,6 +278,10 @@ class TestTrajectoryJson:
         with pytest.raises(SchemaError) as exc:
             trajectory_from_json(json.dumps(doc))
         assert exc.value.path == "/convention"
+        doc["convention"] = "w2c"
+        with pytest.raises(SchemaError) as exc:
+            trajectory_from_json(json.dumps(doc))
+        assert (exc.value.path, exc.value.reason) == ("/poses", "expected a non-empty list")
 
     def test_bad_rotation_reports_pose_path(self):
         doc = {
@@ -402,6 +426,18 @@ class TestTrajectorySpec:
             with pytest.raises(SchemaError) as exc:
                 parse_trajectory_spec(json.dumps(doc))
             assert (exc.value.path, exc.value.reason) == (f"/motion/{key}", "required key missing")
+
+    @pytest.mark.parametrize("edit, path, reason", [
+        ({"motion": [1]}, "/motion", "expected an object"),
+        ({"motions": []}, "/motions", "expected a non-empty list"),
+        ({"motions": [{"kind": "zoom", "interval": 0.1}, "zoom"]}, "/motions/1",
+         "expected an object")])
+    def test_motion_shape_faults(self, edit, path, reason):
+        doc = json.loads(self.PAN_SPEC)
+        del doc["motion"]
+        with pytest.raises(SchemaError) as exc:
+            parse_trajectory_spec(json.dumps({**doc, **edit}))
+        assert (exc.value.path, exc.value.reason) == (path, reason)
 
     def test_motion_and_motions_conflict(self):
         doc = json.loads(self.PAN_SPEC)

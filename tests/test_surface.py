@@ -13,10 +13,13 @@ import pytest
 
 import camtraj
 from camtraj import cli
-from camtraj.geometry import Extrinsics
+from camtraj.geometry import Extrinsics, Intrinsics
+from camtraj.pose_io import PoseFile
 
 REMOVED = ("fuse", "pixel_shuffle", "compose", "invert_extrinsics", "as_convention",
-           "orthonormalize", "synth_pan", "synth_intrinsic_motion", "plucker_map")
+           "orthonormalize", "synth_pan", "synth_intrinsic_motion", "plucker_map",
+           "MultiScaleCameraFeatures")
+REMOVED_METHODS = ((Extrinsics, "is_identity"), (Intrinsics, "matrix"))
 HELP = (("-h", "--help"), "help", argparse.SUPPRESS, None, False)
 
 # subcommand -> (option strings, dest, default, choices, required) per action
@@ -89,8 +92,15 @@ def test_removed_name_is_gone(name):
         assert not hasattr(module, name), f"{module.__name__}.{name}"
 
 
-def test_extrinsics_has_no_is_identity():
-    assert not hasattr(Extrinsics, "is_identity")
+@pytest.mark.parametrize("cls, name", REMOVED_METHODS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name in REMOVED_METHODS])
+def test_removed_method_is_gone(cls, name):
+    assert not hasattr(cls, name)
+
+
+def test_pose_file_has_one_constructor():
+    with pytest.raises(TypeError):
+        PoseFile("u", ())
 
 
 def test_cli_options_table():

@@ -157,10 +157,6 @@ def test_pose_text_round_trip_is_exact(pf):
     assert back.normalized.tobytes() == pf.normalized.tobytes()
     assert back.w2c.tobytes() == pf.w2c.tobytes()
     assert serialize_pose_file(back) == text
-    again = PoseFile(back.url, back.records)
-    assert again.timestamps == back.timestamps
-    assert again.normalized.tobytes() == back.normalized.tobytes()
-    assert again.w2c.tobytes() == back.w2c.tobytes()
 
 
 # --- trajectory JSON faults -----------------------------------------------------
