@@ -4,21 +4,24 @@ Subcommands: parse, synth, embed, eval, encode. Exit codes: 0 success, 1
 usage error, 2 data error (a CamTrajError) or out of memory, 3 I/O error;
 any other exception is a bug. Angles are degrees at this boundary and
 radians inside the library. Output files are written to a temp file in the
-destination directory and renamed into place, so a failed run never leaves a
-partial artifact; the four feature files of ``encode`` are renamed only once
-all four are written.
+destination directory and renamed into place, so a failed run, or one ended by
+SIGTERM, never leaves a partial artifact; the four feature files of ``encode``
+are renamed only once all four are written.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import math
 import os
+import pathlib
 import sys
 import tempfile
-from typing import BinaryIO, Callable
+from collections.abc import Callable, Iterator
+from typing import BinaryIO
 
 import numpy as np
 
@@ -41,35 +44,36 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: {message}")
 
 
-def _atomic_write_all(outputs: list[tuple[str, Callable[[BinaryIO], object]]]) -> None:
-    """Write each (path, write) pair to a temp file beside its path, with
-    mode 0666 & ~umask as open() gives, then rename them all into place.
-
-    Nothing is renamed until every write has succeeded; on failure the temp
-    files are removed and existing files keep their contents.
-    """
+@contextlib.contextmanager
+def _atomic_writes() -> Iterator[Callable[[str, Callable[[BinaryIO], object]], None]]:
+    """Yield ``put(path, write)``: ``write`` fills a temp file beside ``path``, made
+    with mode 0666 & ~umask as open() gives. A clean exit renames every temp file
+    into place; on any exception they are removed and existing files kept."""
     umask = os.umask(0o077)  # reading the umask sets it; mkstemp's files are 0600 either way
     os.umask(umask)
     tmps = []
+
+    def put(path, write):
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".tmp-", suffix=os.path.basename(path))
+        tmps.append((tmp, path))
+        with os.fdopen(fd, "wb") as f:
+            os.fchmod(fd, 0o666 & ~umask)
+            write(f)
     try:
-        for path, write in outputs:
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                       prefix=".tmp-", suffix=os.path.basename(path))
-            tmps.append(tmp)
-            with os.fdopen(fd, "wb") as f:
-                os.fchmod(fd, 0o666 & ~umask)
-                write(f)
-        for tmp, (path, _) in zip(tmps, outputs):
+        yield put
+        for tmp, path in tmps:
             os.replace(tmp, path)
     except BaseException:
-        for tmp in tmps:
+        for tmp, _ in tmps:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         raise
 
 
 def _atomic_write_bytes(path: str, data: bytes) -> None:
-    _atomic_write_all([(path, lambda f: f.write(data))])
+    with _atomic_writes() as put:
+        put(path, lambda f: f.write(data))
 
 
 def _atomic_write_text(path: str, text: str) -> None:
@@ -136,7 +140,8 @@ def cmd_embed(args) -> int:
     traj = pose_io.trajectory_from_json(_read_text(args.traj))
     shape = (len(traj), 6, traj.height, traj.width)
     frames = plucker.plucker_frames(traj, pixel_origin=args.pixel_origin)
-    _atomic_write_all([(args.out, functools.partial(npyio.write_npy_frames, frames, shape))])
+    with _atomic_writes() as put:
+        put(args.out, functools.partial(npyio.write_npy_frames, frames, shape))
     print(f"embedded {shape} -> {args.out}")
     if args.verify:  # frame by frame, as written: maxima over frames are the whole map's
         with open(args.out, "rb") as f:
@@ -167,13 +172,25 @@ def cmd_eval(args) -> int:
 def cmd_encode(args) -> int:
     cfg = encoder.EncoderConfig(**{f.name: getattr(args, f.name)
                                    for f in dataclasses.fields(encoder.EncoderConfig)})
-    feats = encoder.encoder_forward(npyio.read_npy_file(args.plucker), cfg)
-    os.makedirs(args.out_dir, exist_ok=True)
-    paths = [os.path.join(args.out_dir, f"scale{i}.npy") for i in range(1, len(feats) + 1)]
-    _atomic_write_all([(path, functools.partial(npyio.write_npy, feat))
-                       for path, feat in zip(paths, feats)])
-    for i, (path, feat) in enumerate(zip(paths, feats), start=1):
-        print(f"scale{i} {feat.shape} -> {path}")
+    out_dir = pathlib.Path(args.out_dir).absolute()
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]  # made here, deepest first
+    written = []  # (path, shape) per map
+
+    def sink(feat):  # each map goes to its temp file as soon as the forward pass makes it
+        path = os.path.join(args.out_dir, f"scale{len(written) + 1}.npy")
+        os.makedirs(args.out_dir, exist_ok=True)
+        put(path, functools.partial(npyio.write_npy, feat))
+        written.append((path, feat.shape))
+    try:
+        with _atomic_writes() as put:
+            encoder.encoder_forward(npyio.read_npy_file(args.plucker), cfg, sink=sink)
+    except BaseException:
+        for d in made:
+            with contextlib.suppress(OSError):
+                os.rmdir(d)
+        raise
+    for i, (path, shape) in enumerate(written, start=1):
+        print(f"scale{i} {shape} -> {path}")
     return EXIT_OK
 
 
@@ -277,5 +294,12 @@ def main(argv=None) -> int:
         return EXIT_IO
 
 
-if __name__ == "__main__":
+def run() -> None:
+    """:func:`main` as a program, where SIGTERM exits 143 through a failed run's cleanup."""
+    import signal  # here, as only the program needs it: importing the CLI stays as cheap
+    signal.signal(signal.SIGTERM, lambda signum, frame: sys.exit(128 + signum))
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -30,8 +30,9 @@ From the stem's output on, every activation is stored once as (h, w, b*n, c)
 and each block reads a free view of it: (b*n, c, h, w) frames for the k*k
 shifted GEMMs of :func:`conv2d` (no im2col, no per-tap weight copy),
 (h*w*b, n, c) token rows for temporal attention, and (b, n, c, h, w) for the
-returned features. Attention runs over tiles of whole token rows, bounded
-by ``_TILE_BYTES``; each linear is one 2-D GEMM on a tile's (rows * n, c) tokens.
+features, returned or streamed to a sink. Convs run over bands of output rows
+and attention over tiles of token rows, within ``_TILE_BYTES``; each linear is
+one 2-D GEMM on a tile's (rows * n, c) tokens.
 Q, K and V are stored fused, one (c, 3c) weight and one (3c,) bias per block,
 drawn as three (c, c) blocks in Q, K, V order, so they come from a single
 product with no per-call copy. Bias and residual adds and the SiLU,
@@ -40,6 +41,7 @@ LayerNorm and softmax steps work in place on their own temporaries.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -50,7 +52,7 @@ import numpy as np
 from .errors import ConfigError, IndivisibleDims, NonFiniteInput, ShapeMismatch
 
 LN_EPS = 1e-5
-_TILE_BYTES = 8 << 20  # bound on the widest temporary of one temporal_attention_block tile
+_TILE_BYTES = 8 << 20  # bound on the widest temporary of an attention tile or a conv band
 _IN_CHANNELS = 6  # the Plücker ray layout: moment, then direction
 
 
@@ -197,12 +199,14 @@ def pixel_unshuffle(x: np.ndarray, r: int) -> np.ndarray:
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.ndarray:
     """'Same'-padded 2D convolution on (N, C, H, W) as k*k shifted GEMMs.
 
-    Reads ``x`` as (H, W, N, C), a free view of encoder activations. Each
-    tap's shifted (for stride 2, strided) window, zero past the border, goes
-    into one reused buffer, times the tap's ``w.transpose(2, 3, 1, 0)[dy, dx]``,
-    into one (Ho, Wo, N, Cout) output, returned as an (N, Cout, Ho, Wo) view.
-    No im2col and no padded copy: scratch is the tap buffer and one tap's
-    product. BLAS reads the tap-major weights of this module in place; a
+    Reads ``x`` as (H, W, N, C), a free view of encoder activations, and runs
+    over bands of whole output rows: for each tap, a band's shifted (for stride
+    2, strided) window, zero past the border, goes into one reused buffer, times
+    the tap's ``w.transpose(2, 3, 1, 0)[dy, dx]``, into the band's rows of one
+    (Ho, Wo, N, Cout) output, returned as an (N, Cout, Ho, Wo) view. Scratch is
+    the band's buffer and one tap's product, each within ``_TILE_BYTES`` unless
+    one output row is wider; bands depend only on shapes, so every run gives the
+    same bytes. BLAS reads the tap-major weights of this module in place; a
     C-contiguous (Cout, Cin, k, k) array gives the same bytes via a copy.
     """
     cout, cin, k, _ = w.shape
@@ -216,20 +220,23 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.n
         lo = max(0, -(off // stride))
         hi = max(lo, min(n_out, (size - 1 - off) // stride + 1))
         return lo, hi, slice(lo * stride + off, hi * stride + off, stride)
-    m = ho * wo * n
-    tap = np.empty((ho, wo, n, cin), dtype=np.float32)
-    out = np.empty((m, cout), dtype=np.float32)
-    for t in range(k * k):
-        dy, dx = divmod(t, k)
-        (y0, y1, ys), (x0, x1, xs) = window(h, ho, dy - pad), window(wd, wo, dx - pad)
-        tap[:y0] = tap[y1:] = tap[y0:y1, :x0] = tap[y0:y1, x1:] = 0  # taps past the border
-        np.copyto(tap[y0:y1, x0:x1], src[ys, xs])
-        if t:
-            out += tap.reshape(m, cin) @ taps[dy, dx]
-        else:
-            np.matmul(tap.reshape(m, cin), taps[dy, dx], out=out)
+    rows = max(1, _TILE_BYTES // (4 * wo * n * max(cin, cout)))  # output rows per band
+    tap = np.empty((min(rows, ho), wo, n, cin), dtype=np.float32)
+    out = np.empty((ho, wo, n, cout), dtype=np.float32)
+    for r0 in range(0, ho, rows):
+        band, dst = tap[:ho - r0], out[r0:r0 + rows].reshape(-1, cout)
+        for t in range(k * k):
+            dy, dx = divmod(t, k)
+            y0, y1, ys = window(h, len(band), r0 * stride + dy - pad)  # band-relative rows
+            x0, x1, xs = window(wd, wo, dx - pad)
+            band[:y0] = band[y1:] = band[y0:y1, :x0] = band[y0:y1, x1:] = 0  # past the border
+            np.copyto(band[y0:y1, x0:x1], src[ys, xs])
+            if t:
+                dst += band.reshape(-1, cin) @ taps[dy, dx]
+            else:
+                np.matmul(band.reshape(-1, cin), taps[dy, dx], out=dst)
     out += b
-    return out.reshape(ho, wo, n, cout).transpose(2, 3, 0, 1)
+    return out.transpose(2, 3, 0, 1)
 
 
 def res_block(x: np.ndarray, p: ResBlockParams | _ResBlockDraw) -> np.ndarray:
@@ -279,9 +286,9 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
     With the attention output projection and the MLP final layer at zero,
     both branches vanish and out is exactly x + PosEmb. Rows are independent,
     so the block runs over tiles of whole rows, each written straight into one
-    (R, n, c) output; every row gets the same bits at any tile size. A tile
-    holds as many rows (at least one) as keep its widest temporary, the
-    (rows * n, hidden) MLP layer, the (rows * n, 3c) QKV or the
+    (R, n, c) output. Tiles depend only on shapes, so every run gives the same
+    bytes. A tile holds as many rows (at least one) as keep its widest
+    temporary, the (rows * n, hidden) MLP layer, the (rows * n, 3c) QKV or the
     (rows, heads, n, n) scores, within ``_TILE_BYTES``.
 
     Raises:
@@ -427,17 +434,33 @@ def _attend(x: np.ndarray, p: AttentionParams, cfg: EncoderConfig, n: int) -> np
     return out.reshape(h, w, bn, c).transpose(2, 3, 0, 1)
 
 
-def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
-                    weights: dict[str, Block] | None = None) -> tuple[np.ndarray, ...]:
+@contextlib.contextmanager
+def _named_errors(shape: tuple, stage: str) -> Iterator[None]:
+    """Float32 overflow and out of memory in the block as errors naming shape and stage."""
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            yield
+    except MemoryError:
+        raise ConfigError(f"cannot allocate the forward pass of input shape {shape}: "
+                          f"out of memory in {stage}") from None
+    except FloatingPointError:
+        raise NonFiniteInput(f"the forward pass of input shape {shape} overflows float32 "
+                             f"in {stage}") from None
+
+
+def encoder_forward(p: np.ndarray, cfg: EncoderConfig, weights: dict[str, Block] | None = None,
+                    sink: Callable[[np.ndarray], object] | None = None) -> tuple[np.ndarray, ...]:
     """Run the full encoder on an (n, c, h, w) or (b, n, c, h, w) input.
 
     A 4D input is treated as batch size 1. Without ``weights`` the weights of
     :func:`build_encoder_weights` are drawn inline, each conv or attention
     block just before it runs, so the full set is never held at once. Pass
     that dict, with byte-identical results, to reuse it across calls or to
-    probe modified parameters. One loop runs each stage's block by its type
-    and returns a plain tuple of the map after each "scale k attention", a
-    (b, n, c, h, w) view of its (h, w, b*n, c) storage.
+    probe modified parameters. One loop runs each stage's block by its type.
+    Each "scale k attention" output, a (b, n, c, h, w) view of its (h, w, b*n, c)
+    storage, goes to ``sink`` at once, outside any ``np.errstate``, and is not
+    kept, so the return is ``()`` and an exception from ``sink`` propagates as
+    is. Without ``sink`` the four maps are returned as a tuple, scale 1 first.
 
     Raises:
         IndivisibleDims: spatial dims not divisible by 8 * unshuffle_factor.
@@ -469,27 +492,20 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig,
         raise NonFiniteInput(f"input holds {past} finite values outside the float32 range"
                              if past else f"input holds {bad} non-finite values")
     del src
-    stage = "pixel unshuffle"
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            x = pixel_unshuffle(x, cfg.unshuffle_factor)
-            x = x.reshape(b * n, *x.shape[2:])  # frames are independent outside attention
-            feats, rng = [], np.random.default_rng(cfg.seed)
-            for stage, init, args in _stages(cfg):  # the stage is named before its draw
-                blk = init(rng, *args) if weights is None else weights[stage]
-                if isinstance(blk, ConvParams):
-                    x = conv2d(x, *blk)
-                elif isinstance(blk, AttentionParams):
-                    x = _attend(x, blk, cfg, n)
-                else:
-                    x = res_block(x, blk)
-                del blk  # block i is dead when block i+1 is drawn
-                if stage == f"scale {len(feats) + 1} attention":
-                    feats.append(x.reshape(b, n, *x.shape[1:]))
-    except MemoryError:
-        raise ConfigError(f"cannot allocate the forward pass of input shape {shape}: "
-                          f"out of memory in {stage}") from None
-    except FloatingPointError:
-        raise NonFiniteInput(f"the forward pass of input shape {shape} overflows float32 "
-                             f"in {stage}") from None
+    with _named_errors(shape, "pixel unshuffle"):
+        x = pixel_unshuffle(x, cfg.unshuffle_factor)
+        x = x.reshape(b * n, *x.shape[2:])  # frames are independent outside attention
+    feats, rng = [], np.random.default_rng(cfg.seed)
+    for stage, init, args in _stages(cfg):
+        with _named_errors(shape, stage):  # the stage is named before its draw
+            blk = init(rng, *args) if weights is None else weights[stage]
+            if isinstance(blk, ConvParams):
+                x = conv2d(x, *blk)
+            elif isinstance(blk, AttentionParams):
+                x = _attend(x, blk, cfg, n)
+            else:
+                x = res_block(x, blk)
+            del blk  # block i is dead when block i+1 is drawn
+        if stage.endswith(" attention") and "downsample" not in stage:  # scale k's map
+            (feats.append if sink is None else sink)(x.reshape(b, n, *x.shape[1:]))
     return tuple(feats)

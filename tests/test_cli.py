@@ -6,10 +6,12 @@ import io
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
 import tempfile
 import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -55,16 +57,20 @@ def no_temp_litter(directory):
     return not [f for f in os.listdir(directory) if f.startswith(".tmp-")]
 
 
+def child_env():
+    """This environment, with the camtraj under test first on the path and one BLAS thread."""
+    pkg = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
+        filter(None, (pkg, os.environ.get("PYTHONPATH")))))
+
+
 def run_limited(*argv, limit=600 << 20):
     """main(argv) in a child process whose address space alone is capped at ``limit``."""
     resource = pytest.importorskip("resource")
     code = (f"import resource, sys; resource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit})); "
             "from camtraj.cli import main; sys.exit(main(sys.argv[1:]))")
-    pkg = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", PYTHONPATH=os.pathsep.join(
-        filter(None, (pkg, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", code, *argv],
-                         env=env, capture_output=True, text=True)
+                         env=child_env(), capture_output=True, text=True)
     assert resource.getrlimit(resource.RLIMIT_AS)[0] != limit  # untouched here
     return out
 
@@ -713,7 +719,7 @@ class TestEncode:
         calls = []
 
         def write_fails_on_scale3(arr, sink):
-            calls.append(arr.shape)
+            calls.append(np.geterr())  # maps are written outside the forward's errstate
             if len(calls) == 3:
                 raise OSError("disk full")
             real_write(arr, sink)
@@ -722,10 +728,45 @@ class TestEncode:
         code, _, stderr = run(capsys, *args, "--seed", "6")
         assert code == 3
         assert "disk full" in stderr
-        assert len(calls) == 3
+        assert calls == [np.geterr()] * 3
         for i in range(1, 5):
             assert (out_dir / f"scale{i}.npy").read_bytes() == before[i]
         assert no_temp_litter(out_dir)
+
+    @pytest.mark.parametrize("existing", [False, True], ids=["new-out-dir", "existing-set"])
+    def test_failure_after_scale_1_leaves_nothing(self, tmp_path, capsys, monkeypatch, existing):
+        # scales 1 and 2 are already in temp files when scale 3 runs out of
+        # memory: the temp files go, and so does an out-dir this run created,
+        # parents included; an existing set keeps its bytes
+        rng = np.random.default_rng(4)
+        src = tmp_path / "p.npy"
+        write_npy_file(rng.standard_normal((2, 6, 16, 32)).astype(np.float32), src)
+        out_dir = tmp_path / "new" / "feats"
+        args = ("encode", "--plucker", str(src), "--out-dir", str(out_dir), *ENCODE_FLAGS)
+        before = {}
+        if existing:
+            assert run(capsys, *args, "--seed", "5")[0] == 0
+            before = {f: (out_dir / f).read_bytes() for f in os.listdir(out_dir)}
+        real, seen = cli.encoder.res_block, []
+
+        def res_block(x, p):  # the 4th is scale 3's downsample block
+            names = os.listdir(out_dir) if out_dir.exists() else []
+            seen.append([f for f in names if f.startswith(".tmp-")])
+            if len(seen) == 4:
+                raise MemoryError
+            return real(x, p)
+
+        monkeypatch.setattr(cli.encoder, "res_block", res_block)
+        code, stdout, stderr = run(capsys, *args, "--seed", "6")
+        assert (code, stdout) == (2, "")
+        assert stderr == ("error: cannot allocate the forward pass of input shape "
+                          "(1, 2, 6, 16, 32): out of memory in scale 3 downsample block\n")
+        assert [len(tmps) for tmps in seen] == [0, 1, 1, 2]
+        if existing:
+            assert {f: (out_dir / f).read_bytes() for f in os.listdir(out_dir)} == before
+        else:
+            assert not (tmp_path / "new").exists()
+        assert no_temp_litter(tmp_path)
 
     def test_heads_not_dividing_width_exits_2(self, tmp_path, capsys):
         src = tmp_path / "p.npy"
@@ -740,27 +781,31 @@ class TestEncode:
 
     def test_out_of_memory_exits_2(self, tmp_path):
         # the child alone runs under a 600 MB address-space limit; the stem
-        # fits, the first residual block at 128 channels of 256x256 does not
+        # fits, the first residual block at 128 channels of 8 frames of
+        # 256x256 (268 MB per activation) does not
         src = tmp_path / "p.npy"
-        write_npy_file(np.zeros((4, 6, 256, 256), dtype=np.float32), src)
+        write_npy_file(np.zeros((8, 6, 256, 256), dtype=np.float32), src)
         out_dir = tmp_path / "feats"
         out = run_limited("encode", "--plucker", str(src), "--seed", "0", "--unshuffle", "1",
                           "--channels", "128,64,64,64", "--heads", "1", "--out-dir", str(out_dir))
         assert (out.returncode, out.stdout) == (2, "")
         assert out.stderr.startswith(
-            "error: cannot allocate the forward pass of input shape (1, 4, 6, 256, 256): ")
+            "error: cannot allocate the forward pass of input shape (1, 8, 6, 256, 256): ")
         assert "Traceback" not in out.stderr
         assert not out_dir.exists()
 
-    def test_row_tiled_attention_fits_600_mb(self, tmp_path):
+    @pytest.mark.parametrize("limit", [600 << 20, 360 << 20], ids=["600MB", "360MB"])
+    def test_tiled_encode_fits_memory_limit(self, tmp_path, limit):
         # at 160x160 the scale 1 attention block, run on all token rows at once,
         # did not fit under the child's 600 MB address-space limit; in row tiles
-        # the whole forward does
+        # the whole forward does. With convs run in bands of output rows and
+        # each map written once made, it fits under 360 MB as well.
         src = tmp_path / "p.npy"
         write_npy_file(np.zeros((4, 6, 160, 160), dtype=np.float32), src)
         out_dir = tmp_path / "feats"
         out = run_limited("encode", "--plucker", str(src), "--seed", "0", "--unshuffle", "1",
-                          "--channels", "128,64,64,64", "--heads", "1", "--out-dir", str(out_dir))
+                          "--channels", "128,64,64,64", "--heads", "1", "--out-dir", str(out_dir),
+                          limit=limit)
         assert (out.returncode, out.stderr) == (0, "")
         feats = [read_npy_file(out_dir / f"scale{i}.npy") for i in range(1, 5)]
         assert [f.shape for f in feats] == [(1, 4, 128, 160, 160), (1, 4, 64, 80, 80),
@@ -812,6 +857,49 @@ class TestTopLevel:
 
     def test_missing_required_flag(self, capsys):
         assert main(["embed", "--traj", "x.json"]) == 1
+
+
+@pytest.mark.skipif(not hasattr(signal, "SIGTERM") or os.name != "posix",
+                    reason="needs POSIX signals")
+class TestSigterm:
+    # The child runs the CLI's __main__ entry, as `python -m camtraj.cli` does,
+    # with a 60 s pause after the named npyio write, so SIGTERM lands while a
+    # temp file holds the written bytes.
+    CHILD = ("import runpy, sys, time; from camtraj import npyio; "
+             "name = sys.argv.pop(1); real = getattr(npyio, name); "
+             "setattr(npyio, name, lambda *a: (real(*a), time.sleep(60))); "
+             "runpy.run_module('camtraj.cli', run_name='__main__')")
+
+    @pytest.mark.parametrize("cmd", ["encode", "embed"])
+    def test_sigterm_exits_143_leaving_nothing(self, tmp_path, capsys, cmd):
+        out = tmp_path / "out"  # the encode out-dir or the embed output, new either way
+        if cmd == "encode":
+            src = tmp_path / "p.npy"
+            write_npy_file(np.zeros((2, 6, 16, 32), dtype=np.float32), src)
+            argv = ("write_npy", "encode", "--plucker", str(src), "--seed", "0",
+                    "--out-dir", str(out), *ENCODE_FLAGS)
+        else:
+            traj = synth_traj_json(tmp_path, capsys, {**PAN_SPEC, "frames": 2})
+            argv = ("write_npy_frames", "embed", "--traj", str(traj), "--out", str(out))
+        watch = out if cmd == "encode" else tmp_path
+        proc = subprocess.Popen([sys.executable, "-c", self.CHILD, *argv], env=child_env(),
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        try:
+            deadline = time.monotonic() + 60
+            while not (watch.is_dir() and not no_temp_litter(watch)):
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.01)
+            proc.send_signal(signal.SIGTERM)
+            stdout, stderr = proc.communicate(timeout=60)
+        finally:
+            proc.kill()
+        assert (proc.returncode, stdout, stderr) == (143, "", "")
+        assert no_temp_litter(tmp_path) and not out.exists()
+
+    def test_main_sets_no_handler(self, tmp_path, capsys):
+        before = signal.getsignal(signal.SIGTERM)
+        assert run(capsys, "synth", "--spec", "missing.json", "--out", "x.json")[0] == 3
+        assert signal.getsignal(signal.SIGTERM) is before
 
 
 class TestErrorContract:

@@ -263,6 +263,27 @@ class TestConv2d:
             tracemalloc.stop()
         assert peak <= 1.1 * (tap + 2 * out)
 
+    @pytest.mark.parametrize("k, stride", [(3, 1), (3, 2), (1, 1)])
+    def test_band_memory_bound(self, monkeypatch, k, stride):
+        # in bands of output rows, scratch is one band's tap buffer and one
+        # tap's product, each within the budget: beyond the output, the traced
+        # peak does not grow with the number of rows
+        budget = 32 << 10  # 3 rows of 8 frames, 20 columns and 16 channels
+        monkeypatch.setattr(enc, "_TILE_BYTES", budget)
+        n, cin, cout, w = 8, 16, 16, 20
+        rng = np.random.default_rng(44)
+        wt, b = rand(rng, (cout, cin, k, k)), rand(rng, (cout,))
+        for h in (24, 96):
+            x = rand(rng, (n, cin, h, w))
+            out = n * cout * ((h - 1) // stride + 1) * ((w - 1) // stride + 1) * 4
+            tracemalloc.start()
+            try:
+                conv2d(x, wt, b, stride=stride)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= out + 2 * budget + (4 << 10)
+
 
 class TestResBlock:
     def test_no_skip_composition(self):
@@ -730,6 +751,50 @@ class TestEncoderForward:
                                   f"(1, 2, 6, 16, 16): out of memory in {stage}")
 
 
+class TestSink:
+    def test_each_map_sent_once_made_and_not_kept(self, monkeypatch):
+        # map k goes to the sink right after its attention block, the (2k-1)-th,
+        # outside any np.errstate; by then every earlier map's storage is freed
+        x = rand(np.random.default_rng(45), (2, 3, 6, 16, 32))
+        want = encoder_forward(x, SMALL)
+        attends, got, refs = [], [], []
+        real = enc._attend
+
+        def attend(*args):
+            attends.append(1)
+            return real(*args)
+
+        def sink(feat):
+            assert [r for r in refs if r() is not None] == []
+            assert np.geterr() == outside
+            got.append((len(attends), feat.copy()))
+            root = feat
+            while root.base is not None:
+                root = root.base
+            refs.append(weakref.ref(root))
+
+        monkeypatch.setattr(enc, "_attend", attend)
+        outside = np.geterr()
+        assert encoder_forward(x, SMALL, sink=sink) == ()
+        assert [at for at, _ in got] == [1, 3, 5, 7]
+        for (_, a), b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("error", [OSError("disk full"), MemoryError()])
+    def test_sink_error_propagates_unchanged(self, error):
+        calls = []
+
+        def sink(feat):
+            calls.append(feat.shape)
+            if len(calls) == 2:
+                raise error
+
+        with pytest.raises(type(error)) as info:
+            encoder_forward(rand(np.random.default_rng(46), (1, 2, 6, 16, 16)), SMALL,
+                            sink=sink)
+        assert info.value is error and len(calls) == 2
+
+
 class TestWeightStream:
     CFG = EncoderConfig(unshuffle_factor=2, scale_channels=(8, 16, 16, 16),
                         heads=4, mlp_ratio=3, seed=11)
@@ -878,14 +943,18 @@ def conv_cases(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     # channels-last storage seen through an NCHW transpose: a non-contiguous input
     x = rand(rng, (n, h, w, cin)).transpose(0, 3, 1, 2)
-    return x, rand(rng, (cout, cin, k, k)), rand(rng, (cout,)), stride
+    banded = draw(st.booleans())  # forced bands of one output row each
+    return x, rand(rng, (cout, cin, k, k)), rand(rng, (cout,)), stride, banded
 
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(conv_cases())
 def test_conv2d_matches_direct_summation(case):
-    x, w, b, stride = case
-    got = conv2d(x, w, b, stride=stride)
+    x, w, b, stride, banded = case
+    with pytest.MonkeyPatch.context() as mp:
+        if banded:
+            mp.setattr(enc, "_TILE_BYTES", 1)
+        got = conv2d(x, w, b, stride=stride)
     ref = naive_conv2d(x, w, b, stride)
     # a view of (Ho, Wo, N, Cout) storage
     assert got.shape == ref.shape and got.dtype == np.float32
