@@ -26,7 +26,7 @@ of them, at most 79 MB at the default config, is held instead of the full
 0.9 GB. ``build_encoder_weights`` returns the drawn blocks as a dict from stage
 name to block.
 
-From the stem's output on, every activation is stored once as (h, w, b*n, c)
+From the unshuffle on, every activation is stored once as (h, w, b*n, c)
 and each block reads a free view of it: (b*n, c, h, w) frames for the k*k
 shifted GEMMs of :func:`conv2d` (no im2col, no per-tap weight copy),
 (h*w*b, n, c) token rows for temporal attention, and (b, n, c, h, w) for the
@@ -182,9 +182,12 @@ def pixel_unshuffle(x: np.ndarray, r: int) -> np.ndarray:
     """Space-to-channel rearrangement on a (b, n, c, h, w) tensor.
 
     Output channel c*r*r + dy*r + dx holds input channel c at spatial offset
-    (dy, dx) within each r x r tile; lossless and bit-exact.
+    (dy, dx) within each r x r tile; lossless and bit-exact. The output is a
+    (b, n, c*r*r, h/r, w/r) view of C-contiguous (h/r, w/r, b, n, c*r*r)
+    storage, the channels-last layout the encoder's activations keep.
 
     Raises:
+        ShapeMismatch: if x is not 5-dimensional.
         IndivisibleDims: if r < 1 or h or w is not divisible by r.
     """
     if x.ndim != 5:
@@ -192,8 +195,8 @@ def pixel_unshuffle(x: np.ndarray, r: int) -> np.ndarray:
     b, n, c, h, w = x.shape
     if r < 1 or h % r or w % r:
         raise IndivisibleDims(f"spatial dims {h}x{w} not divisible by r={r}")
-    y = x.reshape(b, n, c, h // r, r, w // r, r).transpose(0, 1, 2, 4, 6, 3, 5)
-    return np.ascontiguousarray(y).reshape(b, n, c * r * r, h // r, w // r)
+    y = x.reshape(b, n, c, h // r, r, w // r, r).transpose(3, 5, 0, 1, 2, 4, 6)
+    return np.ascontiguousarray(y).reshape(h // r, w // r, b, n, -1).transpose(2, 3, 4, 0, 1)
 
 
 def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.ndarray:

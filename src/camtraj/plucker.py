@@ -9,13 +9,14 @@ intermediate math runs in float64.
 Rays are sampled at pixel centers by default (u + 0.5, v + 0.5); pass
 ``pixel_origin="corner"`` to sample the integer grid instead.
 
-One kernel computes every ray, one frame at a time on contiguous (h, w)
-float64 planes, bit for bit the pixel-major (h, w, 3) matmul/norm/cross
-form (``ray_direction`` runs it on one pixel); a ray out of float range
-raises a CamTrajError naming its frame. ``plucker_frames`` runs it into one
-reused buffer, which ``camtraj embed`` streams to disk, or into the (n, 6, h,
-w) map of ``plucker_sequence``. ``verify_plucker`` reads blocks of about 16K
-pixels, so it needs about 1 MB of float64 beyond the map.
+One kernel computes every ray, one frame at a time over bands of whole rows
+of about 16K pixels, whose float64 planes stay in cache; its bits are those
+of the pixel-major (h, w, 3) matmul/norm/cross form at any band size
+(``ray_direction`` runs it on one pixel), and a ray out of float range raises
+a CamTrajError naming its frame. ``plucker_frames`` runs it into one reused
+buffer, which ``camtraj embed`` streams to disk, or into the (n, 6, h, w) map
+of ``plucker_sequence``. The kernel and ``verify_plucker`` work on the same
+bands, so each needs about 1 MB of float64 beyond the map.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from .geometry import CameraPose, Convention, Extrinsics, Trajectory, convert_ex
 
 PIXEL_ORIGINS = ("center", "corner")
 VERIFY_TOL = 1e-6
+_BAND_PIXELS = 1 << 14  # rows of about 16K pixels: a band's float64 planes stay in cache
 
 
 def _pixel_offset(pixel_origin: str) -> float:
@@ -66,33 +68,42 @@ def _fill_map(out: np.ndarray, intrinsics, r_c2w: np.ndarray, center: np.ndarray
               off: float) -> None:
     """Write the (6, h, w) Plucker map of one camera into ``out``.
 
-    Works on contiguous (h, w) float64 planes. The camera-space planes
-    (u, v, 1) go through one (3, 3) @ (3, h*w) product, which sums
+    Runs over bands of whole rows, ``_BAND_PIXELS`` pixels or one row each,
+    on two reused (3, rows, w) float64 buffers. A band's camera-space planes
+    (u, v, 1) go through one (3, 3) @ (3, rows*w) product, which sums
     d_k = u*R[k,0] + v*R[k,1] + R[k,2] in the same order, with the same
     fused multiply-adds, as the pixel-major ``d_cam @ R.T``; elementwise
-    sums would round differently. The norm is sqrt((d0^2 + d1^2) + d2^2)
-    and the moment planes o x d are written straight into ``out``. Any
-    overflow, division by zero or NaN raises a CamTrajError.
+    sums would round differently. The norm is sqrt((d0^2 + d1^2) + d2^2),
+    and the direction and moment (o x d) planes go straight into the band's
+    rows of ``out``. Any overflow, division by zero or NaN raises a CamTrajError.
     """
     try:
         fx, fy, cx, cy = intrinsics
         height, width = out.shape[1:]
-        cam = np.empty((3, height, width))
-        cam[0] = (np.arange(width, dtype=np.float64) + off - cx) / fx
-        cam[1] = ((np.arange(height, dtype=np.float64) + off - cy) / fy)[:, None]
-        cam[2] = 1.0
-        d = np.empty_like(cam)
-        np.matmul(r_c2w, cam.reshape(3, -1), out=d.reshape(3, -1))
-        norm, tmp = cam[0], cam[1]  # the camera planes are spent: reuse them
-        np.multiply(d[0], d[0], out=norm)
-        norm += np.multiply(d[1], d[1], out=tmp)
-        norm += np.multiply(d[2], d[2], out=tmp)
-        d /= np.sqrt(norm, out=norm)
-        out[3:6] = d
+        # at width 1 numpy forms the pixel-major product row by row, as BLAS
+        # matrix-vector products, which round unlike a (3, 3) @ (3, rows) GEMM
+        rows = max(1, _BAND_PIXELS // width) if width > 1 else 1
+        u = (np.arange(width, dtype=np.float64) + off - cx) / fx
+        v = (np.arange(height, dtype=np.float64) + off - cy) / fy
+        scratch = np.empty((2, 3 * min(rows, height) * width))
         c0, c1, c2 = center  # moment k is c_a*d_i - c_b*d_j, as np.cross forms it
-        for k, (ca, di, cb, dj) in enumerate(((c1, d[2], c2, d[1]), (c2, d[0], c0, d[2]),
-                                              (c0, d[1], c1, d[0]))):
-            np.subtract(np.multiply(di, ca, out=norm), np.multiply(dj, cb, out=tmp), out=out[k])
+        for r0 in range(0, height, rows):
+            band = out[:, r0:r0 + rows]  # the last band may be shorter
+            cam, d = (buf[:3 * band[0].size].reshape(3, -1, width) for buf in scratch)
+            cam[0] = u
+            cam[1] = v[r0:r0 + rows, None]
+            cam[2] = 1.0
+            np.matmul(r_c2w, cam.reshape(3, -1), out=d.reshape(3, -1))
+            norm, tmp = cam[0], cam[1]  # the camera planes are spent: reuse them
+            np.multiply(d[0], d[0], out=norm)
+            norm += np.multiply(d[1], d[1], out=tmp)
+            norm += np.multiply(d[2], d[2], out=tmp)
+            d /= np.sqrt(norm, out=norm)
+            band[3:6] = d
+            for k, (ca, di, cb, dj) in enumerate(((c1, d[2], c2, d[1]), (c2, d[0], c0, d[2]),
+                                                  (c0, d[1], c1, d[0]))):
+                np.subtract(np.multiply(di, ca, out=norm), np.multiply(dj, cb, out=tmp),
+                            out=band[k])
     except FloatingPointError as e:
         raise CamTrajError(f"Plucker map out of float range: {e}") from None
 
@@ -157,7 +168,7 @@ def verify_plucker(arr: np.ndarray) -> dict:
     a = np.asarray(arr)
     if a.ndim < 3 or a.shape[-3] != 6 or a.size == 0:
         raise ShapeMismatch(f"expected non-empty (..., 6, h, w) array, got shape {a.shape}")
-    rows = max(1, (1 << 14) // a.shape[-1])  # blocks of 16K pixels stay in cache
+    rows = max(1, _BAND_PIXELS // a.shape[-1])
     devs = np.array([_block_deviations(a[i][:, r:r + rows]) for i in np.ndindex(a.shape[:-3])
                      for r in range(0, a.shape[-2], rows)])
     norm_dev, dot_dev = (float(v) for v in devs.max(axis=0))

@@ -931,6 +931,7 @@ def test_pixel_shuffle_inverts_unshuffle_exactly(case):
     x, r = case
     y = pixel_unshuffle(x, r)
     assert y.shape == (*x.shape[:2], x.shape[2] * r * r, x.shape[3] // r, x.shape[4] // r)
+    assert y.transpose(3, 4, 0, 1, 2).flags.c_contiguous  # (h/r, w/r, b, n, c*r*r) storage
     assert unshuffle_inverse(y, r).tobytes() == x.tobytes()
     assert pixel_unshuffle(unshuffle_inverse(y, r), r).tobytes() == y.tobytes()
 
@@ -1049,3 +1050,20 @@ def test_attend_passes_and_returns_views(monkeypatch):
     got = enc._attend(x, small_attention(c=c), dataclasses.replace(SMALL, heads=2), n)
     assert seen["rows"].shape == (h * w * b, n, c) and np.shares_memory(seen["rows"], x)
     assert got.shape == (b * n, c, h, w) and np.shares_memory(got, seen["out"])
+
+
+def test_every_conv_reads_channels_last_storage(monkeypatch):
+    # from the unshuffle on, activations are stored (h, w, b*n, c), so every
+    # conv, the stem included, copies whole rows into its tap buffers
+    real, seen = enc.conv2d, []
+
+    def recording(x, w, b, stride=1):
+        seen.append(x.transpose(2, 3, 0, 1).flags.c_contiguous)
+        return real(x, w, b, stride)
+
+    monkeypatch.setattr(enc, "conv2d", recording)
+    weights = build_encoder_weights(SMALL)
+    convs = sum(1 if isinstance(blk, enc.ConvParams) else sum(c is not None for c in blk.convs)
+                for blk in weights.values() if not isinstance(blk, enc.AttentionParams))
+    encoder_forward(rand(np.random.default_rng(41), (2, 3, 6, 16, 32)), SMALL, weights)
+    assert len(seen) == convs and all(seen)

@@ -5,9 +5,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import camtraj.plucker as plucker
 from camtraj.errors import CamTrajError, ShapeMismatch
 from camtraj.geometry import (
     CameraPose,
@@ -315,9 +316,11 @@ coords = st.floats(-100.0, 100.0, allow_nan=False)
 
 
 @st.composite
-def small_trajectories(draw):
+def small_trajectories(draw, odd=False):
     n = draw(st.integers(1, 3))
     width, height = draw(st.integers(1, 41)), draw(st.integers(1, 31))
+    if odd:  # 1, 3, ..., 41 by 1, 3, ..., 31
+        width, height = width | 1, height | 1
     q = np.array(draw(st.lists(quats, min_size=n, max_size=n)))
     r = np.array([quat_to_matrix(v / np.linalg.norm(v)) for v in q])
     t = draw(st.lists(st.tuples(coords, coords, coords), min_size=n, max_size=n))
@@ -361,6 +364,51 @@ class TestPlanarKernel:
                     == pixel_major_sequence(traj, 0.5).tobytes())
             assert (self.float64_planes(traj, 0.0).tobytes()
                     == pixel_major_sequence(traj, 0.0, np.float64).tobytes())
+
+
+class TestBandedKernel:
+    @pytest.mark.parametrize("band", [1, 7, 96])  # one row per band; 1-7 rows; 2-96 rows
+    @checked
+    @given(small_trajectories(odd=True), st.sampled_from([("center", 0.5), ("corner", 0.0)]))
+    @example(random_trajectory(np.random.default_rng(26), 2, width=101, height=1),
+             ("center", 0.5))  # h = 1, and wider than every band size
+    def test_any_band_size_gives_pixel_major_bytes(self, band, traj, origin):
+        name, off = origin
+        for conv in Convention:  # the same arrays read as c2w and as w2c
+            traj = Trajectory.from_arrays(traj.rotations, traj.translations, traj.intrinsics,
+                                          conv, traj.width, traj.height)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(plucker, "_BAND_PIXELS", band)
+                seq = plucker_sequence(traj, pixel_origin=name)
+                planes = TestPlanarKernel.float64_planes(traj, off)
+            # compared as bytes, without pytest's slow diff of two bytes objects
+            for got, want in ((seq, pixel_major_sequence(traj, off)),
+                              (planes, pixel_major_sequence(traj, off, np.float64))):
+                np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
+
+    def test_one_pixel_wide_float64_planes_bit_exact(self):
+        # numpy computes the pixel-major form of a one-pixel column as one
+        # matrix-vector product per row, which rounds unlike a (3, 3) @ (3, h) GEMM
+        rng = np.random.default_rng(0)
+        for conv in Convention:
+            traj = random_trajectory(rng, 2, conv, width=1, height=9)
+            got = TestPlanarKernel.float64_planes(traj, 0.5)
+            assert got.tobytes() == pixel_major_sequence(traj, 0.5, np.float64).tobytes()
+
+    def test_scratch_is_two_float64_bands(self):
+        h, w = 384, 640
+        traj = random_trajectory(np.random.default_rng(27), 1, width=w, height=h)
+        r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention,
+                                  Convention.CAMERA_TO_WORLD)
+        out = np.empty((6, h, w), dtype=np.float32)
+        band = 3 * (plucker._BAND_PIXELS // w) * w * 8  # one (3, rows, w) float64 buffer
+        tracemalloc.start()
+        try:
+            _fill_map(out, traj.intrinsics[0], r[0], c[0], 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * band + (128 << 10)  # whole-frame planes would be 11.8 MB
 
 
 class TestRayDirectionKernel:
