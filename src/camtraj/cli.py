@@ -71,15 +71,6 @@ def _atomic_writes() -> Iterator[Callable[[str, Callable[[BinaryIO], object]], N
         raise
 
 
-def _atomic_write_bytes(path: str, data: bytes) -> None:
-    with _atomic_writes() as put:
-        put(path, lambda f: f.write(data))
-
-
-def _atomic_write_text(path: str, text: str) -> None:
-    _atomic_write_bytes(path, text.encode("utf-8"))
-
-
 def _read_text(path: str, newline: str | None = None) -> str:
     """The text of the UTF-8 file at ``path``, ``newline`` as for open()."""
     try:
@@ -120,7 +111,8 @@ def cmd_parse(args) -> int:
     else:
         indices = range(len(pf))
     traj = pose_io.to_trajectory(pf, args.width, args.height, indices)
-    _atomic_write_text(args.out, pose_io.trajectory_to_json(traj))
+    with _atomic_writes() as put:
+        put(args.out, functools.partial(pose_io.trajectory_to_json, traj))
     print(f"parsed {len(traj)} frames ({traj.convention.value}) -> {args.out}")
     return EXIT_OK
 
@@ -128,7 +120,8 @@ def cmd_parse(args) -> int:
 def cmd_synth(args) -> int:
     plan = pose_io.parse_trajectory_spec(_read_text(args.spec))
     traj = synth.synthesize(plan)
-    _atomic_write_text(args.out, pose_io.trajectory_to_json(traj))
+    with _atomic_writes() as put:
+        put(args.out, functools.partial(pose_io.trajectory_to_json, traj))
     angle = math.degrees(float(geometry.rotation_angle(traj.rotations[-1])))
     offset = float(np.linalg.norm(traj.translations[-1]))  # c2w: t is the center
     print(f"synthesized {len(traj)} frames -> {args.out}")
@@ -159,7 +152,8 @@ def cmd_eval(args) -> int:
     gt = pose_io.trajectory_from_json(_read_text(args.gt))
     gen = pose_io.trajectory_from_json(_read_text(args.gen))
     report = metrics.evaluate(gt, gen)
-    _atomic_write_text(args.out, pose_io.report_to_json(report))
+    with _atomic_writes() as put:
+        put(args.out, functools.partial(pose_io.report_to_json, report))
     print(f"rot_err {report.rot_err_total:.9f} rad "
           f"({math.degrees(report.rot_err_total):.9f} deg)")
     print(f"trans_err {report.trans_err_total:.9f} "

@@ -13,10 +13,15 @@ Parsing is strict and every failure carries a 1-based line number or a
 
 from __future__ import annotations
 
+import array
+import itertools
 import json
 import math
 import operator
-from dataclasses import dataclass
+import struct
+from collections.abc import Iterator
+from dataclasses import dataclass, replace
+from typing import BinaryIO
 
 import numpy as np
 
@@ -43,6 +48,8 @@ from .metrics import AlignmentReport
 from .synth import MOTION_FIELDS, MotionDirective, MotionKind, SynthesisPlan
 
 POSE_FIELDS = FieldCountError.expected
+
+_CHUNK = 1024  # list items per piece of written JSON text
 
 
 @dataclass(frozen=True)
@@ -143,7 +150,7 @@ def parse_pose_file(data: bytes | str) -> PoseFile:
         raise CamTrajError("empty pose file: missing URL line")
     line_nos: list[int] = []  # one past the rows of v if a line did not convert
     stamps: list[int] = []
-    values: list[float] = []
+    values = array.array("d")  # float64s, not a float object per value
     for line_no, raw in enumerate(lines[1:], start=2):
         fields = raw.split()
         if not fields:
@@ -156,8 +163,8 @@ def parse_pose_file(data: bytes | str) -> PoseFile:
         except ValueError:
             break
         stamps.append(stamp)
-        values += row
-    v = np.array(values, dtype=np.float64).reshape(-1, POSE_FIELDS - 1)
+        values.extend(row)
+    v = np.frombuffer(values, dtype=np.float64).reshape(-1, POSE_FIELDS - 1)
     k, w2c = v[:, :4], v[:, 6:].reshape(-1, 3, 4)
     # (row, rank) of each check's first failure. On one row the checks rank 0
     # converts to finite numbers, 1 distortion, 2 focals, 3 principal point,
@@ -236,23 +243,29 @@ def to_trajectory(pf: PoseFile, width: int, height: int,
 # The trajectory and report writers give the exact text of
 # json.dumps(doc, indent=2) + "\n". That call runs the json module's
 # pure-Python encoder (its C encoder serves only indent=None), one call per
-# value; here each list item is rendered from a template made once.
+# value; here list items are rendered a chunk at a time from a template made once.
 
 _CONVENTION_NAMES = {c.value: c for c in Convention}
 _NON_FINITE = {"inf": "Infinity", "-inf": "-Infinity", "nan": "NaN"}
 _POSE_ITEM = {**dict.fromkeys(INTRINSICS_FIELDS, "%s"), "R": ["%s"] * 9, "t": ["%s"] * 3}
 
 
-def _dumps_listing(doc: dict, key: str, item: dict, values: list) -> str:
-    """``json.dumps(doc, indent=2) + "\\n"`` with ``doc[key]``, added as the
-    last key, a list of copies of ``item`` whose "%s" strings take the
-    ``values`` in order. Each value is printed by ``%s``, so it must be its
-    JSON text already or a finite Python float."""
-    template = json.dumps(item, indent=2).replace('"%s"', "%s").replace("\n", "\n    ")
-    head = json.dumps({**doc, key: []}, indent=2)  # ends in '[]\n}'
-    n = len(values) // template.count("%s")
-    listing = "[\n    " + ",\n    ".join([template] * n) % tuple(values) + "\n  ]" if n else "[]"
-    return head[:-4] + listing + "\n}\n"
+def _dumps_listing(doc: dict, item: dict, n: int, values) -> Iterator[str]:
+    """The text of ``json.dumps(doc, indent=2) + "\\n"``, whose last value is an
+    empty list, with ``n`` copies of ``item`` in that list, in pieces of at most
+    ``_CHUNK`` copies. The "%s" strings of copies i to j take ``values(i, j)``
+    in order: each value's JSON text, or a finite float, which ``%s`` prints."""
+    template = ("\n" + json.dumps(item, indent=2)).replace('"%s"', "%s").replace("\n", "\n    ")
+    yield json.dumps(doc, indent=2)[:-3]  # up to '[]\n}', which ends the list empty
+    for i in range(0, n, _CHUNK):
+        j = min(i + _CHUNK, n)
+        yield ("," if i else "") + ",".join([template] * (j - i)) % tuple(values(i, j))
+    yield "\n  ]\n}\n" if n else "]\n}\n"
+
+
+def _emit(pieces: Iterator[str], sink: BinaryIO | None) -> str | None:
+    """The joined pieces, or None once they are written to a binary sink as UTF-8."""
+    return "".join(pieces) if sink is None else sink.writelines(p.encode() for p in pieces)
 
 
 def _json_numbers(values) -> list:
@@ -266,32 +279,42 @@ def _json_numbers(values) -> list:
         return list(map(json.dumps, values))
 
 
-def trajectory_to_json(traj: Trajectory) -> str:
-    """Serialize a trajectory to the canonical JSON interchange form."""
-    n = len(traj)
-    values = np.concatenate([traj.intrinsics, traj.rotations.reshape(n, 9), traj.translations],
-                            axis=1)
-    doc = {"convention": traj.convention.value, "width": traj.width, "height": traj.height}
-    return _dumps_listing(doc, "poses", _POSE_ITEM, values.ravel().tolist())
+def trajectory_to_json(traj: Trajectory, sink: BinaryIO | None = None) -> str | None:
+    """Serialize a trajectory to the canonical JSON interchange form: its
+    text, or, given a binary ``sink``, None once the text is written to it."""
+    def values(i, j):
+        return np.concatenate([traj.intrinsics[i:j], traj.rotations[i:j].reshape(-1, 9),
+                               traj.translations[i:j]], axis=1).ravel().tolist()
+    doc = {"convention": traj.convention.value, "width": traj.width, "height": traj.height,
+           "poses": []}
+    return _emit(_dumps_listing(doc, _POSE_ITEM, len(traj), values), sink)
 
 
-def report_to_json(report: AlignmentReport) -> str:
-    """Render an evaluation report: the text of
-    ``json.dumps(report.to_dict(), indent=2) + "\\n"``."""
-    doc = report.to_dict()
-    n = len(doc.pop("per_frame"))
-    values = [""] * (2 * n)
-    values[0::2] = _json_numbers(report.per_frame_rot[:n])
-    values[1::2] = _json_numbers(report.per_frame_trans[:n])
-    return _dumps_listing(doc, "per_frame", {"rot": "%s", "trans": "%s"}, values)
+def report_to_json(report: AlignmentReport, sink: BinaryIO | None = None) -> str | None:
+    """Render an evaluation report: the text of ``json.dumps(report.to_dict(),
+    indent=2) + "\\n"``, or, given a binary ``sink``, None once it is written there."""
+    doc = replace(report, per_frame_rot=(), per_frame_trans=()).to_dict()  # per_frame: []
+    rot, trans = report.per_frame_rot, report.per_frame_trans
+
+    def values(i, j):  # rot, then trans, of each frame
+        return [*itertools.chain(*zip(_json_numbers(rot[i:j]), _json_numbers(trans[i:j])))]
+    n = min(len(rot), len(trans))
+    return _emit(_dumps_listing(doc, {"rot": "%s", "trans": "%s"}, n, values), sink)
 
 
-def _load_object(text: str) -> dict:
-    """The top-level object of a JSON document."""
+def _load_object(text: str, object_hook=None) -> dict:
+    """The top-level object of a JSON document, nested objects passed through ``object_hook``."""
+    last = [None, None]  # the object hooked last and what the hook made of it
+
+    def hook(obj):
+        last[:] = obj, object_hook(obj)
+        return last[1]
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_hook=object_hook and hook)
     except (ValueError, RecursionError) as e:  # also an integer past the digit limit, deep nesting
         raise SchemaError("/", f"invalid JSON: {e}") from None
+    if doc is last[1]:  # the top-level object, hooked last, stays as read
+        doc = last[0]
     if not isinstance(doc, dict):
         raise SchemaError("/", "top level must be an object")
     return doc
@@ -303,9 +326,13 @@ def _require(obj: dict, key: str, path: str):
     return obj[key]
 
 
+def _type_name(v) -> str:  # a pose row (bytes, see _pose_row) stands for its object
+    return "dict" if type(v) is bytes else type(v).__name__
+
+
 def _as_number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise SchemaError(path, f"expected a number, got {type(v).__name__}")
+        raise SchemaError(path, f"expected a number, got {_type_name(v)}")
     try:
         return float(v)
     except OverflowError:
@@ -314,7 +341,7 @@ def _as_number(v, path: str) -> float:
 
 def _as_int(v, path: str, minimum: int | None = None, maximum: int | None = None) -> int:
     if isinstance(v, bool) or not isinstance(v, int):
-        raise SchemaError(path, f"expected an integer, got {type(v).__name__}")
+        raise SchemaError(path, f"expected an integer, got {_type_name(v)}")
     if minimum is not None and v < minimum:
         raise SchemaError(path, f"must be >= {minimum}, got {v}")
     if maximum is not None and v > maximum:
@@ -336,28 +363,24 @@ def _intrinsics_fields(obj, path: str) -> list[float]:
     return [_as_number(_require(obj, k, path), f"{path}/{k}") for k in INTRINSICS_FIELDS]
 
 
-def _pose_values(raw_poses: list) -> np.ndarray:
-    """(m, 16) fx, fy, cx, cy, R, t of the leading poses, read in one pass
-    that stops at the first pose that is not an object with those keys, R
-    and t lists of 9 and 3 values, and every value an int or float (not
-    bool) within float64 range."""
-    flat: list = []
-    for rp in raw_poses:
-        try:
-            r, t = rp["R"], rp["t"]
-            row = [rp["fx"], rp["fy"], rp["cx"], rp["cy"], *r, *t]
-            kinds = set(map(type, row))
-            if (type(r) is not list or type(t) is not list or len(r) != 9 or len(t) != 3
-                    or not kinds <= {int, float}):
-                break
-            flat += list(map(float, row)) if int in kinds else row
-        except (KeyError, TypeError, OverflowError):
-            break
-    return np.array(flat, dtype=np.float64).reshape(-1, 16)
+def _pose_row(obj: dict):
+    """The trajectory reader's object hook: an object with keys fx, fy, cx, cy,
+    R and t (others allowed), R and t lists of 9 and 3 values and each value an
+    int or float (not bool) in float64 range becomes the bytes of those 16
+    float64s, a row; any other object stays as it is."""
+    try:
+        r, t = obj["R"], obj["t"]
+        row = [obj["fx"], obj["fy"], obj["cx"], obj["cy"], *r, *t]
+        if (type(r) is list and type(t) is list and len(r) == 9 and len(t) == 3
+                and set(map(type, row)) <= {int, float}):
+            return struct.pack("16d", *row)
+    except (KeyError, TypeError, struct.error):  # struct.error: an int past float64
+        pass
+    return obj
 
 
 def _pose_fault(rp, path: str) -> tuple[list, SchemaError]:
-    """Intrinsics and error of a pose that :func:`_pose_values` stopped at:
+    """Intrinsics and error of a pose that is not a row:
     ``[[fx, fy, cx, cy]]`` if those read cleanly, else ``[]``, and the
     SchemaError of its first structural fault."""
     intrinsics = []
@@ -372,17 +395,18 @@ def _pose_fault(rp, path: str) -> tuple[list, SchemaError]:
 def trajectory_from_json(text: str) -> Trajectory:
     """Parse the canonical trajectory JSON form.
 
-    The poses are read in one pass up to the first that is structurally
-    bad, then the values of those read, and the intrinsics of the bad one
-    if they read, are validated at once. The first bad pose is reported: a
-    bad value in an earlier pose comes before a structural fault in a later
-    one, and within a pose the intrinsics come before R, and R before t.
+    Each structurally sound pose becomes a row of 16 floats as the JSON is
+    decoded. The rows up to the first pose that is structurally bad, and
+    the intrinsics of that pose if they read, are validated at once. The
+    first bad pose is reported: a bad value in an earlier pose comes before
+    a structural fault in a later one, and within a pose the intrinsics
+    come before R, and R before t.
 
     Raises:
         SchemaError: with a /-separated path on any structural problem,
         including rotation blocks that fail the orthonormality check.
     """
-    doc = _load_object(text)
+    doc = _load_object(text, _pose_row)
     conv_name = _require(doc, "convention", "")
     if not isinstance(conv_name, str) or conv_name not in _CONVENTION_NAMES:
         raise SchemaError("/convention", f"must be one of {sorted(_CONVENTION_NAMES)}")
@@ -392,11 +416,13 @@ def trajectory_from_json(text: str) -> Trajectory:
     raw_poses = _require(doc, "poses", "")
     if not isinstance(raw_poses, list) or not raw_poses:
         raise SchemaError("/poses", "expected a non-empty list")
-    values = _pose_values(raw_poses)
+    rows = itertools.takewhile(lambda rp: type(rp) is bytes, raw_poses)  # the leading rows
+    values = np.frombuffer(b"".join(rows), dtype=np.float64).reshape(-1, 16)
     m = len(values)
     intrinsics, fault = [], None
     if m < len(raw_poses):
         intrinsics, fault = _pose_fault(raw_poses[m], f"/poses/{m}")
+    del doc, raw_poses  # the rows, now copied into values
     r, t = values[:, 4:13].reshape(-1, 3, 3), values[:, 13:]
     bad = first_bad_frame(r, t, np.concatenate([values[:, :4], np.reshape(intrinsics, (-1, 4))]))
     if bad is not None:
@@ -413,7 +439,7 @@ _MOTION_KINDS = {k.value: k for k in MotionKind}
 
 # Upper bounds of a plan's frame count and image sides, checked before any
 # allocation. The memory of `camtraj synth` grows with the frame count
-# (about 250 MB of RSS at 100,000 frames).
+# (about 80 MB of RSS at 100,000 frames, 29 MB of it the interpreter and numpy).
 MAX_PLAN_FRAMES = 1_000_000
 MAX_PLAN_SIDE = 65_536
 

@@ -19,7 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from camtraj import cli, geometry, plucker, pose_io
+from camtraj import cli, geometry, metrics, plucker, pose_io, synth
 from camtraj.cli import main
 from camtraj.encoder import EncoderConfig
 from camtraj.errors import IndexOutOfRange
@@ -584,6 +584,35 @@ class TestEval:
 
 ENCODE_FLAGS = ["--channels", "8,16,16,16", "--heads", "2",
                 "--mlp-ratio", "2", "--unshuffle", "2"]
+
+
+class TestStreamedText:
+    """parse, synth and eval write their JSON a chunk of list items at a time;
+    the files are the library's text at a chunk of 3 and at the default."""
+
+    @pytest.mark.parametrize("chunk", [3, None], ids=["chunk3", "default"])
+    def test_files_equal_library_text(self, chunk, tmp_path, capsys, monkeypatch):
+        if chunk:
+            monkeypatch.setattr(pose_io, "_CHUNK", chunk)
+        c = pose_io._CHUNK
+        for n in (1, c - 1, c, c + 1, 2 * c + 1):
+            poses, spec = tmp_path / f"poses{n}.txt", tmp_path / f"plan{n}.json"
+            parsed, synthesized, report = (tmp_path / f"{name}{n}.json"
+                                           for name in ("parsed", "synth", "report"))
+            write_pose_file(poses, n)
+            spec.write_text(json.dumps({**PAN_SPEC, "frames": n}))
+            assert run(capsys, "parse", "--input", str(poses), "--width", "384",
+                       "--height", "256", "--out", str(parsed))[0] == 0
+            assert run(capsys, "synth", "--spec", str(spec), "--out", str(synthesized))[0] == 0
+            gt = pose_io.to_trajectory(pose_io.parse_pose_file(poses.read_text()), 384, 256,
+                                       range(n))
+            gen = synth.synthesize(pose_io.parse_trajectory_spec(spec.read_text()))
+            assert parsed.read_text() == trajectory_to_json(gt)
+            assert synthesized.read_text() == trajectory_to_json(gen)
+            if n > 1:  # eval needs a first interval
+                assert run(capsys, "eval", "--gt", str(parsed), "--gen", str(synthesized),
+                           "--out", str(report))[0] == 0
+                assert report.read_text() == pose_io.report_to_json(metrics.evaluate(gt, gen))
 
 
 class TestEncode:

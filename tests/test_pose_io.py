@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from camtraj.pose_io import (
     trajectory_from_json,
     trajectory_to_json,
 )
-from camtraj.synth import MOTION_FIELDS, MotionKind
+from camtraj.synth import MOTION_FIELDS, MotionKind, synthesize
 from util import random_rotation, random_trajectory
 
 IDENTITY_LINE = "0 0.5 0.889 0.5 0.5 0 0 1 0 0 0 0 1 0 0 0 0 1 0"
@@ -366,6 +367,77 @@ class TestTrajectoryJson:
     def test_invalid_json(self):
         with pytest.raises(SchemaError):
             trajectory_from_json("not json{")
+
+
+class TestPoseRows:
+    """The reader makes each clean pose a row of floats as the JSON is decoded;
+    what it accepts and how it fails are those of reading pose by pose."""
+
+    POSE = {"fx": 10.0, "fy": 10.0, "cx": 5.0, "cy": 5.0,
+            "R": [1, 0, 0, 0, 1, 0, 0, 0, 1], "t": [0.5, 0, 0]}
+
+    def doc(self, *poses, **extra):
+        return {"convention": "w2c", "width": 10, "height": 10, "poses": list(poses), **extra}
+
+    def fails(self, doc):
+        with pytest.raises(SchemaError) as exc:
+            trajectory_from_json(json.dumps(doc))
+        return exc.value.path, exc.value.reason
+
+    def test_pose_shaped_document_lacks_convention(self):
+        assert self.fails(self.POSE) == ("/convention", "required key missing")
+
+    def test_pose_shaped_document_with_trajectory_keys_is_read(self):
+        traj = trajectory_from_json(json.dumps({**self.doc(self.POSE, self.POSE), **self.POSE}))
+        assert len(traj) == 2
+
+    def test_extra_keys_are_accepted(self):
+        plain = trajectory_from_json(json.dumps(self.doc(self.POSE)))
+        extra = trajectory_from_json(json.dumps(self.doc(
+            dict(self.POSE, note="x", more={"fx": [1]}, again=self.POSE))))
+        for name in ("rotations", "translations", "intrinsics"):
+            assert getattr(extra, name).tobytes() == getattr(plain, name).tobytes()
+
+    def test_true_in_r(self):
+        r = [1, 0, 0, 0, True, 0, 0, 0, 1]
+        assert self.fails(self.doc(self.POSE, dict(self.POSE, R=r))) == (
+            "/poses/1/R/4", "expected a number, got bool")
+
+    def test_huge_integer_in_t(self):
+        assert self.fails(self.doc(dict(self.POSE, t=[0, 10 ** 400, 0]))) == (
+            "/poses/0/t/1", "integer too large for a float64")
+
+    def test_non_object_pose(self):
+        assert self.fails(self.doc(self.POSE, [1.0], self.POSE)) == (
+            "/poses/1", "expected an object")
+
+    def test_pose_shaped_values_are_objects(self):
+        assert self.fails(self.doc(dict(self.POSE, fx=self.POSE))) == (
+            "/poses/0/fx", "expected a number, got dict")
+        assert self.fails({**self.doc(self.POSE), "width": self.POSE}) == (
+            "/width", "expected an integer, got dict")
+
+    def test_pose_under_unknown_key_is_ignored(self):
+        plain = trajectory_from_json(json.dumps(self.doc(self.POSE)))
+        extra = trajectory_from_json(json.dumps(self.doc(self.POSE, camera=self.POSE)))
+        assert extra.rotations.tobytes() == plain.rotations.tobytes()
+        assert self.fails(self.doc(camera=self.POSE)) == ("/poses", "expected a non-empty list")
+
+    def test_memory_is_rows_not_objects(self):
+        plan = {"frames": 20_000, "width": 64, "height": 48,
+                "intrinsics": {"fx": 30, "fy": 30, "cx": 32, "cy": 24},
+                "motions": [{"kind": "pan", "direction": [0.6, 0, 0.8], "interval": 0.1},
+                            {"kind": "rotate", "axis": [0, 1, 0], "degrees": 90}]}
+        text = trajectory_to_json(synthesize(parse_trajectory_spec(json.dumps(plan))))
+        tracemalloc.start()
+        try:
+            traj = trajectory_from_json(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(traj) == 20_000
+        # reading the whole tree of pose objects peaked at 26.4 MB on this document
+        assert peak <= 26.4e6 / 2
 
 
 class TestTrajectorySpec:

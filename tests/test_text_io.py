@@ -7,14 +7,17 @@ line. The references read one value at a time, as the parsers did before
 they read whole documents at once.
 """
 
+import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from camtraj import pose_io
 from camtraj.errors import (
     FieldCountError,
     IntrinsicsInvalid,
@@ -34,7 +37,7 @@ from camtraj.pose_io import (
     trajectory_from_json,
     trajectory_to_json,
 )
-from util import quat_to_matrix
+from util import quat_to_matrix, random_rotation
 
 # derandomized so a tier-1 run is reproducible; raise max_examples to explore
 checked = settings(max_examples=60, deadline=None, derandomize=True)
@@ -144,6 +147,64 @@ def test_report_text_non_finite_and_non_float_values():
     text = report_to_json(report)
     assert text == json.dumps(report.to_dict(), indent=2) + "\n"
     assert '"rot": -Infinity' in text and '"trans": NaN' in text and '"trans": true' in text
+
+
+# --- streamed writers ---------------------------------------------------------
+
+def _sized_trajectory(rng, n):
+    r = np.stack([random_rotation(rng) for _ in range(min(n, 16))])
+    k = rng.uniform(1.0, 400.0, (n, 4))
+    return Trajectory.from_arrays(np.resize(r, (n, 3, 3)), rng.standard_normal((n, 3)), k,
+                                  Convention.WORLD_TO_CAMERA, 384, 256)
+
+
+def _sized_report(rng, n):
+    """A report of n frames whose per-frame values hold, from 2 frames on,
+    inf and NaN in the first chunk and an int and a bool in the last."""
+    rot, trans = rng.uniform(0.0, math.pi, n).tolist(), rng.uniform(0.0, 9.0, n + 1).tolist()
+    if n > 1:
+        rot[0], trans[1] = math.inf, math.nan
+        rot[-1], trans[-2] = 3, True
+    return AlignmentReport(1.5, 2.5, math.nan, tuple(rot), tuple(trans), 0.5, n)
+
+
+@pytest.mark.parametrize("chunk", [3, None], ids=["chunk3", "default"])
+def test_streamed_writers_match_json_dumps(chunk, monkeypatch):
+    if chunk:
+        monkeypatch.setattr(pose_io, "_CHUNK", chunk)
+    c = pose_io._CHUNK
+    rng = np.random.default_rng(11)
+    for n in (1, c - 1, c, c + 1, 2 * c + 1):
+        traj, report = _sized_trajectory(rng, n), _sized_report(rng, n)
+        for write, value, expected in (
+                (trajectory_to_json, traj, reference_trajectory_json(traj)),
+                (report_to_json, report, json.dumps(report.to_dict(), indent=2) + "\n")):
+            text = write(value)
+            assert text == expected
+            sink = io.BytesIO()
+            assert write(value, sink) is None
+            assert sink.getvalue() == text.encode()
+
+
+class _Discard(io.RawIOBase):
+    def writable(self):
+        return True
+
+    def write(self, data):
+        return len(data)
+
+
+def test_streamed_trajectory_writer_memory_is_one_chunk():
+    traj = _sized_trajectory(np.random.default_rng(3), 50_000)  # 6.4 MB of arrays
+    tracemalloc.start()
+    try:
+        assert trajectory_to_json(traj, _Discard()) is None
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # beyond the arrays, one chunk's values, tuple and text: about 1.6 MB; the
+    # writer that built the whole text peaked at 86.1 MB here
+    assert peak < 4 << 20
 
 
 # --- pose text round trip -----------------------------------------------------
