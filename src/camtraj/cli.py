@@ -45,9 +45,9 @@ class _Parser(argparse.ArgumentParser):
 
 
 @contextlib.contextmanager
-def _atomic_writes() -> Iterator[Callable[[str, Callable[[BinaryIO], object]], None]]:
-    """Yield ``put(path, write)``: ``write`` fills a temp file beside ``path``, made
-    with mode 0666 & ~umask as open() gives. A clean exit renames every temp file
+def _atomic_writes() -> Iterator[Callable[[str, Callable[[BinaryIO], object]], str]]:
+    """Yield ``put(path, write)``, which returns the temp file beside ``path`` that ``write``
+    fills, mode 0666 & ~umask as open() gives. A clean exit renames every temp file
     into place; on any exception they are removed and existing files kept."""
     umask = os.umask(0o077)  # reading the umask sets it; mkstemp's files are 0600 either way
     os.umask(umask)
@@ -60,6 +60,7 @@ def _atomic_writes() -> Iterator[Callable[[str, Callable[[BinaryIO], object]], N
         with os.fdopen(fd, "wb") as f:
             os.fchmod(fd, 0o666 & ~umask)
             write(f)
+        return tmp
     try:
         yield put
         for tmp, path in tmps:
@@ -133,18 +134,19 @@ def cmd_embed(args) -> int:
     traj = pose_io.trajectory_from_json(_read_text(args.traj))
     shape = (len(traj), 6, traj.height, traj.width)
     frames = plucker.plucker_frames(traj, pixel_origin=args.pixel_origin)
-    with _atomic_writes() as put:
-        put(args.out, functools.partial(npyio.write_npy_frames, frames, shape))
-    print(f"embedded {shape} -> {args.out}")
-    if args.verify:  # frame by frame, as written: maxima over frames are the whole map's
-        with open(args.out, "rb") as f:
-            reports = [plucker.verify_plucker(frame) for frame in npyio.read_npy_frames(f)]
-        norm_dev, dot_dev = np.max([(r["direction_norm"], r["moment_dot"]) for r in reports], 0)
-        ok = all(r["ok"] for r in reports)
-        print(f"verify {'ok' if ok else 'FAILED'}: max |norm(d)-1| = {norm_dev:.3e}, "
-              f"max |m.d|/max(1,|m|) = {dot_dev:.3e}")
-        if not ok:
-            raise CamTrajError("written embedding failed invariant check")
+    with _atomic_writes() as put:  # a failed check renames nothing into place
+        tmp = put(args.out, functools.partial(npyio.write_npy_frames, frames, shape))
+        print(f"embedded {shape} -> {args.out}")
+        if args.verify:  # frame by frame, as written: maxima over frames are the whole map's
+            with open(tmp, "rb") as f:
+                reports = [plucker.verify_plucker(frame) for frame in npyio.read_npy_frames(f)]
+            norm_dev, dot_dev = np.max([(r["direction_norm"], r["moment_dot"])
+                                        for r in reports], 0)
+            ok = all(r["ok"] for r in reports)
+            print(f"verify {'ok' if ok else 'FAILED'}: max |norm(d)-1| = {norm_dev:.3e}, "
+                  f"max |m.d|/max(1,|m|) = {dot_dev:.3e}")
+            if not ok:
+                raise CamTrajError("written embedding failed invariant check")
     return EXIT_OK
 
 

@@ -20,11 +20,11 @@ The network is one sequence of blocks, named by the stages errors print:
 "the stem", then per scale k "scale k downsample block" and
 "scale k downsample attention" (from scale 2 on), "scale k residual block"
 and "scale k attention", whose output is scale k's feature map. Weights are
-drawn in this order, so ``encoder_forward`` without weights draws each conv
-or attention block just before it runs and drops it before the next draw: one
-of them, at most 79 MB at the default config, is held instead of the full
-0.9 GB. ``build_encoder_weights`` returns the drawn blocks as a dict from stage
-name to block.
+drawn in this order, so ``encoder_forward`` without weights draws each conv tap
+(a conv of several bands keeps its taps) and attention half (QKV and wo, then
+the MLP) just before it runs: at most one MLP half, 52 MB at the default config,
+is held instead of the full 0.9 GB. ``build_encoder_weights`` returns the drawn
+blocks as a dict from stage name to block.
 
 From the unshuffle on, every activation is stored once as (h, w, b*n, c)
 and each block reads a free view of it: (b*n, c, h, w) frames for the k*k
@@ -35,13 +35,15 @@ and attention over tiles of token rows, within ``_TILE_BYTES``; each linear is
 one 2-D GEMM on a tile's (rows * n, c) tokens.
 Q, K and V are stored fused, one (c, 3c) weight and one (3c,) bias per block,
 drawn as three (c, c) blocks in Q, K, V order, so they come from a single
-product with no per-call copy. Bias and residual adds and the SiLU,
-LayerNorm and softmax steps work in place on their own temporaries.
+product with no per-call copy. Adds, SiLU, LayerNorm and softmax work in place,
+and so do blocks on activations the forward pass owns, so none holds three: a
+16-frame 256x384 clip encodes in about 137 MB peak RSS (2-core VM, numpy 2.4.6).
 """
 
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -54,6 +56,7 @@ from .errors import ConfigError, IndivisibleDims, NonFiniteInput, ShapeMismatch
 LN_EPS = 1e-5
 _TILE_BYTES = 8 << 20  # bound on the widest temporary of an attention tile or a conv band
 _IN_CHANNELS = 6  # the Plücker ray layout: moment, then direction
+_CHUNK = 1 << 15  # elements per in-place step of silu, so its temporary stays in cache
 
 
 @dataclass(frozen=True)
@@ -83,8 +86,21 @@ class EncoderConfig:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
 
 
+class _Draw(NamedTuple):
+    """A weight not yet drawn: ``parts()`` draws it from ``rng`` as ``part``-shaped
+    blocks, each as it is taken. A conv's (cout, cin, k, k) has its taps as parts."""
+    rng: np.random.Generator
+    shape: tuple
+    part: tuple
+    fan_in: int
+
+    def parts(self) -> Iterator[np.ndarray]:
+        count = math.prod(self.shape) // math.prod(self.part)
+        return (_uniform(self.rng, self.part, self.fan_in) for _ in range(count))
+
+
 class ConvParams(NamedTuple):
-    w: np.ndarray  # (cout, cin, k, k); drawn as a view of (k, k, cin, cout) storage
+    w: np.ndarray  # (cout, cin, k, k), a view of (k, k, cin, cout) storage; or a _Draw
     b: np.ndarray  # (cout,)
 
 
@@ -95,20 +111,11 @@ class ResBlockParams:
     skip: ConvParams | None  # 1x1, present when channels or stride change
     stride: int = 1
 
-    @property
-    def convs(self) -> Iterator[ConvParams | None]:  # in the order res_block runs them
-        return iter((self.conv1, self.conv2, self.skip))
-
-
-class _ResBlockDraw(NamedTuple):
-    """A residual block of the inline stream: ``convs`` draws each conv as it is taken."""
-    convs: Iterator[ConvParams | None]
-    stride: int
-
 
 @dataclass(frozen=True)
 class AttentionParams:
-    """Temporal attention block weights for width c."""
+    """Temporal attention block weights for width c; in the inline stream the four
+    projection weights are ``_Draw``s, drawn as their half is taken."""
 
     ln1_gamma: np.ndarray
     ln1_beta: np.ndarray
@@ -127,19 +134,29 @@ class AttentionParams:
     def width(self) -> int:
         return self.wo.shape[0]
 
+    @property
+    def halves(self) -> Iterator[AttentionParams]:
+        """The block with wqkv and wo drawn, then with the MLP's: each as it is taken."""
+        yield dataclasses.replace(self, wqkv=_drawn(self.wqkv), wo=_drawn(self.wo))
+        yield dataclasses.replace(self, mlp_w1=_drawn(self.mlp_w1), mlp_w2=_drawn(self.mlp_w2))
+
 
 Block = ConvParams | ResBlockParams | AttentionParams
 
 
 # --- primitive ops ----------------------------------------------------------
 
-def silu(x: np.ndarray) -> np.ndarray:
-    # x * sigmoid(x), written via tanh so large |x| cannot overflow exp
-    out = x * 0.5
-    np.tanh(out, out=out)
-    out += 1.0
-    out *= 0.5
-    out *= x
+def silu(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+    """x * sigmoid(x) via tanh, so large |x| cannot overflow exp, in place over chunks
+    of a copy of x or, with ``overwrite_x``, of x, which must be contiguous in some order."""
+    out = x if overwrite_x else x.copy()
+    flat = out.ravel(order="K")  # a view of out's storage
+    for i in range(0, flat.size, _CHUNK):
+        t = flat[i:i + _CHUNK] * 0.5
+        np.tanh(t, out=t)
+        t += 1.0
+        t *= 0.5
+        flat[i:i + _CHUNK] *= t
     return out
 
 
@@ -199,58 +216,75 @@ def pixel_unshuffle(x: np.ndarray, r: int) -> np.ndarray:
     return np.ascontiguousarray(y).reshape(h // r, w // r, b, n, -1).transpose(2, 3, 4, 0, 1)
 
 
-def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1) -> np.ndarray:
+def _taps(w) -> Iterator[tuple[int, int, np.ndarray]]:
+    """(dy, dx, (cin, cout) weight) per tap, tap-major; a ``_Draw`` draws each as taken."""
+    cout, cin, k, _ = w.shape
+    taps = w.parts() if isinstance(w, _Draw) else iter(
+        w.transpose(2, 3, 1, 0).reshape(k * k, cin, cout))
+    for t in range(k * k):
+        yield *divmod(t, k), next(taps)
+
+
+def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
+           add_to: np.ndarray | None = None) -> np.ndarray:
     """'Same'-padded 2D convolution on (N, C, H, W) as k*k shifted GEMMs.
 
     Reads ``x`` as (H, W, N, C), a free view of encoder activations, and runs
     over bands of whole output rows: for each tap, a band's shifted (for stride
     2, strided) window, zero past the border, goes into one reused buffer, times
-    the tap's ``w.transpose(2, 3, 1, 0)[dy, dx]``, into the band's rows of one
-    (Ho, Wo, N, Cout) output, returned as an (N, Cout, Ho, Wo) view. Scratch is
-    the band's buffer and one tap's product, each within ``_TILE_BYTES`` unless
-    one output row is wider; bands depend only on shapes, so every run gives the
-    same bytes. BLAS reads the tap-major weights of this module in place; a
-    C-contiguous (Cout, Cin, k, k) array gives the same bytes via a copy.
+    the tap's weight, into the band's rows of one (Ho, Wo, N, Cout) output (or,
+    summed with the bias, into ``add_to``, a view of such storage), returned as
+    an (N, Cout, Ho, Wo) view. Scratch stays within ``_TILE_BYTES`` unless one
+    output row is wider; bands depend only on shapes, so every run gives the
+    same bytes. One band holds one tap of a ``_Draw`` at a time; several keep all.
     """
     cout, cin, k, _ = w.shape
     n, _, h, wd = x.shape
     pad = (k - 1) // 2
     ho, wo = (h + 2 * pad - k) // stride + 1, (wd + 2 * pad - k) // stride + 1
     src = x.transpose(2, 3, 0, 1)  # (H, W, N, C)
-    taps = w.transpose(2, 3, 1, 0)  # (k, k, Cin, Cout)
 
     def window(size, n_out, off):  # outputs [lo, hi) whose input i * stride + off is in range
         lo = max(0, -(off // stride))
         hi = max(lo, min(n_out, (size - 1 - off) // stride + 1))
         return lo, hi, slice(lo * stride + off, hi * stride + off, stride)
     rows = max(1, _TILE_BYTES // (4 * wo * n * max(cin, cout)))  # output rows per band
-    tap = np.empty((min(rows, ho), wo, n, cin), dtype=np.float32)
-    out = np.empty((ho, wo, n, cout), dtype=np.float32)
+    taps = list(_taps(w)) if ho > rows else _taps(w)  # every band runs every tap
+    buf = np.empty((min(rows, ho), wo, n, cin), dtype=np.float32)
+    out = np.empty((ho, wo, n, cout), dtype=np.float32) if add_to is None else add_to.transpose(
+        2, 3, 0, 1)
+    acc = None if add_to is None else np.empty((len(buf) * wo * n, cout), dtype=np.float32)
     for r0 in range(0, ho, rows):
-        band, dst = tap[:ho - r0], out[r0:r0 + rows].reshape(-1, cout)
-        for t in range(k * k):
-            dy, dx = divmod(t, k)
+        band, dst = buf[:ho - r0], out[r0:r0 + rows].reshape(-1, cout)
+        s = dst if acc is None else acc[:len(dst)]
+        for dy, dx, tap in taps:
             y0, y1, ys = window(h, len(band), r0 * stride + dy - pad)  # band-relative rows
             x0, x1, xs = window(wd, wo, dx - pad)
             band[:y0] = band[y1:] = band[y0:y1, :x0] = band[y0:y1, x1:] = 0  # past the border
             np.copyto(band[y0:y1, x0:x1], src[ys, xs])
-            if t:
-                dst += band.reshape(-1, cin) @ taps[dy, dx]
+            if dy or dx:
+                s += band.reshape(-1, cin) @ tap
             else:
-                np.matmul(band.reshape(-1, cin), taps[dy, dx], out=dst)
-    out += b
+                np.matmul(band.reshape(-1, cin), tap, out=s)
+            del tap  # dead before the next is drawn
+        s += b
+        if acc is not None:
+            dst += s
     return out.transpose(2, 3, 0, 1)
 
 
-def res_block(x: np.ndarray, p: ResBlockParams | _ResBlockDraw) -> np.ndarray:
-    """conv3x3 -> SiLU -> conv3x3 plus skip; 1x1 skip conv when present."""
-    convs = p.convs  # each taken just before it runs, so a streamed block draws it then
-    h = conv2d(x, *next(convs), p.stride)
-    h = silu(h)
-    h = conv2d(h, *next(convs), 1)
-    skip = next(convs)
-    h += x if skip is None else conv2d(x, *skip, p.stride)
-    return h
+def res_block(x: np.ndarray, p: ResBlockParams, overwrite_x: bool = False) -> np.ndarray:
+    """conv3x3 -> SiLU -> conv3x3 plus skip; 1x1 skip conv when present. With no
+    third activation, (conv2 + bias) + skip adds band by band into x (a copy unless
+    ``overwrite_x``) or, for a 1x1 skip conv, into conv2's output."""
+    h = silu(conv2d(x, *p.conv1, p.stride), overwrite_x=True)
+    if p.skip is None:
+        if not overwrite_x:
+            x = x.transpose(2, 3, 0, 1).astype(np.float32, order="C").transpose(2, 3, 0, 1)
+        return conv2d(h, *p.conv2, add_to=x)
+    out = conv2d(h, *p.conv2)
+    del h
+    return conv2d(x, *p.skip, p.stride, add_to=out)
 
 
 def multi_head_self_attention(x: np.ndarray, p: AttentionParams, heads: int,
@@ -279,7 +313,7 @@ def multi_head_self_attention(x: np.ndarray, p: AttentionParams, heads: int,
 
 
 def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
-                             use_posemb: bool = True) -> np.ndarray:
+                             use_posemb: bool = True, overwrite_x: bool = False) -> np.ndarray:
     """Pre-norm attention + MLP over the temporal axis of (R, n, c) rows.
 
     z  = x + PosEmb
@@ -287,12 +321,12 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
     out = MLP(LayerNorm(z2)) + z2
 
     With the attention output projection and the MLP final layer at zero,
-    both branches vanish and out is exactly x + PosEmb. Rows are independent,
-    so the block runs over tiles of whole rows, each written straight into one
-    (R, n, c) output. Tiles depend only on shapes, so every run gives the same
-    bytes. A tile holds as many rows (at least one) as keep its widest
-    temporary, the (rows * n, hidden) MLP layer, the (rows * n, 3c) QKV or the
-    (rows, heads, n, n) scores, within ``_TILE_BYTES``.
+    both branches vanish and out is exactly x + PosEmb, a new (R, n, c) array
+    or, with ``overwrite_x``, x. Rows are independent, so each of ``p.halves``
+    (attention, then MLP) adds into out over tiles of whole rows, which depend
+    only on shapes: every run gives the same bytes. A tile holds as many rows
+    (at least one) as keep its widest temporary, the (rows * n, hidden) MLP
+    layer, the (rows * n, 3c) QKV or the (rows, heads, n, n) scores, within ``_TILE_BYTES``.
 
     Raises:
         ShapeMismatch: for non-3D input, a width not matching the weights,
@@ -305,22 +339,22 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
         raise ShapeMismatch(f"input width {c} does not match weights width {p.width}")
     if heads < 1 or c % heads:
         raise ShapeMismatch(f"heads={heads} must divide width {c}")
-    pe = sinusoidal_posemb(n, c) if use_posemb else None
-    out = np.empty((r, n, c), dtype=np.result_type(x, p.mlp_w2))
-    widest = out.itemsize * n * max(p.mlp_w1.shape[1], 3 * c, heads * n)
-    step = max(1, _TILE_BYTES // widest)
-    for i in range(0, r, step):
-        z = x[i:i + step] + pe if use_posemb else x[i:i + step]
-        z2 = multi_head_self_attention(layer_norm(z, p.ln1_gamma, p.ln1_beta), p, heads)
-        z2 += z
-        del z  # free the posemb sum before the MLP's wide temporaries
-        h = layer_norm(z2, p.ln2_gamma, p.ln2_beta).reshape(-1, c) @ p.mlp_w1
-        h += p.mlp_b1
-        h = silu(h)
-        tile = out[i:i + step].reshape(-1, c)
-        np.matmul(h, p.mlp_w2, out=tile)
-        tile += p.mlp_b2
-        tile += z2.reshape(-1, c)
+    out = x if overwrite_x else x.astype(np.result_type(x, p.bo))
+    if use_posemb:
+        out += sinusoidal_posemb(n, c)
+    step = max(1, _TILE_BYTES // (out.itemsize * n * max(p.mlp_w1.shape[1], 3 * c, heads * n)))
+    tiles = [out[i:i + step] for i in range(0, r, step)]
+    a = next(halves := p.halves)
+    for z in tiles:
+        z += multi_head_self_attention(layer_norm(z, a.ln1_gamma, a.ln1_beta), a, heads)
+    del a  # the MLP's weights are drawn once the attention's are dead
+    m = next(halves)
+    for z in tiles:
+        h = layer_norm(z, m.ln2_gamma, m.ln2_beta).reshape(-1, c) @ m.mlp_w1
+        h += m.mlp_b1
+        h = silu(h, overwrite_x=True) @ m.mlp_w2
+        h += m.mlp_b2
+        z += h.reshape(z.shape)
     return out
 
 
@@ -337,46 +371,63 @@ def _uniform(rng, shape: tuple, fan_in: int) -> np.ndarray:
     return w
 
 
-def _init_conv(rng, cout: int, cin: int, k: int) -> ConvParams:
-    w = _uniform(rng, (k, k, cin, cout), cin * k * k).transpose(3, 2, 0, 1)  # tap-major
-    return ConvParams(w, np.zeros(cout, dtype=np.float32))
+def _drawn(w):
+    """``w`` with every ``_Draw`` in it drawn, in field order: the stream's."""
+    if isinstance(w, (ResBlockParams, AttentionParams)):
+        return dataclasses.replace(w, **{f.name: _drawn(getattr(w, f.name))
+                                         for f in dataclasses.fields(w)})
+    if isinstance(w, ConvParams):
+        return ConvParams(_drawn(w.w), w.b)
+    if not isinstance(w, _Draw):
+        return w
+    parts = list(w.parts())
+    if len(w.shape) == 4:  # a conv's taps, kept tap-major
+        return np.stack(parts).reshape(*w.shape[2:], *w.part).transpose(3, 2, 0, 1)
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def _init_linear(rng, din: int, dout: int) -> tuple[np.ndarray, np.ndarray]:
-    w = _uniform(rng, (din, dout), din)
-    return w, np.zeros(dout, dtype=np.float32)
+def _layer(rng, shape: tuple, part: tuple, fan_in: int, bias: int) -> tuple[_Draw, np.ndarray]:
+    try:  # the zero bias comes first: where it does not fit, neither does the weight
+        return _Draw(rng, shape, part, fan_in), np.zeros(bias, dtype=np.float32)
+    except MemoryError:
+        raise ConfigError(f"cannot allocate float32 weights of shape {part}") from None
+
+
+def _conv_draw(rng, cout: int, cin: int, k: int) -> ConvParams:
+    return ConvParams(*_layer(rng, (cout, cin, k, k), (cin, cout), cin * k * k, cout))
+
+
+def _attention_draw(rng, c: int, mlp_ratio: int) -> AttentionParams:
+    h = mlp_ratio * c
+    wqkv, bqkv = _layer(rng, (c, 3 * c), (c, c), c, 3 * c)  # Q, K, V: three (c, c) draws
+    wo, bo = _layer(rng, (c, c), (c, c), c, c)
+    w1, b1 = _layer(rng, (c, h), (c, h), c, h)
+    w2, b2 = _layer(rng, (h, c), (h, c), h, c)
+    ones, zeros = np.ones(c, dtype=np.float32), np.zeros(c, dtype=np.float32)
+    return AttentionParams(ones, zeros, wqkv, bqkv, wo, bo, ones.copy(), zeros.copy(),
+                           w1, b1, w2, b2)
 
 
 def _init_attention(rng, c: int, mlp_ratio: int) -> AttentionParams:
-    # Q, K and V are three (c, c) draws in stream order, stored side by side
-    wqkv = np.concatenate([_uniform(rng, (c, c), c) for _ in range(3)], axis=1)
-    wo, bo = _init_linear(rng, c, c)
-    w1, b1 = _init_linear(rng, c, mlp_ratio * c)
-    w2, b2 = _init_linear(rng, mlp_ratio * c, c)
-    ones = np.ones(c, dtype=np.float32)
-    zeros = np.zeros(c, dtype=np.float32)
-    return AttentionParams(ones, zeros, wqkv, np.zeros(3 * c, dtype=np.float32), wo, bo,
-                           ones.copy(), zeros.copy(), w1, b1, w2, b2)
+    return _drawn(_attention_draw(rng, c, mlp_ratio))
 
 
-def _init_res_block(rng, cin: int, cout: int, stride: int) -> _ResBlockDraw:
-    def convs():  # conv1, conv2, skip: the draw order is the run order
-        yield _init_conv(rng, cout, cin, 3)
-        yield _init_conv(rng, cout, cout, 3)
-        yield _init_conv(rng, cout, cin, 1) if cin != cout or stride != 1 else None
-    return _ResBlockDraw(convs(), stride)
+def _res_block_draw(rng, cin: int, cout: int, stride: int) -> ResBlockParams:
+    skip = _conv_draw(rng, cout, cin, 1) if cin != cout or stride != 1 else None
+    return ResBlockParams(_conv_draw(rng, cout, cin, 3), _conv_draw(rng, cout, cout, 3),
+                          skip, stride)
 
 
 def _stages(cfg: EncoderConfig) -> Iterator[tuple[str, Callable, tuple]]:
-    """(stage, init, args) in forward order: ``init(rng, *args)`` draws the stage's block."""
+    """(stage, init, args) in forward order: ``init(rng, *args)`` is the stage's block."""
     r, c1 = cfg.unshuffle_factor, cfg.scale_channels[0]
-    yield "the stem", _init_conv, (c1, _IN_CHANNELS * r * r, 3)
+    yield "the stem", _conv_draw, (c1, _IN_CHANNELS * r * r, 3)
     for k, (prev, c) in enumerate(zip((c1, *cfg.scale_channels), cfg.scale_channels), 1):
         if k > 1:
-            yield f"scale {k} downsample block", _init_res_block, (prev, c, 2)
-            yield f"scale {k} downsample attention", _init_attention, (c, cfg.mlp_ratio)
-        yield f"scale {k} residual block", _init_res_block, (c, c, 1)
-        yield f"scale {k} attention", _init_attention, (c, cfg.mlp_ratio)
+            yield f"scale {k} downsample block", _res_block_draw, (prev, c, 2)
+            yield f"scale {k} downsample attention", _attention_draw, (c, cfg.mlp_ratio)
+        yield f"scale {k} residual block", _res_block_draw, (c, c, 1)
+        yield f"scale {k} attention", _attention_draw, (c, cfg.mlp_ratio)
 
 
 def build_encoder_weights(cfg: EncoderConfig) -> dict[str, Block]:
@@ -390,12 +441,10 @@ def build_encoder_weights(cfg: EncoderConfig) -> dict[str, Block]:
     (cout, cin, k, k) views. Biases zero; LayerNorm affine at identity.
     Changing any architectural field changes the stream, so weights are only
     comparable across identical configs. :func:`encoder_forward` draws the
-    same stream block by block when no weights are passed.
+    same stream tap by tap and half by half when no weights are passed.
     """
     rng = np.random.default_rng(cfg.seed)
-    blocks = ((stage, init(rng, *args)) for stage, init, args in _stages(cfg))
-    return {stage: ResBlockParams(*b.convs, b.stride) if isinstance(b, _ResBlockDraw) else b
-            for stage, b in blocks}
+    return {stage: _drawn(init(rng, *args)) for stage, init, args in _stages(cfg)}
 
 
 # --- full forward -----------------------------------------------------------
@@ -429,11 +478,11 @@ def shape_schedule(cfg: EncoderConfig, b: int, n: int, h: int, w: int) -> list:
 def _attend(x: np.ndarray, p: AttentionParams, cfg: EncoderConfig, n: int) -> np.ndarray:
     """Attention over the n frames of (b*n, c, h, w) maps stored (h, w, b*n, c).
 
-    The token rows, one per (y, x, b), and the returned maps are views.
+    The token rows, one per (y, x, b), and the returned maps are views: in place.
     """
     bn, c, h, w = x.shape
     rows = x.transpose(2, 3, 0, 1).reshape(-1, n, c)
-    out = temporal_attention_block(rows, p, cfg.heads, cfg.use_posemb)
+    out = temporal_attention_block(rows, p, cfg.heads, cfg.use_posemb, overwrite_x=True)
     return out.reshape(h, w, bn, c).transpose(2, 3, 0, 1)
 
 
@@ -456,8 +505,8 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig, weights: dict[str, Block]
     """Run the full encoder on an (n, c, h, w) or (b, n, c, h, w) input.
 
     A 4D input is treated as batch size 1. Without ``weights`` the weights of
-    :func:`build_encoder_weights` are drawn inline, each conv or attention
-    block just before it runs, so the full set is never held at once. Pass
+    :func:`build_encoder_weights` are drawn inline, each conv tap or attention
+    half just before it runs, so the full set is never held at once. Pass
     that dict, with byte-identical results, to reuse it across calls or to
     probe modified parameters. One loop runs each stage's block by its type.
     Each "scale k attention" output, a (b, n, c, h, w) view of its (h, w, b*n, c)
@@ -500,15 +549,14 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig, weights: dict[str, Block]
         x = x.reshape(b * n, *x.shape[2:])  # frames are independent outside attention
     feats, rng = [], np.random.default_rng(cfg.seed)
     for stage, init, args in _stages(cfg):
-        with _named_errors(shape, stage):  # the stage is named before its draw
+        with _named_errors(shape, stage):  # the stage is named before its draws
             blk = init(rng, *args) if weights is None else weights[stage]
             if isinstance(blk, ConvParams):
                 x = conv2d(x, *blk)
             elif isinstance(blk, AttentionParams):
                 x = _attend(x, blk, cfg, n)
-            else:
-                x = res_block(x, blk)
-            del blk  # block i is dead when block i+1 is drawn
+            else:  # after a map, a downsample block: it writes no input a map shares
+                x = res_block(x, blk, overwrite_x=True)
         if stage.endswith(" attention") and "downsample" not in stage:  # scale k's map
             (feats.append if sink is None else sink)(x.reshape(b, n, *x.shape[1:]))
     return tuple(feats)

@@ -458,12 +458,19 @@ class TestEmbedStream:
 
         monkeypatch.setattr(plucker, "_fill_map", long_directions)
         traj = synth_traj_json(tmp_path, capsys, {**PAN_SPEC, "frames": 3})
-        code, stdout, stderr = run(capsys, "embed", "--traj", str(traj),
-                                   "--out", str(tmp_path / "p.npy"), "--verify")
-        assert code == 2
-        assert stdout.splitlines()[1].startswith("verify FAILED: max |norm(d)-1| = 1.000e+00")
-        assert stderr == "error: written embedding failed invariant check\n"
-        assert "Traceback" not in stdout + stderr
+        old = tmp_path / "old.npy"
+        old.write_bytes(b"an earlier map")
+        # the check reads the temp file: a failure writes no new file and keeps an old one
+        for out in (tmp_path / "p.npy", old):
+            code, stdout, stderr = run(capsys, "embed", "--traj", str(traj),
+                                       "--out", str(out), "--verify")
+            assert code == 2
+            assert stdout.splitlines()[1].startswith("verify FAILED: max |norm(d)-1| = 1.000e+00")
+            assert stderr == "error: written embedding failed invariant check\n"
+            assert "Traceback" not in stdout + stderr
+        assert not (tmp_path / "p.npy").exists()
+        assert old.read_bytes() == b"an earlier map"
+        assert [p.name for p in tmp_path.iterdir() if p.name.startswith(".tmp-")] == []
 
 
 class TestEval:
@@ -778,12 +785,12 @@ class TestEncode:
             before = {f: (out_dir / f).read_bytes() for f in os.listdir(out_dir)}
         real, seen = cli.encoder.res_block, []
 
-        def res_block(x, p):  # the 4th is scale 3's downsample block
+        def res_block(x, p, overwrite_x=False):  # the 4th is scale 3's downsample block
             names = os.listdir(out_dir) if out_dir.exists() else []
             seen.append([f for f in names if f.startswith(".tmp-")])
             if len(seen) == 4:
                 raise MemoryError
-            return real(x, p)
+            return real(x, p, overwrite_x)
 
         monkeypatch.setattr(cli.encoder, "res_block", res_block)
         code, stdout, stderr = run(capsys, *args, "--seed", "6")

@@ -483,6 +483,54 @@ class TestTemporalAttentionBlock:
             temporal_attention_block(np.zeros((2, 3, 8), dtype=np.float32), p, 3)
 
 
+class TestInPlace:
+    """The forward pass updates activations it owns in place; called on their
+    own, the ops return the same values and leave their inputs untouched."""
+
+    def channels_last(self, rng, shape):  # (n, c, h, w) view of (h, w, n, c) storage
+        n, c, h, w = shape
+        return rand(rng, (h, w, n, c)).transpose(2, 3, 0, 1)
+
+    def test_ops_leave_inputs_untouched(self):
+        rng = np.random.default_rng(49)
+        w = build_encoder_weights(SMALL)
+        x, rows = self.channels_last(rng, (2, 8, 8, 8)), rand(rng, (12, 5, 16))
+        xb, rowsb = x.tobytes(), rows.tobytes()
+        silu(x)
+        conv2d(x, *w["scale 1 residual block"].conv1)
+        res_block(x, w["scale 1 residual block"])
+        res_block(x, w["scale 2 downsample block"])
+        for use_posemb in (True, False):
+            temporal_attention_block(rows, w["scale 2 attention"], 2, use_posemb)
+        assert x.tobytes() == xb and rows.tobytes() == rowsb
+
+    @pytest.mark.parametrize("use_posemb", [True, False])
+    def test_overwrite_gives_the_same_bytes_in_its_input(self, use_posemb):
+        rng = np.random.default_rng(50)
+        w = build_encoder_weights(SMALL)
+        x, rows = self.channels_last(rng, (2, 8, 8, 8)), rand(rng, (12, 5, 16))
+        calls = [(silu, x, ()), (res_block, x, (w["scale 1 residual block"],)),
+                 (temporal_attention_block, rows, (w["scale 2 attention"], 2, use_posemb))]
+        for op, arg, rest in calls:
+            want = op(arg, *rest).tobytes()
+            own = arg.copy(order="K")
+            got = op(own, *rest, overwrite_x=True)
+            assert np.shares_memory(got, own) and got.tobytes() == want
+
+    @pytest.mark.parametrize("k, stride", [(3, 1), (1, 2)])
+    def test_add_to_adds_each_band_after_its_bias(self, monkeypatch, k, stride):
+        # (sum of taps + bias) + y, band by band: the bytes of conv2d(...) + y
+        monkeypatch.setattr(enc, "_TILE_BYTES", 1)  # one output row per band
+        rng = np.random.default_rng(51)
+        x, y = self.channels_last(rng, (2, 3, 7, 5)), self.channels_last(rng, (2, 4, 7, 5))
+        if stride == 2:
+            y = self.channels_last(rng, (2, 4, 4, 3))
+        wt, b = rand(rng, (4, 3, k, k)), rand(rng, (4,))
+        want = (conv2d(x, wt, b, stride) + y).tobytes()
+        got = conv2d(x, wt, b, stride, add_to=y)
+        assert np.shares_memory(got, y) and got.tobytes() == y.tobytes() == want
+
+
 class TestWeights:
     def test_deterministic_rebuild(self):
         a = build_encoder_weights(SMALL)
@@ -685,7 +733,7 @@ class TestEncoderForward:
         def no_draw(*args):
             raise AssertionError("weights drawn for rejected input")
 
-        monkeypatch.setattr(enc, "_init_conv", no_draw)
+        monkeypatch.setattr(enc, "_uniform", no_draw)
         x = np.zeros((1, 2, 6, 16, 16), dtype=np.float32)
         x[0, 1, 3, 5, 7] = bad
         with pytest.raises(NonFiniteInput, match="1 non-finite"):
@@ -707,11 +755,11 @@ class TestEncoderForward:
         def fails(name, fail_at):
             real, calls = getattr(enc, name), []
 
-            def wrapper(*args):
+            def wrapper(*args, **kwargs):
                 calls.append(1)
                 if len(calls) == fail_at:
                     raise MemoryError
-                return real(*args)
+                return real(*args, **kwargs)
             return wrapper
 
         x = rand(np.random.default_rng(38), (2, 6, 16, 16))
@@ -727,16 +775,19 @@ class TestEncoderForward:
                                       f"(1, 2, 6, 16, 16): out of memory in {stage}")
             assert exc.value.__cause__ is None and exc.value.__suppress_context__
 
-    @pytest.mark.parametrize("name, fail_at, stage", [
-        ("_init_conv", 1, "the stem"),
-        ("_init_conv", 2, "scale 1 residual block"),  # its conv1
-        ("_init_conv", 5, "scale 2 downsample block"),  # its conv2
-        ("_init_attention", 1, "scale 1 attention"),
-        ("_init_attention", 2, "scale 2 downsample attention"),
+    # SMALL draws 9 taps for the stem and each 3x3 conv, one for a 1x1 skip, and
+    # per attention block three QKV blocks and wo (its first half), then w1, w2
+    @pytest.mark.parametrize("fail_at, stage", [
+        pytest.param(1, "the stem", id="stem"),  # its first tap
+        pytest.param(10, "scale 1 residual block", id="conv1"),  # its first tap
+        pytest.param(28, "scale 1 attention", id="qkv"),  # the Q block
+        pytest.param(32, "scale 1 attention", id="mlp"),  # w1, the MLP half's first
+        pytest.param(43, "scale 2 downsample block", id="conv2"),  # its first tap
+        pytest.param(52, "scale 2 downsample block", id="skip"),  # the 1x1 skip conv
+        pytest.param(53, "scale 2 downsample attention", id="down-qkv"),
     ])
-    def test_out_of_memory_in_a_draw_names_the_stage_drawn(self, monkeypatch, name,
-                                                           fail_at, stage):
-        real, calls = getattr(enc, name), []
+    def test_out_of_memory_in_a_draw_names_the_stage_drawn(self, monkeypatch, fail_at, stage):
+        real, calls = enc._uniform, []
 
         def fails(*args):
             calls.append(1)
@@ -744,11 +795,12 @@ class TestEncoderForward:
                 raise MemoryError
             return real(*args)
 
-        monkeypatch.setattr(enc, name, fails)
+        monkeypatch.setattr(enc, "_uniform", fails)
         with pytest.raises(ConfigError) as exc:
             encoder_forward(rand(np.random.default_rng(39), (2, 6, 16, 16)), SMALL)
         assert str(exc.value) == ("cannot allocate the forward pass of input shape "
                                   f"(1, 2, 6, 16, 16): out of memory in {stage}")
+        assert len(calls) == fail_at
 
 
 class TestSink:
@@ -811,7 +863,7 @@ class TestWeightStream:
 
     def test_draw_error_propagates_and_starts_no_thread(self, monkeypatch):
         boom = RuntimeError("draw failed")
-        real = enc._init_attention
+        real = enc._uniform
         calls = []
 
         def failing(*args):
@@ -820,7 +872,7 @@ class TestWeightStream:
                 raise boom
             return real(*args)
 
-        monkeypatch.setattr(enc, "_init_attention", failing)
+        monkeypatch.setattr(enc, "_uniform", failing)
         before = threading.active_count()
         x = rand(np.random.default_rng(34), (1, 2, 6, 16, 16))
         with pytest.raises(RuntimeError) as info:
@@ -851,58 +903,114 @@ class TestWeightStream:
 
 class TestInlineDraw:
     def test_each_block_drawn_after_previous_ran(self, monkeypatch):
+        # a one-band conv takes each tap right after its draw and draws the next
+        # only after that tap's GEMM; an attention block draws its MLP half only
+        # after its attention half ran
         log = []
+        real_uniform, real_taps = enc._uniform, enc._taps
+        real_mhsa, real_silu = enc.multi_head_self_attention, enc.silu
 
-        def logged(name, event, at_end):
-            real = getattr(enc, name)
+        def uniform(rng, shape, fan_in):
+            log.append(f"draw {shape}")
+            return real_uniform(rng, shape, fan_in)
 
-            def wrapper(*args, **kwargs):
-                if not at_end:
-                    log.append(event)
-                out = real(*args, **kwargs)
-                if at_end:
-                    log.append(event)
-                return out
-            monkeypatch.setattr(enc, name, wrapper)
+        def taps(w):
+            for dy, dx, tap in real_taps(w):
+                log.append(f"tap {dy},{dx}")
+                yield dy, dx, tap
 
-        logged("_init_conv", "draw conv", False)
-        logged("_init_attention", "draw attention", False)
-        logged("conv2d", "run conv", True)
-        logged("res_block", "run res", True)
-        logged("_attend", "run attention", True)
+        def mhsa(*args, **kwargs):
+            log.append("attention")
+            return real_mhsa(*args, **kwargs)
+
+        def silu(x, overwrite_x=False):
+            log.append("silu")
+            return real_silu(x, overwrite_x)
+
+        for name, fn in (("_uniform", uniform), ("_taps", taps),
+                         ("multi_head_self_attention", mhsa), ("silu", silu)):
+            monkeypatch.setattr(enc, name, fn)
         encoder_forward(rand(np.random.default_rng(37), (1, 2, 6, 16, 16)), SMALL)
 
-        def res(convs):  # each conv drawn just before it runs
-            return ["draw conv", "run conv"] * convs + ["run res"]
+        def conv(cin, cout, k):
+            return [e for t in range(k * k) for e in (f"draw {(cin, cout)}", "tap %d,%d" % divmod(t, k))]
 
-        attention = ["draw attention", "run attention"]
-        want = ["draw conv", "run conv"] + res(2) + attention  # stem, scale 1
-        for _ in SMALL.scale_channels[1:]:  # stride-2 block with its 1x1 skip, then plain
-            want += res(3) + attention + res(2) + attention
+        def res(cin, cout, skip):
+            return (conv(cin, cout, 3) + ["silu"] + conv(cout, cout, 3)
+                    + (conv(cin, cout, 1) if skip else []))
+
+        def attention(c):  # Q, K, V and wo, then w1 and w2; every block is one tile
+            hidden = SMALL.mlp_ratio * c
+            return ([f"draw {(c, c)}"] * 4 + ["attention", f"draw {(c, hidden)}",
+                                              f"draw {(hidden, c)}", "silu"])
+
+        want = conv(24, 8, 3) + res(8, 8, False) + attention(8)  # stem, scale 1
+        for prev, c in zip(SMALL.scale_channels, SMALL.scale_channels[1:]):
+            want += res(prev, c, True) + attention(c) + res(c, c, False) + attention(c)
         assert log == want
 
     def test_drawn_weights_dead_before_the_next_draw(self, monkeypatch):
-        # each conv, a residual block's included, and each attention block is
-        # drawn only once every weight drawn before it has been freed
-        refs, draws = [], []
+        # each tap of a one-band conv, and each half of an attention block, is
+        # drawn only once every weight drawn before it is dead
+        older, group, draws = [], [], []
+        state = {"half": False, "start": True}  # inside a half; at its first draw
+        real_uniform, real_halves = enc._uniform, enc.AttentionParams.halves.fget
 
-        def tracked(name, arrays):
-            real = getattr(enc, name)
+        def uniform(rng, shape, fan_in):
+            if state["start"] or not state["half"]:  # a tap, or a half's first part
+                older.extend(group)
+                group.clear()
+            state["start"] = False
+            assert [r for r in older if r() is not None] == [], f"draw {len(draws)}"
+            draws.append(shape)
+            w = real_uniform(rng, shape, fan_in)
+            group.append(weakref.ref(w))
+            return w
 
-            def wrapper(*args):
-                assert [r for r in refs if r() is not None] == [], f"draw {len(draws)}"
-                draws.append(name)
-                out = real(*args)
-                refs.extend(weakref.ref(a) for a in arrays(out))
-                return out
-            monkeypatch.setattr(enc, name, wrapper)
+        def drawn(half, names):  # the half's fused or single weights
+            group.extend(weakref.ref(getattr(half, name)) for name in names)
+            state["half"] = False
+            return half
 
-        tracked("_init_conv", lambda c: (c.w, c.b))
-        tracked("_init_attention", lambda a: (a.wqkv, a.wo, a.mlp_w1, a.mlp_w2))
+        def halves(self):
+            gen = real_halves(self)
+            state.update(half=True, start=True)
+            yield drawn(next(gen), ("wqkv", "wo"))
+            state.update(half=True, start=True)
+            yield drawn(next(gen), ("mlp_w1", "mlp_w2"))
+
+        monkeypatch.setattr(enc, "_uniform", uniform)
+        monkeypatch.setattr(enc.AttentionParams, "halves", property(halves))
         feats = encoder_forward(rand(np.random.default_rng(40), (1, 2, 6, 16, 16)), SMALL)
         assert len(feats) == 4
-        assert draws.count("_init_conv") == 18 and draws.count("_init_attention") == 7
-        assert [r for r in refs if r() is not None] == []
+        # 15 3x3 convs of 9 taps, three 1x1 skips, 7 attention blocks of 6 draws
+        assert len(draws) == 15 * 9 + 3 + 7 * 6
+        assert [r for r in older + group if r() is not None] == []
+
+    def test_several_bands_draw_each_tap_once(self, monkeypatch):
+        # a conv of several bands draws its taps before the first band and
+        # keeps them: the same draws and bytes as the whole weight
+        monkeypatch.setattr(enc, "_TILE_BYTES", 1)  # one output row per band
+        rng = np.random.default_rng(48)
+        x, b = rand(rng, (2, 3, 5, 4)), rand(rng, (4,))
+        whole = enc._drawn(enc._Draw(np.random.default_rng(3), (4, 3, 3, 3), (3, 4), 27))
+        draws, real = [], enc._uniform
+        monkeypatch.setattr(enc, "_uniform", lambda *args: draws.append(1) or real(*args))
+        got = conv2d(x, enc._Draw(np.random.default_rng(3), (4, 3, 3, 3), (3, 4), 27), b)
+        assert len(draws) == 9
+        assert got.tobytes() == conv2d(x, whole, b).tobytes()
+
+    def test_inline_forward_holds_one_mlp_half(self):
+        # at the default config the widest weights held at once are one MLP half,
+        # w1 and w2 of a 1280-wide block (52.4 MB; the whole block is 78.6 MB)
+        x = rand(np.random.default_rng(47), (1, 2, 6, 64, 64))
+        tracemalloc.start()
+        try:
+            encoder_forward(x, EncoderConfig(), sink=lambda feat: None)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.05 * 2 * 1280 * 5120 * 4
 
     def test_cli_import_loads_no_thread_pool(self):
         src = str(Path(enc.__file__).resolve().parent.parent)
@@ -1039,9 +1147,9 @@ def test_attend_passes_and_returns_views(monkeypatch):
     # and the maps returned from it share memory with them, so nothing is copied
     real, seen = enc.temporal_attention_block, {}
 
-    def recording(x, p, heads, use_posemb):
+    def recording(x, p, heads, use_posemb, overwrite_x=False):
         seen["rows"] = x
-        seen["out"] = real(x, p, heads, use_posemb)
+        seen["out"] = real(x, p, heads, use_posemb, overwrite_x)
         return seen["out"]
 
     monkeypatch.setattr(enc, "temporal_attention_block", recording)
@@ -1050,6 +1158,7 @@ def test_attend_passes_and_returns_views(monkeypatch):
     got = enc._attend(x, small_attention(c=c), dataclasses.replace(SMALL, heads=2), n)
     assert seen["rows"].shape == (h * w * b, n, c) and np.shares_memory(seen["rows"], x)
     assert got.shape == (b * n, c, h, w) and np.shares_memory(got, seen["out"])
+    assert np.shares_memory(seen["out"], x)  # the block overwrote the rows
 
 
 def test_every_conv_reads_channels_last_storage(monkeypatch):
@@ -1057,13 +1166,14 @@ def test_every_conv_reads_channels_last_storage(monkeypatch):
     # conv, the stem included, copies whole rows into its tap buffers
     real, seen = enc.conv2d, []
 
-    def recording(x, w, b, stride=1):
+    def recording(x, w, b, stride=1, add_to=None):
         seen.append(x.transpose(2, 3, 0, 1).flags.c_contiguous)
-        return real(x, w, b, stride)
+        return real(x, w, b, stride, add_to)
 
     monkeypatch.setattr(enc, "conv2d", recording)
     weights = build_encoder_weights(SMALL)
-    convs = sum(1 if isinstance(blk, enc.ConvParams) else sum(c is not None for c in blk.convs)
+    convs = sum(1 if isinstance(blk, enc.ConvParams)
+                else sum(c is not None for c in (blk.conv1, blk.conv2, blk.skip))
                 for blk in weights.values() if not isinstance(blk, enc.AttentionParams))
     encoder_forward(rand(np.random.default_rng(41), (2, 3, 6, 16, 32)), SMALL, weights)
     assert len(seen) == convs and all(seen)
