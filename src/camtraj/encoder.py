@@ -35,9 +35,9 @@ and attention over tiles of token rows, within ``_TILE_BYTES``; each linear is
 one 2-D GEMM on a tile's (rows * n, c) tokens.
 Q, K and V are stored fused, one (c, 3c) weight and one (3c,) bias per block,
 drawn as three (c, c) blocks in Q, K, V order, so they come from a single
-product with no per-call copy. Adds, SiLU, LayerNorm and softmax work in place,
-and so do blocks on activations the forward pass owns, so none holds three: a
-16-frame 256x384 clip encodes in about 137 MB peak RSS (2-core VM, numpy 2.4.6).
+product with no per-call copy. Adds, SiLU, LayerNorm and softmax work in place, and so
+does a residual block, in the array it is given, of any layout; attention returns a
+new array. A 16-frame 256x384 clip encodes in about 137 MB peak RSS (2-core VM, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -146,10 +146,10 @@ Block = ConvParams | ResBlockParams | AttentionParams
 
 # --- primitive ops ----------------------------------------------------------
 
-def silu(x: np.ndarray, overwrite_x: bool = False) -> np.ndarray:
+def silu(x: np.ndarray) -> np.ndarray:
     """x * sigmoid(x) via tanh, so large |x| cannot overflow exp, in place over chunks
-    of a copy of x or, with ``overwrite_x``, of x, which must be contiguous in some order."""
-    out = x if overwrite_x else x.copy()
+    of x, or of a copy where x is not contiguous in any order: x may be overwritten."""
+    out = x if np.may_share_memory(x.ravel(order="K"), x) else np.array(x)
     flat = out.ravel(order="K")  # a view of out's storage
     for i in range(0, flat.size, _CHUNK):
         t = flat[i:i + _CHUNK] * 0.5
@@ -233,8 +233,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
     over bands of whole output rows: for each tap, a band's shifted (for stride
     2, strided) window, zero past the border, goes into one reused buffer, times
     the tap's weight, into the band's rows of one (Ho, Wo, N, Cout) output (or,
-    summed with the bias, into ``add_to``, a view of such storage), returned as
-    an (N, Cout, Ho, Wo) view. Scratch stays within ``_TILE_BYTES`` unless one
+    summed with the bias, into ``add_to``, (N, Cout, Ho, Wo) of any layout), returned
+    as an (N, Cout, Ho, Wo) view. Scratch stays within ``_TILE_BYTES`` unless one
     output row is wider; bands depend only on shapes, so every run gives the
     same bytes. One band holds one tap of a ``_Draw`` at a time; several keep all.
     """
@@ -255,8 +255,8 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
         2, 3, 0, 1)
     acc = None if add_to is None else np.empty((len(buf) * wo * n, cout), dtype=np.float32)
     for r0 in range(0, ho, rows):
-        band, dst = buf[:ho - r0], out[r0:r0 + rows].reshape(-1, cout)
-        s = dst if acc is None else acc[:len(dst)]
+        band, dst = buf[:ho - r0], out[r0:r0 + rows]
+        s = dst.reshape(-1, cout) if acc is None else acc[:band.size // cin]
         for dy, dx, tap in taps:
             y0, y1, ys = window(h, len(band), r0 * stride + dy - pad)  # band-relative rows
             x0, x1, xs = window(wd, wo, dx - pad)
@@ -269,18 +269,16 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
             del tap  # dead before the next is drawn
         s += b
         if acc is not None:
-            dst += s
+            dst += s.reshape(dst.shape)
     return out.transpose(2, 3, 0, 1)
 
 
-def res_block(x: np.ndarray, p: ResBlockParams, overwrite_x: bool = False) -> np.ndarray:
+def res_block(x: np.ndarray, p: ResBlockParams) -> np.ndarray:
     """conv3x3 -> SiLU -> conv3x3 plus skip; 1x1 skip conv when present. With no
-    third activation, (conv2 + bias) + skip adds band by band into x (a copy unless
-    ``overwrite_x``) or, for a 1x1 skip conv, into conv2's output."""
-    h = silu(conv2d(x, *p.conv1, p.stride), overwrite_x=True)
+    third activation, (conv2 + bias) + skip adds band by band into x (overwritten:
+    callers use the return value) or, for a 1x1 skip conv, into conv2's output."""
+    h = silu(conv2d(x, *p.conv1, p.stride))
     if p.skip is None:
-        if not overwrite_x:
-            x = x.transpose(2, 3, 0, 1).astype(np.float32, order="C").transpose(2, 3, 0, 1)
         return conv2d(h, *p.conv2, add_to=x)
     out = conv2d(h, *p.conv2)
     del h
@@ -313,7 +311,7 @@ def multi_head_self_attention(x: np.ndarray, p: AttentionParams, heads: int,
 
 
 def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
-                             use_posemb: bool = True, overwrite_x: bool = False) -> np.ndarray:
+                             use_posemb: bool = True) -> np.ndarray:
     """Pre-norm attention + MLP over the temporal axis of (R, n, c) rows.
 
     z  = x + PosEmb
@@ -321,8 +319,8 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
     out = MLP(LayerNorm(z2)) + z2
 
     With the attention output projection and the MLP final layer at zero,
-    both branches vanish and out is exactly x + PosEmb, a new (R, n, c) array
-    or, with ``overwrite_x``, x. Rows are independent, so each of ``p.halves``
+    both branches vanish and out is exactly x + PosEmb, a new (R, n, c) array:
+    x is left untouched. Rows are independent, so each of ``p.halves``
     (attention, then MLP) adds into out over tiles of whole rows, which depend
     only on shapes: every run gives the same bytes. A tile holds as many rows
     (at least one) as keep its widest temporary, the (rows * n, hidden) MLP
@@ -339,7 +337,7 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
         raise ShapeMismatch(f"input width {c} does not match weights width {p.width}")
     if heads < 1 or c % heads:
         raise ShapeMismatch(f"heads={heads} must divide width {c}")
-    out = x if overwrite_x else x.astype(np.result_type(x, p.bo))
+    out = x.astype(np.result_type(x, p.bo))
     if use_posemb:
         out += sinusoidal_posemb(n, c)
     step = max(1, _TILE_BYTES // (out.itemsize * n * max(p.mlp_w1.shape[1], 3 * c, heads * n)))
@@ -352,7 +350,7 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
     for z in tiles:
         h = layer_norm(z, m.ln2_gamma, m.ln2_beta).reshape(-1, c) @ m.mlp_w1
         h += m.mlp_b1
-        h = silu(h, overwrite_x=True) @ m.mlp_w2
+        h = silu(h) @ m.mlp_w2
         h += m.mlp_b2
         z += h.reshape(z.shape)
     return out
@@ -478,11 +476,11 @@ def shape_schedule(cfg: EncoderConfig, b: int, n: int, h: int, w: int) -> list:
 def _attend(x: np.ndarray, p: AttentionParams, cfg: EncoderConfig, n: int) -> np.ndarray:
     """Attention over the n frames of (b*n, c, h, w) maps stored (h, w, b*n, c).
 
-    The token rows, one per (y, x, b), and the returned maps are views: in place.
+    The token rows, one per (y, x, b), view x; the maps returned view the block's new output.
     """
     bn, c, h, w = x.shape
     rows = x.transpose(2, 3, 0, 1).reshape(-1, n, c)
-    out = temporal_attention_block(rows, p, cfg.heads, cfg.use_posemb, overwrite_x=True)
+    out = temporal_attention_block(rows, p, cfg.heads, cfg.use_posemb)
     return out.reshape(h, w, bn, c).transpose(2, 3, 0, 1)
 
 
@@ -556,7 +554,7 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig, weights: dict[str, Block]
             elif isinstance(blk, AttentionParams):
                 x = _attend(x, blk, cfg, n)
             else:  # after a map, a downsample block: it writes no input a map shares
-                x = res_block(x, blk, overwrite_x=True)
+                x = res_block(x, blk)
         if stage.endswith(" attention") and "downsample" not in stage:  # scale k's map
             (feats.append if sink is None else sink)(x.reshape(b, n, *x.shape[1:]))
     return tuple(feats)

@@ -465,7 +465,8 @@ class TestEmbedStream:
             code, stdout, stderr = run(capsys, "embed", "--traj", str(traj),
                                        "--out", str(out), "--verify")
             assert code == 2
-            assert stdout.splitlines()[1].startswith("verify FAILED: max |norm(d)-1| = 1.000e+00")
+            assert stdout.startswith("verify FAILED: max |norm(d)-1| = 1.000e+00")
+            assert len(stdout.splitlines()) == 1  # no "embedded" line: OUT was not written
             assert stderr == "error: written embedding failed invariant check\n"
             assert "Traceback" not in stdout + stderr
         assert not (tmp_path / "p.npy").exists()
@@ -785,12 +786,12 @@ class TestEncode:
             before = {f: (out_dir / f).read_bytes() for f in os.listdir(out_dir)}
         real, seen = cli.encoder.res_block, []
 
-        def res_block(x, p, overwrite_x=False):  # the 4th is scale 3's downsample block
+        def res_block(x, p):  # the 4th is scale 3's downsample block
             names = os.listdir(out_dir) if out_dir.exists() else []
             seen.append([f for f in names if f.startswith(".tmp-")])
             if len(seen) == 4:
                 raise MemoryError
-            return real(x, p, overwrite_x)
+            return real(x, p)
 
         monkeypatch.setattr(cli.encoder, "res_block", res_block)
         code, stdout, stderr = run(capsys, *args, "--seed", "6")

@@ -484,8 +484,9 @@ class TestTemporalAttentionBlock:
 
 
 class TestInPlace:
-    """The forward pass updates activations it owns in place; called on their
-    own, the ops return the same values and leave their inputs untouched."""
+    """silu and res_block work in the array they are given, of any layout, and
+    callers use the return value; conv2d leaves its input untouched and adds into
+    ``add_to`` of any layout; temporal attention returns a new array."""
 
     def channels_last(self, rng, shape):  # (n, c, h, w) view of (h, w, n, c) storage
         n, c, h, w = shape
@@ -496,39 +497,41 @@ class TestInPlace:
         w = build_encoder_weights(SMALL)
         x, rows = self.channels_last(rng, (2, 8, 8, 8)), rand(rng, (12, 5, 16))
         xb, rowsb = x.tobytes(), rows.tobytes()
-        silu(x)
         conv2d(x, *w["scale 1 residual block"].conv1)
-        res_block(x, w["scale 1 residual block"])
-        res_block(x, w["scale 2 downsample block"])
         for use_posemb in (True, False):
-            temporal_attention_block(rows, w["scale 2 attention"], 2, use_posemb)
+            out = temporal_attention_block(rows, w["scale 2 attention"], 2, use_posemb)
+            assert not np.shares_memory(out, rows)
         assert x.tobytes() == xb and rows.tobytes() == rowsb
 
-    @pytest.mark.parametrize("use_posemb", [True, False])
-    def test_overwrite_gives_the_same_bytes_in_its_input(self, use_posemb):
+    @pytest.mark.parametrize("channels_last", [True, False])
+    def test_overwrite_gives_the_same_bytes_in_its_input(self, channels_last):
+        # in x itself: silu's bytes on a copy of the other layout, res_block's composition
         rng = np.random.default_rng(50)
-        w = build_encoder_weights(SMALL)
-        x, rows = self.channels_last(rng, (2, 8, 8, 8)), rand(rng, (12, 5, 16))
-        calls = [(silu, x, ()), (res_block, x, (w["scale 1 residual block"],)),
-                 (temporal_attention_block, rows, (w["scale 2 attention"], 2, use_posemb))]
-        for op, arg, rest in calls:
-            want = op(arg, *rest).tobytes()
-            own = arg.copy(order="K")
-            got = op(own, *rest, overwrite_x=True)
-            assert np.shares_memory(got, own) and got.tobytes() == want
+        p = build_encoder_weights(SMALL)["scale 1 residual block"]
+        x = self.channels_last(rng, (2, 8, 8, 8)) if channels_last else rand(rng, (2, 8, 8, 8))
+        want = silu(x.copy(order="C" if channels_last else "F")).tobytes()
+        got = silu(x)
+        assert np.shares_memory(got, x) and got.tobytes() == x.tobytes() == want
+        want = (conv2d(silu(conv2d(x, *p.conv1)), *p.conv2) + x).tobytes()
+        got = res_block(x, p)
+        assert np.shares_memory(got, x) and got.tobytes() == x.tobytes() == want
+
+    def test_silu_of_a_strided_view_or_scalar_matches_logistic_form(self):
+        for v in (np.linspace(-20, 20, 802).reshape(2, 401)[:, ::2], np.float64(3.0)):
+            ref = v / (1.0 + np.exp(-v))
+            np.testing.assert_allclose(silu(v), ref, atol=1e-12)
 
     @pytest.mark.parametrize("k, stride", [(3, 1), (1, 2)])
     def test_add_to_adds_each_band_after_its_bias(self, monkeypatch, k, stride):
         # (sum of taps + bias) + y, band by band: the bytes of conv2d(...) + y
         monkeypatch.setattr(enc, "_TILE_BYTES", 1)  # one output row per band
         rng = np.random.default_rng(51)
-        x, y = self.channels_last(rng, (2, 3, 7, 5)), self.channels_last(rng, (2, 4, 7, 5))
-        if stride == 2:
-            y = self.channels_last(rng, (2, 4, 4, 3))
-        wt, b = rand(rng, (4, 3, k, k)), rand(rng, (4,))
-        want = (conv2d(x, wt, b, stride) + y).tobytes()
-        got = conv2d(x, wt, b, stride, add_to=y)
-        assert np.shares_memory(got, y) and got.tobytes() == y.tobytes() == want
+        x, wt, b = self.channels_last(rng, (2, 3, 7, 5)), rand(rng, (4, 3, k, k)), rand(rng, (4,))
+        shape = (2, 4, 7, 5) if stride == 1 else (2, 4, 4, 3)
+        for y in (self.channels_last(rng, shape), rand(rng, shape)):  # either layout
+            want = (conv2d(x, wt, b, stride) + y).tobytes()
+            got = conv2d(x, wt, b, stride, add_to=y)
+            assert np.shares_memory(got, y) and got.tobytes() == y.tobytes() == want
 
 
 class TestWeights:
@@ -923,9 +926,9 @@ class TestInlineDraw:
             log.append("attention")
             return real_mhsa(*args, **kwargs)
 
-        def silu(x, overwrite_x=False):
+        def silu(x):
             log.append("silu")
-            return real_silu(x, overwrite_x)
+            return real_silu(x)
 
         for name, fn in (("_uniform", uniform), ("_taps", taps),
                          ("multi_head_self_attention", mhsa), ("silu", silu)):
@@ -1144,12 +1147,12 @@ def test_forward_matches_nchw_layout_bytes(b, n, use_posemb):
 
 def test_attend_passes_and_returns_views(monkeypatch):
     # activations are stored (h, w, b*n, c): the token rows handed to the block
-    # and the maps returned from it share memory with them, so nothing is copied
+    # are a view of them, and the maps returned a view of the block's new output
     real, seen = enc.temporal_attention_block, {}
 
-    def recording(x, p, heads, use_posemb, overwrite_x=False):
+    def recording(x, p, heads, use_posemb):
         seen["rows"] = x
-        seen["out"] = real(x, p, heads, use_posemb, overwrite_x)
+        seen["out"] = real(x, p, heads, use_posemb)
         return seen["out"]
 
     monkeypatch.setattr(enc, "temporal_attention_block", recording)
@@ -1158,7 +1161,7 @@ def test_attend_passes_and_returns_views(monkeypatch):
     got = enc._attend(x, small_attention(c=c), dataclasses.replace(SMALL, heads=2), n)
     assert seen["rows"].shape == (h * w * b, n, c) and np.shares_memory(seen["rows"], x)
     assert got.shape == (b * n, c, h, w) and np.shares_memory(got, seen["out"])
-    assert np.shares_memory(seen["out"], x)  # the block overwrote the rows
+    assert not np.shares_memory(seen["out"], x)  # the block left the rows as they were
 
 
 def test_every_conv_reads_channels_last_storage(monkeypatch):
