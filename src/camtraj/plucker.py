@@ -10,13 +10,16 @@ Rays are sampled at pixel centers by default (u + 0.5, v + 0.5); pass
 ``pixel_origin="corner"`` to sample the integer grid instead.
 
 One kernel computes every ray, one frame at a time over bands of whole rows
-of about 16K pixels, whose float64 planes stay in cache; its bits are those
-of the pixel-major (h, w, 3) matmul/norm/cross form at any band size
-(``ray_direction`` runs it on one pixel), and a ray out of float range raises
-a CamTrajError naming its frame. ``plucker_frames`` runs it into one reused
-buffer, which ``camtraj embed`` streams to disk, or into the (n, 6, h, w) map
-of ``plucker_sequence``. The kernel and ``verify_plucker`` work on the same
-bands, so each needs about 1 MB of float64 beyond the map.
+of about 16K pixels, whose float64 planes stay in cache. A direction is the
+sum of a per-column and a per-row term, and the kernel makes no BLAS call:
+at any band size, and under any BLAS kernel or thread count, its float64
+bits are those of the same sum, ``np.linalg.norm`` and ``np.cross`` on the
+pixel-major (h, w, 3) layout (``ray_direction`` runs it on one pixel). A ray
+out of float range raises a CamTrajError naming its frame. ``plucker_frames``
+runs the kernel into one reused buffer, which ``camtraj embed`` streams to
+disk, or into the (n, 6, h, w) map of ``plucker_sequence``. The kernel and
+``verify_plucker`` work on the same bands, so each needs about 1 MB of
+float64 beyond the map.
 """
 
 from __future__ import annotations
@@ -68,33 +71,25 @@ def _fill_map(out: np.ndarray, intrinsics, r_c2w: np.ndarray, center: np.ndarray
               off: float) -> None:
     """Write the (6, h, w) Plucker map of one camera into ``out``.
 
-    Runs over bands of whole rows, ``_BAND_PIXELS`` pixels or one row each,
-    on two reused (3, rows, w) float64 buffers. A band's camera-space planes
-    (u, v, 1) go through one (3, 3) @ (3, rows*w) product, which sums
-    d_k = u*R[k,0] + v*R[k,1] + R[k,2] in the same order, with the same
-    fused multiply-adds, as the pixel-major ``d_cam @ R.T``; elementwise
-    sums would round differently. The norm is sqrt((d0^2 + d1^2) + d2^2),
-    and the direction and moment (o x d) planes go straight into the band's
-    rows of ``out``. Any overflow, division by zero or NaN raises a CamTrajError.
+    Runs over bands of whole rows, ``_BAND_PIXELS`` pixels or one row each, on
+    five reused (rows, w) float64 planes: d_k = u*R[k,0] + (v*R[k,1] + R[k,2]),
+    then the norm sqrt((d0^2 + d1^2) + d2^2) and the moment planes o x d. Any
+    overflow, division by zero or NaN raises a CamTrajError.
     """
     try:
         fx, fy, cx, cy = intrinsics
         height, width = out.shape[1:]
-        # at width 1 numpy forms the pixel-major product row by row, as BLAS
-        # matrix-vector products, which round unlike a (3, 3) @ (3, rows) GEMM
-        rows = max(1, _BAND_PIXELS // width) if width > 1 else 1
-        u = (np.arange(width, dtype=np.float64) + off - cx) / fx
-        v = (np.arange(height, dtype=np.float64) + off - cy) / fy
-        scratch = np.empty((2, 3 * min(rows, height) * width))
+        rows = max(1, _BAND_PIXELS // width)
+        col = r_c2w[:, 0, None] * ((np.arange(width, dtype=np.float64) + off - cx) / fx)
+        row = r_c2w[:, 1, None] * ((np.arange(height, dtype=np.float64) + off - cy) / fy)
+        row += r_c2w[:, 2, None]
+        scratch = np.empty((5, min(rows, height) * width))
         c0, c1, c2 = center  # moment k is c_a*d_i - c_b*d_j, as np.cross forms it
         for r0 in range(0, height, rows):
             band = out[:, r0:r0 + rows]  # the last band may be shorter
-            cam, d = (buf[:3 * band[0].size].reshape(3, -1, width) for buf in scratch)
-            cam[0] = u
-            cam[1] = v[r0:r0 + rows, None]
-            cam[2] = 1.0
-            np.matmul(r_c2w, cam.reshape(3, -1), out=d.reshape(3, -1))
-            norm, tmp = cam[0], cam[1]  # the camera planes are spent: reuse them
+            planes = scratch[:, :band[0].size].reshape(5, -1, width)
+            d, norm, tmp = planes[:3], planes[3], planes[4]
+            np.add(col[:, None, :], row[:, r0:r0 + rows, None], out=d)
             np.multiply(d[0], d[0], out=norm)
             norm += np.multiply(d[1], d[1], out=tmp)
             norm += np.multiply(d[2], d[2], out=tmp)

@@ -44,9 +44,10 @@ ENCODE = {
     "encode odd widths": ((3, 32, 48), ["--no-posemb", "--channels", "21,35,49,63", "--heads",
                                         "7", "--mlp-ratio", "3", "--unshuffle", "2"], 16 << 10),
 }
-# (rtol, atol / max |map|) of the NPY cases in the inherited environment: their
-# GEMMs go through the BLAS kernel, and embed's float64 (3, 3) ray product rounds
-# cancelling moments differently under some kernels (SkylakeX against Sandybridge)
+# (rtol, atol / max |map|) of the NPY cases in the inherited environment: encode's
+# GEMMs go through the BLAS kernel, and so does the -R.T @ t camera center that
+# convert_extrinsics forms for embed's w2c cases, whose float32 moments that cancel
+# to near zero can differ under another kernel; embed of c2w poses calls no BLAS
 TOLERANCE = {"embed": (2.0 ** -23, 1e-15), "encode": (1e-5, 1e-5)}
 # 8 frames of 32x16: one plan per motion kind, and one of all five composed
 PLAN = {"frames": 8, "width": 32, "height": 16,

@@ -1,13 +1,19 @@
 """Plucker embeddings against independent unprojection oracles."""
 
 import math
+import os
+import platform
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import camtraj
 import camtraj.plucker as plucker
 from camtraj.errors import CamTrajError, ShapeMismatch
 from camtraj.geometry import (
@@ -269,18 +275,14 @@ class TestVerify:
 # --- the pixel-major formulas the planar kernel and frame-by-frame check replace
 
 def pixel_major_sequence(traj, off, dtype=np.float32):
-    """(n, 6, h, w) maps from the (h, w, 3) matmul / norm / cross formula."""
+    """(n, 6, h, w) maps from the (h, w, 3) separable sum / norm / cross formula."""
     r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention,
                               Convention.CAMERA_TO_WORLD)
     out = np.empty((len(traj), 6, traj.height, traj.width), dtype=dtype)
     for i, (fx, fy, cx, cy) in enumerate(traj.intrinsics):
         u = (np.arange(traj.width, dtype=np.float64) + off - cx) / fx
         v = (np.arange(traj.height, dtype=np.float64) + off - cy) / fy
-        d_cam = np.empty((traj.height, traj.width, 3))
-        d_cam[..., 0] = u[None, :]
-        d_cam[..., 1] = v[:, None]
-        d_cam[..., 2] = 1.0
-        d_world = d_cam @ r[i].T
+        d_world = u[None, :, None] * r[i][:, 0] + (v[:, None, None] * r[i][:, 1] + r[i][:, 2])
         d_world /= np.linalg.norm(d_world, axis=-1, keepdims=True)
         m = np.cross(np.broadcast_to(c[i], d_world.shape), d_world)
         out[i, 0:3] = np.moveaxis(m, -1, 0)
@@ -386,29 +388,69 @@ class TestBandedKernel:
                               (planes, pixel_major_sequence(traj, off, np.float64))):
                 np.testing.assert_array_equal(got.view(np.uint8), want.view(np.uint8))
 
-    def test_one_pixel_wide_float64_planes_bit_exact(self):
-        # numpy computes the pixel-major form of a one-pixel column as one
-        # matrix-vector product per row, which rounds unlike a (3, 3) @ (3, h) GEMM
-        rng = np.random.default_rng(0)
-        for conv in Convention:
-            traj = random_trajectory(rng, 2, conv, width=1, height=9)
-            got = TestPlanarKernel.float64_planes(traj, 0.5)
-            assert got.tobytes() == pixel_major_sequence(traj, 0.5, np.float64).tobytes()
-
-    def test_scratch_is_two_float64_bands(self):
+    def test_scratch_is_five_float64_planes(self):
         h, w = 384, 640
         traj = random_trajectory(np.random.default_rng(27), 1, width=w, height=h)
         r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention,
                                   Convention.CAMERA_TO_WORLD)
         out = np.empty((6, h, w), dtype=np.float32)
-        band = 3 * (plucker._BAND_PIXELS // w) * w * 8  # one (3, rows, w) float64 buffer
+        plane = (plucker._BAND_PIXELS // w) * w * 8  # one (rows, w) float64 plane
         tracemalloc.start()
         try:
             _fill_map(out, traj.intrinsics[0], r[0], c[0], 0.5)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 2 * band + (128 << 10)  # whole-frame planes would be 11.8 MB
+        # plus three of numpy's 8192-element ufunc buffers; whole-frame planes would be 11.8 MB
+        assert peak < 5 * plane + 3 * 8192 * 8
+
+
+def openblas_name():
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except Exception:  # numpy before 1.26 has no dict form
+        return None
+
+
+# prints the SHA-256 of the float64 planes _fill_map writes for the cameras of an npz
+PLANES_SCRIPT = """
+import hashlib, sys
+import numpy as np
+from camtraj.plucker import _fill_map
+a, sha = np.load(sys.argv[1]), hashlib.sha256()
+for r, c, k in zip(a["r"], a["c"], a["k"]):
+    for off in (0.5, 0.0):
+        out = np.empty((6, 61, 97))
+        _fill_map(out, k, r, c, off)
+        sha.update(out.tobytes())
+print(sha.hexdigest())
+"""
+
+
+class TestKernelIndependence:
+    @pytest.mark.skipif(platform.machine() not in ("x86_64", "AMD64")
+                        or openblas_name() != "scipy-openblas",
+                        reason="OPENBLAS_CORETYPE selects kernels of x86-64 scipy-openblas")
+    def test_float64_planes_equal_under_every_openblas_kernel(self, tmp_path):
+        # the inputs are built once here: rebuilt in each subprocess, BLAS-backed
+        # norms would make other rotations of the same seed under another kernel
+        rng = np.random.default_rng(28)
+        trajs = [random_trajectory(rng, 10, conv, width=97, height=61) for conv in Convention]
+        r, c = (np.concatenate(a) for a in zip(*(
+            convert_extrinsics(t.rotations, t.translations, t.convention,
+                               Convention.CAMERA_TO_WORLD) for t in trajs)))
+        np.savez(tmp_path / "cams.npz", r=r, c=c,
+                 k=np.concatenate([t.intrinsics for t in trajs]))
+        src = str(Path(camtraj.__file__).resolve().parent.parent)
+        hashes = {}
+        for core in (None, "Prescott", "Sandybridge", "Haswell"):
+            env = dict(os.environ, PYTHONPATH=src)
+            if core:
+                env["OPENBLAS_CORETYPE"] = core
+            run = subprocess.run([sys.executable, "-c", PLANES_SCRIPT, tmp_path / "cams.npz"],
+                                 env=env, capture_output=True, text=True, check=True)
+            hashes[core or "inherited"] = run.stdout.strip()
+        assert len(set(hashes.values())) == 1, hashes
 
 
 class TestRayDirectionKernel:
@@ -417,7 +459,7 @@ class TestRayDirectionKernel:
            st.data())
     def test_runs_the_map_kernel(self, traj, origin, data):
         # at integer pixels, the float64 map's direction, up to a rounding of the
-        # principal point shift and BLAS's choice of kernel for one column
+        # principal point shift
         name, off = origin
         planes = TestPlanarKernel.float64_planes(traj, off)
         for i, pose in enumerate(traj.poses):
