@@ -18,8 +18,8 @@ import functools
 import math
 import os
 import pathlib
+import stat
 import sys
-import tempfile
 from collections.abc import Callable, Iterator
 from typing import BinaryIO
 
@@ -46,19 +46,19 @@ class _Parser(argparse.ArgumentParser):
 
 @contextlib.contextmanager
 def _atomic_writes() -> Iterator[Callable[[str, Callable[[BinaryIO], object]], str]]:
-    """Yield ``put(path, write)``, which returns the temp file beside ``path`` that ``write``
-    fills, mode 0666 & ~umask as open() gives. A clean exit renames every temp file
-    into place; on any exception they are removed and existing files kept."""
-    umask = os.umask(0o077)  # reading the umask sets it; mkstemp's files are 0600 either way
-    os.umask(umask)
+    """Yield ``put(path, write)``: it refuses a directory ``path``, else returns the new temp
+    file beside it that ``write`` fills, mode 0666 & ~umask. A clean exit renames every temp
+    file into place; on any exception they are removed and existing files kept."""
     tmps = []
 
     def put(path, write):
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                   prefix=".tmp-", suffix=os.path.basename(path))
-        tmps.append((tmp, path))
-        with os.fdopen(fd, "wb") as f:
-            os.fchmod(fd, 0o666 & ~umask)
+        with contextlib.suppress(FileNotFoundError):  # a symlink is replaced, not followed
+            if stat.S_ISDIR(os.lstat(path).st_mode):
+                raise IsADirectoryError(f"destination is a directory: {path}")
+        head, name = os.path.split(os.path.abspath(path))
+        tmp = os.path.join(head, f".tmp-{os.urandom(8).hex()}-{name}")
+        with open(tmp, "xb") as f:
+            tmps.append((tmp, path))
             write(f)
         return tmp
     try:

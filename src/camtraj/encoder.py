@@ -360,10 +360,7 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
 
 def _uniform(rng, shape: tuple, fan_in: int) -> np.ndarray:
     """(2u - 1) * sqrt(3 / fan_in), u = rng.random(shape, float32); u - 0.5 is exact."""
-    try:
-        w = rng.random(shape, dtype=np.float32)
-    except (MemoryError, ValueError):  # ValueError: past numpy's size limit
-        raise ConfigError(f"cannot allocate float32 weights of shape {shape}") from None
+    w = rng.random(shape, dtype=np.float32)
     w -= np.float32(0.5)
     w *= np.float32(2.0 * math.sqrt(3.0 / fan_in))
     return w
@@ -385,10 +382,10 @@ def _drawn(w):
 
 
 def _layer(rng, shape: tuple, part: tuple, fan_in: int, bias: int) -> tuple[_Draw, np.ndarray]:
-    try:  # the zero bias comes first: where it does not fit, neither does the weight
-        return _Draw(rng, shape, part, fan_in), np.zeros(bias, dtype=np.float32)
-    except MemoryError:
-        raise ConfigError(f"cannot allocate float32 weights of shape {part}") from None
+    """A ``shape`` weight to draw as ``part``s and its zero bias, unless numpy cannot make it."""
+    if 4 * math.prod(shape) > np.iinfo(np.intp).max:
+        raise ConfigError(f"cannot allocate float32 weights of shape {shape}")
+    return _Draw(rng, shape, part, fan_in), np.zeros(bias, dtype=np.float32)
 
 
 def _conv_draw(rng, cout: int, cin: int, k: int) -> ConvParams:
@@ -439,7 +436,9 @@ def build_encoder_weights(cfg: EncoderConfig) -> dict[str, Block]:
     (cout, cin, k, k) views. Biases zero; LayerNorm affine at identity.
     Changing any architectural field changes the stream, so weights are only
     comparable across identical configs. :func:`encoder_forward` draws the
-    same stream tap by tap and half by half when no weights are passed.
+    same stream tap by tap and half by half when no weights are passed. A
+    weight past numpy's size limit raises ConfigError; one past memory raises
+    numpy's own MemoryError. Both name the weight's shape.
     """
     rng = np.random.default_rng(cfg.seed)
     return {stage: _drawn(init(rng, *args)) for stage, init, args in _stages(cfg)}
@@ -519,8 +518,8 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig, weights: dict[str, Block]
         NonFiniteInput: the input holds NaN, infinity or values past the
             float32 range, or the forward pass overflows float32, naming the
             input shape and the stage reached.
-        ConfigError: the forward pass runs out of memory, naming the input
-            shape and the stage it reached.
+        ConfigError: a weight is past numpy's size limit, naming its shape; or the
+            forward pass, draws included, runs out of memory, naming the input shape and stage.
     """
     src = np.asarray(p)
     del p  # a caller that passes its only reference gets the input freed after unshuffle

@@ -770,6 +770,23 @@ class TestEncode:
             assert (out_dir / f"scale{i}.npy").read_bytes() == before[i]
         assert no_temp_litter(out_dir)
 
+    def test_directory_destination_keeps_previous_set(self, tmp_path, capsys):
+        # scale2.npy is refused before anything is written, so no scale is renamed
+        rng = np.random.default_rng(3)
+        src = tmp_path / "p.npy"
+        write_npy_file(rng.standard_normal((2, 6, 16, 32)).astype(np.float32), src)
+        out_dir = tmp_path / "feats"
+        args = ("encode", "--plucker", str(src), "--out-dir", str(out_dir), *ENCODE_FLAGS)
+        assert run(capsys, *args, "--seed", "5")[0] == 0
+        (out_dir / "scale2.npy").unlink()
+        (out_dir / "scale2.npy").mkdir()
+        before = {i: (out_dir / f"scale{i}.npy").read_bytes() for i in (1, 3, 4)}
+        code, stdout, stderr = run(capsys, *args, "--seed", "6")
+        assert (code, stdout) == (3, "")
+        assert stderr == f"io error: destination is a directory: {out_dir / 'scale2.npy'}\n"
+        assert {i: (out_dir / f"scale{i}.npy").read_bytes() for i in (1, 3, 4)} == before
+        assert (out_dir / "scale2.npy").is_dir() and no_temp_litter(out_dir)
+
     @pytest.mark.parametrize("existing", [False, True], ids=["new-out-dir", "existing-set"])
     def test_failure_after_scale_1_leaves_nothing(self, tmp_path, capsys, monkeypatch, existing):
         # scales 1 and 2 are already in temp files when scale 3 runs out of
@@ -1033,7 +1050,8 @@ class TestErrorContract:
         assert not out_dir.exists()
 
     def test_encode_weights_past_memory_exit_2(self, tmp_path, capsys):
-        # numpy refuses the 233 TiB draw up front, without touching memory
+        # the 32 TB zero bias of scale 1's first MLP layer is within numpy's size
+        # limit, so allocating it is what fails, in the stage that makes it
         src = tmp_path / "p.npy"
         write_npy_file(np.zeros((2, 6, 16, 32), dtype=np.float32), src)
         out_dir = tmp_path / "feats"
@@ -1042,7 +1060,39 @@ class TestErrorContract:
                                    "--heads", "1", "--unshuffle", "2",
                                    "--mlp-ratio", "1000000000000")
         assert (code, stdout) == (2, "")
-        assert stderr == "error: cannot allocate float32 weights of shape (8, 8000000000000)\n"
+        assert stderr == ("error: cannot allocate the forward pass of input shape "
+                          "(1, 2, 6, 16, 32): out of memory in scale 1 attention\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("flags, shape", [
+        (("--channels", "2305843009213693952,8,8,8"), "(2305843009213693952, 24, 3, 3)"),
+        (("--channels", "8,8,8,8", "--mlp-ratio", "4611686018427387904"),
+         "(8, 36893488147419103232)"),
+    ], ids=["stem", "mlp"])
+    def test_encode_weights_past_numpy_size_limit_exit_2(self, tmp_path, capsys, flags, shape):
+        # float32 weights of these shapes pass numpy's size limit: refused by shape
+        src = tmp_path / "p.npy"
+        write_npy_file(np.zeros((2, 6, 16, 32), dtype=np.float32), src)
+        out_dir = tmp_path / "feats"
+        code, stdout, stderr = run(capsys, "encode", "--plucker", str(src), "--seed", "0",
+                                   "--out-dir", str(out_dir), "--heads", "1",
+                                   "--unshuffle", "2", *flags)
+        assert (code, stdout) == (2, "")
+        assert stderr == f"error: cannot allocate float32 weights of shape {shape}\n"
+        assert not out_dir.exists()
+
+    def test_encode_out_of_memory_in_a_draw_names_the_stage(self, tmp_path):
+        # under the child's 600 MB address-space limit, scale 4's (60000, 60000)
+        # conv tap cannot be drawn
+        src = tmp_path / "p.npy"
+        write_npy_file(np.zeros((2, 6, 16, 32), dtype=np.float32), src)
+        out_dir = tmp_path / "feats"
+        out = run_limited("encode", "--plucker", str(src), "--seed", "0", "--heads", "1",
+                          "--unshuffle", "2", "--channels", "8,8,8,60000",
+                          "--out-dir", str(out_dir))
+        assert (out.returncode, out.stdout) == (2, "")
+        assert out.stderr == ("error: cannot allocate the forward pass of input shape "
+                              "(1, 2, 6, 16, 32): out of memory in scale 4 downsample block\n")
         assert not out_dir.exists()
 
     @pytest.mark.filterwarnings("error")
@@ -1135,6 +1185,16 @@ class TestErrorContract:
             os.umask(old)
         outputs = [traj, *(feats / f"scale{i}.npy" for i in range(1, 5))]
         assert [oct(os.stat(p).st_mode & 0o777) for p in outputs] == [oct(mode)] * 5
+
+    def test_symlink_destination_is_replaced(self, tmp_path, capsys):
+        # the link itself is replaced, as os.replace does; its target is untouched
+        spec, target, link = tmp_path / "plan.json", tmp_path / "dir", tmp_path / "t.json"
+        spec.write_text(json.dumps({**PAN_SPEC, "frames": 2}))
+        target.mkdir()
+        link.symlink_to(target)
+        assert run(capsys, "synth", "--spec", str(spec), "--out", str(link))[0] == 0
+        assert not link.is_symlink() and len(trajectory_from_json(link.read_text())) == 2
+        assert target.is_dir() and os.listdir(target) == [] and no_temp_litter(tmp_path)
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_focal_exits_2_without_warning(self, tmp_path, capsys):

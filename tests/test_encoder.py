@@ -805,6 +805,15 @@ class TestEncoderForward:
                                   f"(1, 2, 6, 16, 16): out of memory in {stage}")
         assert len(calls) == fail_at
 
+    def test_weight_past_numpy_size_limit_refused_by_shape(self):
+        # the stem's float32 (2**61, 24, 3, 3) weight passes numpy's size limit
+        cfg = EncoderConfig(scale_channels=(2 ** 61, 8, 8, 8), heads=1, unshuffle_factor=2)
+        message = f"^cannot allocate float32 weights of shape \\({2 ** 61}, 24, 3, 3\\)$"
+        with pytest.raises(ConfigError, match=message):
+            encoder_forward(np.zeros((2, 6, 16, 16), dtype=np.float32), cfg)
+        with pytest.raises(ConfigError, match=message):
+            build_encoder_weights(cfg)
+
 
 class TestSink:
     def test_each_map_sent_once_made_and_not_kept(self, monkeypatch):
