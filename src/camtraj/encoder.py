@@ -21,23 +21,25 @@ The network is one sequence of blocks, named by the stages errors print:
 "scale k downsample attention" (from scale 2 on), "scale k residual block"
 and "scale k attention", whose output is scale k's feature map. Weights are
 drawn in this order, so ``encoder_forward`` without weights draws each conv tap
-(a conv of several bands keeps its taps) and attention half (QKV and wo, then
-the MLP) just before it runs: at most one MLP half, 52 MB at the default config,
-is held instead of the full 0.9 GB. ``build_encoder_weights`` returns the drawn
-blocks as a dict from stage name to block.
+and attention half (QKV and wo, then the MLP) just before it runs: at most one
+MLP half, 52 MB at the default config, is held instead of the full 0.9 GB. A
+residual block run in frame groups draws its two convs whole before the first
+group. ``build_encoder_weights`` returns the drawn blocks as a dict from stage
+name to block.
 
 From the unshuffle on, every activation is stored once as (h, w, b*n, c)
 and each block reads a free view of it: (b*n, c, h, w) frames for the k*k
 shifted GEMMs of :func:`conv2d` (no im2col, no per-tap weight copy),
 (h*w*b, n, c) token rows for temporal attention, and (b, n, c, h, w) for the
-features, returned or streamed to a sink. Convs run over bands of output rows
-and attention over tiles of token rows, within ``_TILE_BYTES``; each linear is
-one 2-D GEMM on a tile's (rows * n, c) tokens.
+features, returned or streamed to a sink. Convs run each tap over bands of
+output rows, residual blocks whose activations outweigh their weights over
+groups of frames, and attention over tiles of token rows, within ``_TILE_BYTES``;
+each linear is one 2-D GEMM on a tile's (rows * n, c) tokens.
 Q, K and V are stored fused, one (c, 3c) weight and one (3c,) bias per block,
 drawn as three (c, c) blocks in Q, K, V order, so they come from a single
 product with no per-call copy. Adds, SiLU, LayerNorm and softmax work in place, and so
 does a residual block, in the array it is given, of any layout; attention returns a
-new array. A 16-frame 256x384 clip encodes in about 137 MB peak RSS (2-core VM, numpy 2.4.6).
+new array. A 16-frame 256x384 clip encodes in about 126 MB peak RSS (2-core VM, numpy 2.4.6).
 """
 
 from __future__ import annotations
@@ -229,14 +231,15 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
            add_to: np.ndarray | None = None) -> np.ndarray:
     """'Same'-padded 2D convolution on (N, C, H, W) as k*k shifted GEMMs.
 
-    Reads ``x`` as (H, W, N, C), a free view of encoder activations, and runs
-    over bands of whole output rows: for each tap, a band's shifted (for stride
-    2, strided) window, zero past the border, goes into one reused buffer, times
-    the tap's weight, into the band's rows of one (Ho, Wo, N, Cout) output (or,
-    summed with the bias, into ``add_to``, (N, Cout, Ho, Wo) of any layout), returned
-    as an (N, Cout, Ho, Wo) view. Scratch stays within ``_TILE_BYTES`` unless one
+    Reads ``x`` as (H, W, N, C), a free view of encoder activations. Taps run
+    outermost, each over bands of whole output rows: a band's shifted (for
+    stride 2, strided) window, zero past the border, goes into one reused
+    buffer, times the tap's weight, into the band's rows of one (Ho, Wo, N, Cout)
+    accumulator. That is the output, returned as an (N, Cout, Ho, Wo) view, or,
+    with ``add_to`` ((N, Cout, Ho, Wo) of any layout), a new array added into it
+    after the bias. Scratch beyond that stays within ``_TILE_BYTES`` unless one
     output row is wider; bands depend only on shapes, so every run gives the
-    same bytes. One band holds one tap of a ``_Draw`` at a time; several keep all.
+    same bytes. One tap of a ``_Draw`` is held at a time, drawn once for all bands.
     """
     cout, cin, k, _ = w.shape
     n, _, h, wd = x.shape
@@ -249,40 +252,45 @@ def conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray, stride: int = 1,
         hi = max(lo, min(n_out, (size - 1 - off) // stride + 1))
         return lo, hi, slice(lo * stride + off, hi * stride + off, stride)
     rows = max(1, _TILE_BYTES // (4 * wo * n * max(cin, cout)))  # output rows per band
-    taps = list(_taps(w)) if ho > rows else _taps(w)  # every band runs every tap
     buf = np.empty((min(rows, ho), wo, n, cin), dtype=np.float32)
-    out = np.empty((ho, wo, n, cout), dtype=np.float32) if add_to is None else add_to.transpose(
-        2, 3, 0, 1)
-    acc = None if add_to is None else np.empty((len(buf) * wo * n, cout), dtype=np.float32)
-    for r0 in range(0, ho, rows):
-        band, dst = buf[:ho - r0], out[r0:r0 + rows]
-        s = dst.reshape(-1, cout) if acc is None else acc[:band.size // cin]
-        for dy, dx, tap in taps:
+    acc = np.empty((ho, wo, n, cout), dtype=np.float32)
+    for dy, dx, tap in _taps(w):
+        x0, x1, xs = window(wd, wo, dx - pad)
+        for r0 in range(0, ho, rows):
+            band, s = buf[:ho - r0], acc[r0:r0 + rows].reshape(-1, cout)
             y0, y1, ys = window(h, len(band), r0 * stride + dy - pad)  # band-relative rows
-            x0, x1, xs = window(wd, wo, dx - pad)
             band[:y0] = band[y1:] = band[y0:y1, :x0] = band[y0:y1, x1:] = 0  # past the border
             np.copyto(band[y0:y1, x0:x1], src[ys, xs])
             if dy or dx:
                 s += band.reshape(-1, cin) @ tap
             else:
                 np.matmul(band.reshape(-1, cin), tap, out=s)
-            del tap  # dead before the next is drawn
-        s += b
-        if acc is not None:
-            dst += s.reshape(dst.shape)
-    return out.transpose(2, 3, 0, 1)
+        del tap  # dead before the next is drawn
+    acc += b
+    out = acc.transpose(2, 3, 0, 1)
+    return out if add_to is None else np.add(add_to, out, out=add_to)
 
 
 def res_block(x: np.ndarray, p: ResBlockParams) -> np.ndarray:
     """conv3x3 -> SiLU -> conv3x3 plus skip; 1x1 skip conv when present. With no
-    third activation, (conv2 + bias) + skip adds band by band into x (overwritten:
-    callers use the return value) or, for a 1x1 skip conv, into conv2's output."""
-    h = silu(conv2d(x, *p.conv1, p.stride))
-    if p.skip is None:
-        return conv2d(h, *p.conv2, add_to=x)
-    out = conv2d(h, *p.conv2)
-    del h
-    return conv2d(x, *p.skip, p.stride, add_to=out)
+    third activation, (conv2 + bias) + skip adds into x (overwritten: callers use
+    the return value) or, for a 1x1 skip conv, into conv2's output. Convs treat
+    frames apart, so an identity block whose two conv weights take fewer bytes
+    than conv1's output runs over groups of frames, each group's conv1 output
+    within ``_TILE_BYTES``, with both weights drawn whole before the first."""
+    if p.skip is not None:  # conv1's output is dead once conv2 returns
+        out = conv2d(silu(conv2d(x, *p.conv1, p.stride)), *p.conv2)
+        return conv2d(x, *p.skip, p.stride, add_to=out)
+    n, _, hi, wi = x.shape
+    frame = 4 * p.conv1.w.shape[0] * hi * wi  # conv1's output bytes per frame
+    step = max(1, _TILE_BYTES // frame)
+    if step < n and 4 * (math.prod(p.conv1.w.shape) + math.prod(p.conv2.w.shape)) < n * frame:
+        p = _drawn(p)  # held for every group
+    else:
+        step = n
+    for i in range(0, n, step):
+        conv2d(silu(conv2d(x[i:i + step], *p.conv1, p.stride)), *p.conv2, add_to=x[i:i + step])
+    return x
 
 
 def multi_head_self_attention(x: np.ndarray, p: AttentionParams, heads: int,
@@ -503,7 +511,8 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig, weights: dict[str, Block]
 
     A 4D input is treated as batch size 1. Without ``weights`` the weights of
     :func:`build_encoder_weights` are drawn inline, each conv tap or attention
-    half just before it runs, so the full set is never held at once. Pass
+    half just before it runs (a residual block run in frame groups draws its two
+    convs first), so the full set is never held at once. Pass
     that dict, with byte-identical results, to reuse it across calls or to
     probe modified parameters. One loop runs each stage's block by its type.
     Each "scale k attention" output, a (b, n, c, h, w) view of its (h, w, b*n, c)

@@ -111,13 +111,16 @@ def convert_extrinsics(rotations: np.ndarray, translations: np.ndarray,
     """Re-express (..., 3, 3) rotations and (..., 3) translations, one frame
     or a whole trajectory, from convention ``src`` in ``dst``: as given when
     the two agree, else each rigid map inverted, (R, t) -> (R.T, -R.T @ t),
-    with R.T a transposed view. Raises CamTrajError("frame i: <what>
-    overflows float64") naming the first frame whose -R.T @ t overflows."""
+    with R.T a transposed view and R.T @ t summed elementwise over its three
+    columns in order, so no BLAS kernel changes its bits. Raises
+    CamTrajError("frame i: <what> overflows float64") naming the first frame
+    whose -R.T @ t overflows."""
     if src is dst:
         return rotations, translations
     rt = np.swapaxes(rotations, -1, -2)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing frame fails below
-        t = (-rt @ translations[..., None])[..., 0]
+        t = rt * translations[..., None, :]
+        t = -(t[..., 0] + t[..., 1] + t[..., 2])
     check_finite_frames(t, what)
     return rt, t
 

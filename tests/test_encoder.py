@@ -295,6 +295,44 @@ class TestResBlock:
         manual = conv2d(silu(h), p.conv2.w, p.conv2.b) + x
         np.testing.assert_array_equal(res_block(x, p), manual)
 
+    def grouped(self, frames):
+        # 3 channels of 16x16, stored channels last: conv1's output is 3 KiB a
+        # frame, and the two 3x3 weights (648 B) take fewer bytes than that for
+        # all frames, so an 8 KiB tile runs groups of 2 frames. A (rows, 3) @ (3, 3)
+        # GEMM rounds each row alike at any row count above one under the OpenBLAS
+        # kernels Prescott to SkylakeX; under Haswell's, an 8-wide one does not
+        x = rand(np.random.default_rng(53), (16, 16, frames, 3)).transpose(2, 3, 0, 1)
+        return x, enc._res_block_draw(np.random.default_rng(5), 3, 3, 1)
+
+    def test_frame_groups_give_one_group_bytes(self, monkeypatch):
+        # the weights are drawn whole, conv1's taps then conv2's, before the
+        # first of 4 groups runs; the bytes are those of one group
+        x, p = self.grouped(8)
+        want = res_block(x.copy(), p).tobytes()  # the default tile: one group
+        monkeypatch.setattr(enc, "_TILE_BYTES", 8 << 10)
+        log, real_uniform, real_silu = [], enc._uniform, enc.silu
+        monkeypatch.setattr(enc, "_uniform", lambda *a: log.append("draw") or real_uniform(*a))
+        monkeypatch.setattr(enc, "silu", lambda h: log.append(len(h)) or real_silu(h))
+        got = res_block(x, enc._res_block_draw(np.random.default_rng(5), 3, 3, 1))
+        assert np.shares_memory(got, x) and got.tobytes() == want
+        assert log == ["draw"] * 18 + [2] * 4
+
+    def test_frame_groups_hold_one_group_of_conv1_output(self, monkeypatch):
+        # conv1's output for all 32 frames is 96 KiB; a group's is 6 KiB
+        monkeypatch.setattr(enc, "_TILE_BYTES", 8 << 10)
+        x, p = self.grouped(32)
+        group = 2 * 3 * 16 * 16 * 4
+        tracemalloc.start()
+        try:
+            res_block(x, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the group's conv1 output, conv2's accumulator, tap buffer and one
+        # product, numpy's buffer for the add into a group of x's strided
+        # frames, and the weights with their arrays' own bytes
+        assert peak <= 5 * group + (12 << 10)
+
     def test_downsample_skip(self):
         rng = np.random.default_rng(12)
         p = build_encoder_weights(SMALL)["scale 2 downsample block"]
@@ -523,7 +561,7 @@ class TestInPlace:
 
     @pytest.mark.parametrize("k, stride", [(3, 1), (1, 2)])
     def test_add_to_adds_each_band_after_its_bias(self, monkeypatch, k, stride):
-        # (sum of taps + bias) + y, band by band: the bytes of conv2d(...) + y
+        # (sum of taps + bias) + y, with one-row bands: the bytes of conv2d(...) + y
         monkeypatch.setattr(enc, "_TILE_BYTES", 1)  # one output row per band
         rng = np.random.default_rng(51)
         x, wt, b = self.channels_last(rng, (2, 3, 7, 5)), rand(rng, (4, 3, k, k)), rand(rng, (4,))
@@ -913,6 +951,20 @@ class TestWeightStream:
         assert threading.active_count() == before
 
 
+def track_taps(monkeypatch) -> list:
+    """Weak references to every part ``_uniform`` draws from now on; each draw
+    asserts that no part drawn before it is alive."""
+    refs, real = [], enc._uniform
+
+    def uniform(*args):
+        assert [r for r in refs if r() is not None] == [], f"draw {len(refs)}"
+        w = real(*args)
+        refs.append(weakref.ref(w))
+        return w
+    monkeypatch.setattr(enc, "_uniform", uniform)
+    return refs
+
+
 class TestInlineDraw:
     def test_each_block_drawn_after_previous_ran(self, monkeypatch):
         # a one-band conv takes each tap right after its draw and draws the next
@@ -1000,17 +1052,32 @@ class TestInlineDraw:
         assert [r for r in older + group if r() is not None] == []
 
     def test_several_bands_draw_each_tap_once(self, monkeypatch):
-        # a conv of several bands draws its taps before the first band and
-        # keeps them: the same draws and bytes as the whole weight
+        # a conv of several bands draws each tap once, runs it over every band
+        # and drops it before the next: the same draws and bytes as the whole weight
         monkeypatch.setattr(enc, "_TILE_BYTES", 1)  # one output row per band
         rng = np.random.default_rng(48)
         x, b = rand(rng, (2, 3, 5, 4)), rand(rng, (4,))
         whole = enc._drawn(enc._Draw(np.random.default_rng(3), (4, 3, 3, 3), (3, 4), 27))
-        draws, real = [], enc._uniform
-        monkeypatch.setattr(enc, "_uniform", lambda *args: draws.append(1) or real(*args))
+        taps = track_taps(monkeypatch)
         got = conv2d(x, enc._Draw(np.random.default_rng(3), (4, 3, 3, 3), (3, 4), 27), b)
-        assert len(draws) == 9
+        assert len(taps) == 9
         assert got.tobytes() == conv2d(x, whole, b).tobytes()
+
+    @pytest.mark.parametrize("add", [False, True])
+    def test_several_bands_hold_one_tap_at_a_time(self, monkeypatch, add):
+        # writing its own output or adding into add_to, a conv of several bands
+        # holds one drawn tap at a time and gives the one-band bytes
+        rng = np.random.default_rng(52)
+        x, b, y = rand(rng, (3, 3, 7, 6)), rand(rng, (3,)), rand(rng, (3, 3, 7, 6))
+
+        def run():  # GEMMs of 3 columns: the same bits at any row count past one
+            w = enc._Draw(np.random.default_rng(4), (3, 3, 3, 3), (3, 3), 27)
+            return conv2d(x, w, b, add_to=y.copy() if add else None).tobytes()
+        want = run()
+        monkeypatch.setattr(enc, "_TILE_BYTES", 1)  # one output row per band
+        taps = track_taps(monkeypatch)
+        assert run() == want
+        assert len(taps) == 9 and [t for t in taps if t() is not None] == []
 
     def test_inline_forward_holds_one_mlp_half(self):
         # at the default config the widest weights held at once are one MLP half,

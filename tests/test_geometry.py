@@ -177,7 +177,9 @@ class TestInvertCompose:
             accepted += 1
             inv_r, inv_t = convert_extrinsics(e.rotation, e.translation, W2C, C2W)
             np.testing.assert_array_equal(inv_r, e.rotation.T)
-            np.testing.assert_array_equal(inv_t, -e.rotation.T @ e.translation)
+            rt, t = e.rotation.T, e.translation  # -R.T @ t summed in column order
+            np.testing.assert_array_equal(inv_t, -(rt[:, 0] * t[0] + rt[:, 1] * t[1]
+                                                    + rt[:, 2] * t[2]))
             traj = Trajectory.from_arrays([e.rotation] * 2, [e.translation] * 2,
                                           [[10, 10, 5, 5]] * 2, W2C, 10, 10)
             np.testing.assert_array_equal(relativize(traj).rotations[1],

@@ -270,7 +270,9 @@ def test_scale_intensity_matches_per_frame_loop(traj, k):
     c0 = centers[0]
     for i, (p, c) in enumerate(zip(traj.poses, centers)):
         new_c = c0 + k * (c - c0)
-        t = new_c if traj.convention is C2W else -p.extrinsics.rotation @ new_c
+        r = p.extrinsics.rotation  # -R @ c summed in column order
+        t = new_c if traj.convention is C2W else -(r[:, 0] * new_c[0] + r[:, 1] * new_c[1]
+                                                    + r[:, 2] * new_c[2])
         assert np.array_equal(scaled.rotations[i], p.extrinsics.rotation)
         assert np.array_equal(scaled.translations[i], t)
 
