@@ -24,8 +24,10 @@ drawn in this order, so ``encoder_forward`` without weights draws each conv tap
 and attention half (QKV and wo, then the MLP) just before it runs: at most one
 MLP half, 52 MB at the default config, is held instead of the full 0.9 GB. A
 residual block run in frame groups draws its two convs whole before the first
-group. ``build_encoder_weights`` returns the drawn blocks as a dict from stage
-name to block.
+group. Before an MLP half is drawn, the C heap's free pages go back to the OS
+(glibc's ``malloc_trim``; nothing elsewhere), so its weights do not land beside
+freed memory that stays resident. ``build_encoder_weights`` returns the drawn
+blocks as a dict from stage name to block.
 
 From the unshuffle on, every activation is stored once as (h, w, b*n, c)
 and each block reads a free view of it: (b*n, c, h, w) frames for the k*k
@@ -39,13 +41,15 @@ Q, K and V are stored fused, one (c, 3c) weight and one (3c,) bias per block,
 drawn as three (c, c) blocks in Q, K, V order, so they come from a single
 product with no per-call copy. Adds, SiLU, LayerNorm and softmax work in place, and so
 does a residual block, in the array it is given, of any layout; attention returns a
-new array. A 16-frame 256x384 clip encodes in about 126 MB peak RSS (2-core VM, numpy 2.4.6).
+new array. A 16-frame 256x384 clip encodes in about 114 MB peak RSS (2-core VM, numpy 2.4.6).
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
 import dataclasses
+import functools
 import math
 from collections.abc import Callable, Iterator
 from dataclasses import dataclass
@@ -56,7 +60,9 @@ import numpy as np
 from .errors import ConfigError, IndivisibleDims, NonFiniteInput, ShapeMismatch
 
 LN_EPS = 1e-5
-_TILE_BYTES = 8 << 20  # bound on the widest temporary of an attention tile or a conv band
+# bound on the widest temporary of an attention tile, a conv band or a frame group;
+# at 8 MiB, the stem's bands set the peak RSS of a 16-frame 256x384 encode
+_TILE_BYTES = 4 << 20
 _IN_CHANNELS = 6  # the Plücker ray layout: moment, then direction
 _CHUNK = 1 << 15  # elements per in-place step of silu, so its temporary stays in cache
 
@@ -353,7 +359,8 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
     a = next(halves := p.halves)
     for z in tiles:
         z += multi_head_self_attention(layer_norm(z, a.ln1_gamma, a.ln1_beta), a, heads)
-    del a  # the MLP's weights are drawn once the attention's are dead
+    del a  # the MLP's weights are drawn once the attention's are dead,
+    _trim_heap()  # and once the heap they held is back with the OS
     m = next(halves)
     for z in tiles:
         h = layer_norm(z, m.ln2_gamma, m.ln2_beta).reshape(-1, c) @ m.mlp_w1
@@ -372,6 +379,26 @@ def _uniform(rng, shape: tuple, fan_in: int) -> np.ndarray:
     w -= np.float32(0.5)
     w *= np.float32(2.0 * math.sqrt(3.0 / fan_in))
     return w
+
+
+@functools.cache
+def _malloc_trim() -> Callable[[int], int] | None:
+    """glibc's ``malloc_trim``, or None where the C library has none (macOS, musl, Windows)."""
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # no such symbol; Windows cannot dlopen(NULL)
+        return None
+    trim.argtypes, trim.restype = [ctypes.c_size_t], ctypes.c_int
+    return trim
+
+
+def _trim_heap() -> None:
+    """Hand the C heap's free pages back to the OS, where the C library can.
+
+    glibc keeps freed heap memory resident for reuse; a weight too large for the
+    holes left behind would otherwise add its whole size to the peak RSS."""
+    if (trim := _malloc_trim()) is not None:
+        trim(0)
 
 
 def _drawn(w):
@@ -421,16 +448,17 @@ def _res_block_draw(rng, cin: int, cout: int, stride: int) -> ResBlockParams:
                           skip, stride)
 
 
-def _stages(cfg: EncoderConfig) -> Iterator[tuple[str, Callable, tuple]]:
-    """(stage, init, args) in forward order: ``init(rng, *args)`` is the stage's block."""
+def _stages(cfg: EncoderConfig) -> Iterator[tuple[str, Callable, tuple, bool]]:
+    """(stage, init, args, is_map) in forward order: ``init(rng, *args)`` is the
+    stage's block, and ``is_map`` marks the four whose output is a scale's map."""
     r, c1 = cfg.unshuffle_factor, cfg.scale_channels[0]
-    yield "the stem", _conv_draw, (c1, _IN_CHANNELS * r * r, 3)
+    yield "the stem", _conv_draw, (c1, _IN_CHANNELS * r * r, 3), False
     for k, (prev, c) in enumerate(zip((c1, *cfg.scale_channels), cfg.scale_channels), 1):
         if k > 1:
-            yield f"scale {k} downsample block", _res_block_draw, (prev, c, 2)
-            yield f"scale {k} downsample attention", _attention_draw, (c, cfg.mlp_ratio)
-        yield f"scale {k} residual block", _res_block_draw, (c, c, 1)
-        yield f"scale {k} attention", _attention_draw, (c, cfg.mlp_ratio)
+            yield f"scale {k} downsample block", _res_block_draw, (prev, c, 2), False
+            yield f"scale {k} downsample attention", _attention_draw, (c, cfg.mlp_ratio), False
+        yield f"scale {k} residual block", _res_block_draw, (c, c, 1), False
+        yield f"scale {k} attention", _attention_draw, (c, cfg.mlp_ratio), True
 
 
 def build_encoder_weights(cfg: EncoderConfig) -> dict[str, Block]:
@@ -449,7 +477,7 @@ def build_encoder_weights(cfg: EncoderConfig) -> dict[str, Block]:
     numpy's own MemoryError. Both name the weight's shape.
     """
     rng = np.random.default_rng(cfg.seed)
-    return {stage: _drawn(init(rng, *args)) for stage, init, args in _stages(cfg)}
+    return {stage: _drawn(init(rng, *args)) for stage, init, args, _ in _stages(cfg)}
 
 
 # --- full forward -----------------------------------------------------------
@@ -554,7 +582,7 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig, weights: dict[str, Block]
         x = pixel_unshuffle(x, cfg.unshuffle_factor)
         x = x.reshape(b * n, *x.shape[2:])  # frames are independent outside attention
     feats, rng = [], np.random.default_rng(cfg.seed)
-    for stage, init, args in _stages(cfg):
+    for stage, init, args, is_map in _stages(cfg):
         with _named_errors(shape, stage):  # the stage is named before its draws
             blk = init(rng, *args) if weights is None else weights[stage]
             if isinstance(blk, ConvParams):
@@ -563,6 +591,6 @@ def encoder_forward(p: np.ndarray, cfg: EncoderConfig, weights: dict[str, Block]
                 x = _attend(x, blk, cfg, n)
             else:  # after a map, a downsample block: it writes no input a map shares
                 x = res_block(x, blk)
-        if stage.endswith(" attention") and "downsample" not in stage:  # scale k's map
+        if is_map:
             (feats.append if sink is None else sink)(x.reshape(b, n, *x.shape[1:]))
     return tuple(feats)

@@ -4,10 +4,12 @@ closed forms, residual isolation, and deterministic weight construction."""
 import dataclasses
 import math
 import os
+import platform
 import subprocess
 import sys
 import threading
 import tracemalloc
+import types
 import warnings
 import weakref
 from pathlib import Path
@@ -44,6 +46,29 @@ SMALL = EncoderConfig(unshuffle_factor=2, scale_channels=(8, 16, 16, 16),
 
 def rand(rng, shape):
     return rng.standard_normal(shape).astype(np.float32)
+
+
+@pytest.fixture(scope="session")
+def gemm_equal():
+    """A check that float32 results made by GEMMs of other shapes agree. BLAS
+    promises no more than float32 rounding across row counts (Haswell and Zen
+    round a row by its place among 24-row blocks), so they agree within 1e-5 of
+    the largest |value|; bit for bit where a probe product keeps every row's bits
+    alone, in 5-row chunks and in 8-column blocks, as SkylakeX does."""
+    rng = np.random.default_rng(0)
+    a, b = rand(rng, (48, 8)), rand(rng, (8, 24))
+    whole = (a @ b).tobytes()
+    exact = (np.concatenate([a[i:i + 1] @ b for i in range(48)]).tobytes() == whole
+             and np.concatenate([a[i:i + 5] @ b for i in range(0, 48, 5)]).tobytes() == whole
+             and np.hstack([a @ b[:, j:j + 8] for j in (0, 8, 16)]).tobytes() == whole)
+
+    def check(got, want):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        if exact:
+            assert got.tobytes() == want.tobytes()
+        else:
+            np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-5 * np.abs(want).max())
+    return check
 
 
 class TestPixelUnshuffle:
@@ -358,13 +383,13 @@ def qkv(x, p):
 
 
 class TestAttention:
-    def test_single_token_closed_form(self):
+    def test_single_token_closed_form(self, gemm_equal):
         rng = np.random.default_rng(14)
         p = small_attention()
         x = rand(rng, (10, 1, 8))
         out = multi_head_self_attention(x, p, heads=2)
         manual = qkv(x, p)[2] @ p.wo + p.bo
-        np.testing.assert_array_equal(out, manual)
+        gemm_equal(out, manual)
 
     def test_weights_are_row_stochastic(self):
         rng = np.random.default_rng(15)
@@ -451,7 +476,7 @@ class TestTemporalAttentionBlock:
         out_pe = temporal_attention_block(x, p, heads=2, use_posemb=True)
         np.testing.assert_array_equal(out_pe, x + sinusoidal_posemb(5, 8))
 
-    def test_structure_oracle(self):
+    def test_structure_oracle(self, gemm_equal):
         rng = np.random.default_rng(20)
         p = small_attention()
         x = rand(rng, (6, 4, 8))
@@ -461,7 +486,7 @@ class TestTemporalAttentionBlock:
         h = silu(layer_norm(z2, p.ln2_gamma, p.ln2_beta) @ p.mlp_w1 + p.mlp_b1)
         manual = h @ p.mlp_w2 + p.mlp_b2 + z2
         got = temporal_attention_block(x, p, heads=2, use_posemb=True)
-        np.testing.assert_array_equal(got, manual)
+        gemm_equal(got, manual)
 
     def test_posemb_toggle_changes_output(self):
         rng = np.random.default_rng(21)
@@ -483,7 +508,7 @@ class TestTemporalAttentionBlock:
 
     @pytest.mark.parametrize("rows", [1, 3, 11])
     @pytest.mark.parametrize("use_posemb", [True, False])
-    def test_tiles_match_one_call_per_row(self, monkeypatch, rows, use_posemb):
+    def test_tiles_match_one_call_per_row(self, monkeypatch, gemm_equal, rows, use_posemb):
         # c=8, mlp_ratio 2, n=5: the widest temporary is the (5, 24) QKV of a row,
         # 480 bytes, so tiles hold 4 rows and 11 rows end in a ragged tile of 3
         monkeypatch.setattr(enc, "_TILE_BYTES", 4 * 480)
@@ -492,7 +517,7 @@ class TestTemporalAttentionBlock:
         got = temporal_attention_block(x, p, heads=2, use_posemb=use_posemb)
         per_row = [temporal_attention_block(x[i:i + 1], p, 2, use_posemb) for i in range(rows)]
         assert got.shape == x.shape
-        assert got.tobytes() == b"".join(r.tobytes() for r in per_row)
+        gemm_equal(got, np.concatenate(per_row))
 
     def test_tile_memory_bound(self, monkeypatch):
         # the temporaries of one tile, not of all rows: beyond the (rows, n, c)
@@ -755,6 +780,18 @@ class TestEncoderForward:
             encoder_forward(np.zeros((1, 2, 5, 16, 16), dtype=np.float32), SMALL)
         with pytest.raises(IndivisibleDims):
             encoder_forward(np.zeros((1, 2, 6, 20, 16), dtype=np.float32), SMALL)
+
+    def test_maps_are_the_stages_marked_where_named(self, monkeypatch):
+        # the four map stages are marked in _stages, so stage names do not pick them
+        real = enc._stages
+        assert [stage for stage, *_, is_map in real(SMALL) if is_map] == [
+            f"scale {k} attention" for k in range(1, 5)]
+        x = rand(np.random.default_rng(54), (1, 2, 6, 16, 16))
+        want = encoder_forward(x, SMALL)
+        monkeypatch.setattr(enc, "_stages", lambda cfg: (
+            (f"block {i}", *rest) for i, (_, *rest) in enumerate(real(cfg))))
+        got = encoder_forward(x, SMALL)
+        assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
 
     def test_features_indexable(self):
         rng = np.random.default_rng(30)
@@ -1091,6 +1128,20 @@ class TestInlineDraw:
             tracemalloc.stop()
         assert peak <= 1.05 * 2 * 1280 * 5120 * 4
 
+    def test_heap_trimmed_between_the_halves(self, monkeypatch):
+        # the heap's free pages go back to the OS after the last QKV/wo draw and
+        # before the first MLP draw, so the MLP's weights need no old holes
+        log, real = [], enc._uniform
+
+        def uniform(rng, shape, fan_in):
+            log.append(shape)
+            return real(rng, shape, fan_in)
+        monkeypatch.setattr(enc, "_uniform", uniform)
+        monkeypatch.setattr(enc, "_trim_heap", lambda: log.append("trim"))
+        p = enc._attention_draw(np.random.default_rng(5), 8, 2)
+        temporal_attention_block(rand(np.random.default_rng(6), (3, 4, 8)), p, heads=2)
+        assert log == [(8, 8)] * 4 + ["trim", (8, 16), (16, 8)]
+
     def test_cli_import_loads_no_thread_pool(self):
         src = str(Path(enc.__file__).resolve().parent.parent)
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -1100,6 +1151,33 @@ class TestInlineDraw:
         out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                              text=True, check=True)
         assert out.stdout == "[]\n"
+
+
+def no_dlopen(name):
+    """``ctypes.CDLL(None)`` as on Windows, which cannot open the process itself."""
+    raise TypeError("expected str, bytes or os.PathLike object, not NoneType")
+
+
+class TestHeapTrim:
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="malloc_trim is glibc's")
+    def test_glibc_malloc_trim_found(self):
+        assert enc._malloc_trim() is not None
+        enc._trim_heap()
+
+    # a C library with no malloc_trim (macOS, musl), or no C library to look in
+    @pytest.mark.parametrize("cdll", [lambda name: types.SimpleNamespace(), no_dlopen],
+                             ids=["no-symbol", "no-dlopen"])
+    def test_without_malloc_trim_does_nothing(self, monkeypatch, cdll):
+        x = rand(np.random.default_rng(53), (1, 2, 6, 16, 16))
+        want = encoder_forward(x, SMALL)
+        monkeypatch.setattr(enc.ctypes, "CDLL", cdll)
+        enc._malloc_trim.cache_clear()
+        try:
+            got = encoder_forward(x, SMALL)
+            assert enc._malloc_trim() is None
+        finally:
+            enc._malloc_trim.cache_clear()  # looked up again once CDLL is restored
+        assert [f.tobytes() for f in got] == [f.tobytes() for f in want]
 
 
 @st.composite
@@ -1212,13 +1290,14 @@ def nchw_forward(x, cfg, weights):
 
 @pytest.mark.parametrize("b, n", [(1, 3), (2, 4)])
 @pytest.mark.parametrize("use_posemb", [True, False])
-def test_forward_matches_nchw_layout_bytes(b, n, use_posemb):
+def test_forward_matches_nchw_layout_bytes(gemm_equal, b, n, use_posemb):
     cfg = dataclasses.replace(SMALL, use_posemb=use_posemb)
     x = rand(np.random.default_rng(39), (b, n, 6, 16, 32))
     ref = nchw_forward(x, cfg, build_encoder_weights(cfg))
     got = encoder_forward(x, cfg)
-    assert [f.shape for f in got] == [f.shape for f in ref]
-    assert [f.tobytes() for f in got] == [f.tobytes() for f in ref]
+    assert len(got) == len(ref)
+    for g, r in zip(got, ref):
+        gemm_equal(g, r)
 
 
 def test_attend_passes_and_returns_views(monkeypatch):
