@@ -133,18 +133,19 @@ def cmd_synth(args) -> int:
 def cmd_embed(args) -> int:
     traj = pose_io.trajectory_from_json(_read_text(args.traj))
     shape = (len(traj), 6, traj.height, traj.width)
-    frames = plucker.plucker_frames(traj, pixel_origin=args.pixel_origin)
+    bands = plucker.plucker_bands(traj, pixel_origin=args.pixel_origin)
     lines = [f"embedded {shape} -> {args.out}"]  # printed once OUT is in place
     with _atomic_writes() as put:  # a failed check renames nothing into place
-        tmp = put(args.out, functools.partial(npyio.write_npy_frames, frames, shape))
-        if args.verify:  # frame by frame, as written: maxima over frames are the whole map's
+        tmp = put(args.out, functools.partial(npyio.write_npy_bands, bands, shape))
+        if args.verify:  # band by band, as written: maxima over bands are the whole map's
+            devs, ok = np.zeros(2), True
             with open(tmp, "rb") as f:
-                reports = [plucker.verify_plucker(frame) for frame in npyio.read_npy_frames(f)]
-            norm_dev, dot_dev = np.max([(r["direction_norm"], r["moment_dot"])
-                                        for r in reports], 0)
-            ok = all(r["ok"] for r in reports)
-            lines.append(f"verify {'ok' if ok else 'FAILED'}: max |norm(d)-1| = {norm_dev:.3e}, "
-                         f"max |m.d|/max(1,|m|) = {dot_dev:.3e}")
+                for band in npyio.read_npy_bands(f, plucker.band_rows(*shape[2:])):
+                    r = plucker.verify_plucker(band)
+                    devs = np.maximum(devs, (r["direction_norm"], r["moment_dot"]))  # NaN stays
+                    ok &= r["ok"]
+            lines.append(f"verify {'ok' if ok else 'FAILED'}: max |norm(d)-1| = {devs[0]:.3e}, "
+                         f"max |m.d|/max(1,|m|) = {devs[1]:.3e}")
             if not ok:
                 print(lines[-1])
                 raise CamTrajError("written embedding failed invariant check")

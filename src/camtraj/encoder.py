@@ -368,6 +368,8 @@ def temporal_attention_block(x: np.ndarray, p: AttentionParams, heads: int,
         h = silu(h) @ m.mlp_w2
         h += m.mlp_b2
         z += h.reshape(z.shape)
+    del m  # and the MLP's are dead too: the next block starts
+    _trim_heap()  # without their freed pages resident
     return out
 
 

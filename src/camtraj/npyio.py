@@ -10,6 +10,8 @@ header length, then an ASCII header dict padded with spaces so the whole
 preamble is a multiple of 64 bytes and ends in a newline, then the raw
 little-endian float32 payload.
 
+An array moves whole, or in bands of rows of one frame of an (n, c, h, ...)
+array, each of whose c slices is moved at its offset in a seekable file.
 Every byte moves through one loop per direction, ``_read_into`` and
 ``_write_all``, which call ``readinto`` or ``write`` until all bytes have
 moved, so a pipe or raw file that moves fewer per call loses none. Both take
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import ast
 import io
+import itertools
 import math
 import struct
 from collections.abc import Iterable, Iterator
@@ -69,17 +72,31 @@ def write_npy(arr: np.ndarray, sink: BinaryIO) -> None:
     _write_all(sink, data)
 
 
-def write_npy_frames(frames: Iterable[np.ndarray], shape: tuple[int, ...], sink: BinaryIO):
-    """Write an NPY v1.0 float32 array of ``shape`` from its frames along
-    axis 0, taken one at a time: the bytes of :func:`write_npy`, one frame held."""
+def _band_layout(shape: tuple[int, ...]) -> tuple[int, int, int, int]:
+    """(n, c, h, bytes per row) of an (n, c, h, ...) array with values in each frame."""
+    if len(shape) < 3 or 0 in shape[1:]:
+        raise ShapeMismatch(f"an array of shape {shape} has no bands of values")
+    return (*shape[:3], math.prod(shape[3:]) * 4)
+
+
+def write_npy_bands(bands: Iterable[np.ndarray], shape: tuple[int, ...], sink: BinaryIO) -> None:
+    """Write an NPY v1.0 float32 array of ``shape`` (n, c, h, ...) from its bands, in order:
+    each a (c, rows, ...) array of the next rows of a frame, whose slices go to their
+    offsets in the seekable ``sink``. The bytes of :func:`write_npy`."""
+    n, c, h, row = _band_layout(shape)
     _write_header(shape, sink)
-    count = 0
-    for count, frame in enumerate(frames, start=1):
-        if np.shape(frame) != tuple(shape[1:]):
-            raise ShapeMismatch(f"frame of shape {np.shape(frame)} in an array of shape {shape}")
-        _write_all(sink, _payload(frame))
-    if count != shape[0]:
-        raise ShapeMismatch(f"{count} frames written to an array of shape {shape}")
+    start, done = sink.tell(), 0  # rows of the n * h written
+    for band in bands:
+        i, r0 = divmod(done, h)
+        rows = band.shape[1] if band.ndim > 1 else 0
+        if i == n or not 0 < rows <= h - r0 or band.shape != (c, rows, *shape[3:]):
+            raise ShapeMismatch(f"band of shape {band.shape} after {done} rows of {shape}")
+        for k, plane in enumerate(band):
+            sink.seek(start + ((i * c + k) * h + r0) * row)
+            _write_all(sink, _payload(plane))
+        done += rows
+    if done != n * h:
+        raise ShapeMismatch(f"{done} rows written to an array of shape {shape}")
 
 
 def write_npy_file(arr: np.ndarray, path) -> None:
@@ -158,18 +175,23 @@ def read_npy(source: BinaryIO) -> np.ndarray:
     return flat.view("<f4").reshape(shape)
 
 
-def read_npy_frames(source: BinaryIO) -> Iterator[np.ndarray]:
-    """Yield each frame along axis 0 of the NPY v1.0 array at ``source``, into one reused
-    buffer; raises what :func:`read_npy` raises, and ShapeMismatch for 0-d or empty frames."""
+def read_npy_bands(source: BinaryIO, rows: int) -> Iterator[np.ndarray]:
+    """Yield the bands of the NPY v1.0 array at the seekable ``source`` as
+    :func:`write_npy_bands` takes them, ``rows`` rows each (fewer at a frame's end), read
+    into one reused buffer; raises what :func:`read_npy` and :func:`write_npy_bands` raise."""
     shape = _read_header(source)
-    if not shape or 0 in shape[1:]:
-        raise ShapeMismatch(f"an array of shape {shape} has no frames of values to read")
-    buf = np.empty((min(shape[0], 1), *shape[1:]), "<f4")  # one frame, or none
-    view = buf.reshape(-1).view(np.uint8)
-    for i in range(shape[0]):
-        if (got := _read_into(source, view)) != len(view):
-            raise TruncatedPayload(math.prod(shape) * 4, i * len(view) + got)
-        yield buf[0]
+    n, c, h, row = _band_layout(shape)
+    start, rows = source.tell(), min(rows, h)  # tell: a pipe cannot seek, and fails here
+    buf = np.empty((c, rows, *shape[3:]) if n else 0, "<f4")  # one band, or none
+    for i, r0 in itertools.product(range(n), range(0, h, rows)):
+        band = buf[:, :min(rows, h - r0)]
+        for k, plane in enumerate(band):
+            at = ((i * c + k) * h + r0) * row
+            source.seek(start + at)
+            view = plane.reshape(-1).view(np.uint8)
+            if (got := _read_into(source, view)) != len(view):
+                raise TruncatedPayload(n * c * h * row, at + got)
+        yield band
 
 
 def read_npy_file(path) -> np.ndarray:

@@ -15,15 +15,17 @@ sum of a per-column and a per-row term, and the kernel makes no BLAS call:
 at any band size, and under any BLAS kernel or thread count, its float64
 bits are those of the same sum, ``np.linalg.norm`` and ``np.cross`` on the
 pixel-major (h, w, 3) layout (``ray_direction`` runs it on one pixel). A ray
-out of float range raises a CamTrajError naming its frame. ``plucker_frames``
-runs the kernel into one reused buffer, which ``camtraj embed`` streams to
-disk, or into the (n, 6, h, w) map of ``plucker_sequence``. The kernel and
-``verify_plucker`` work on the same bands, so each needs about 1 MB of
-float64 beyond the map.
+out of float range raises a CamTrajError naming its frame. ``plucker_bands``
+runs the kernel over each frame in bands of whole kernel bands of about 1 MiB
+of float32 map, into one reused buffer, which ``camtraj embed`` streams to
+disk, or into the (n, 6, h, w) map of ``plucker_sequence``: embed holds no
+frame, whatever its size. The kernel and ``verify_plucker`` work on bands of
+about 16K pixels, on five and three float64 planes: 0.7 and 0.4 MB.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Iterator
 
 import numpy as np
@@ -34,6 +36,7 @@ from .geometry import CameraPose, Convention, Extrinsics, Trajectory, convert_ex
 PIXEL_ORIGINS = ("center", "corner")
 VERIFY_TOL = 1e-6
 _BAND_PIXELS = 1 << 14  # rows of about 16K pixels: a band's float64 planes stay in cache
+_BAND_BYTES = 1 << 20  # embed moves its map in bands of about 1 MiB: few writes, no frame held
 
 
 def _pixel_offset(pixel_origin: str) -> float:
@@ -68,8 +71,8 @@ def ray_direction(pose: CameraPose, u: float, v: float,
 
 @np.errstate(over="raise", invalid="raise", divide="raise")
 def _fill_map(out: np.ndarray, intrinsics, r_c2w: np.ndarray, center: np.ndarray,
-              off: float) -> None:
-    """Write the (6, h, w) Plucker map of one camera into ``out``.
+              off: float, r0: int = 0) -> None:
+    """Write rows r0:r0+rows of one camera's Plucker map into ``out``, of shape (6, rows, w).
 
     Runs over bands of whole rows, ``_BAND_PIXELS`` pixels or one row each, on
     five reused (rows, w) float64 planes: d_k = u*R[k,0] + (v*R[k,1] + R[k,2]),
@@ -81,15 +84,15 @@ def _fill_map(out: np.ndarray, intrinsics, r_c2w: np.ndarray, center: np.ndarray
         height, width = out.shape[1:]
         rows = max(1, _BAND_PIXELS // width)
         col = r_c2w[:, 0, None] * ((np.arange(width, dtype=np.float64) + off - cx) / fx)
-        row = r_c2w[:, 1, None] * ((np.arange(height, dtype=np.float64) + off - cy) / fy)
+        row = r_c2w[:, 1, None] * ((np.arange(r0, r0 + height, dtype=np.float64) + off - cy) / fy)
         row += r_c2w[:, 2, None]
         scratch = np.empty((5, min(rows, height) * width))
         c0, c1, c2 = center  # moment k is c_a*d_i - c_b*d_j, as np.cross forms it
-        for r0 in range(0, height, rows):
-            band = out[:, r0:r0 + rows]  # the last band may be shorter
+        for v0 in range(0, height, rows):
+            band = out[:, v0:v0 + rows]  # the last band may be shorter
             planes = scratch[:, :band[0].size].reshape(5, -1, width)
             d, norm, tmp = planes[:3], planes[3], planes[4]
-            np.add(col[:, None, :], row[:, r0:r0 + rows, None], out=d)
+            np.add(col[:, None, :], row[:, v0:v0 + rows, None], out=d)
             np.multiply(d[0], d[0], out=norm)
             norm += np.multiply(d[1], d[1], out=tmp)
             norm += np.multiply(d[2], d[2], out=tmp)
@@ -103,50 +106,62 @@ def _fill_map(out: np.ndarray, intrinsics, r_c2w: np.ndarray, center: np.ndarray
         raise CamTrajError(f"Plucker map out of float range: {e}") from None
 
 
-def plucker_frames(traj: Trajectory, pixel_origin: str = "center",
-                   stack: bool = False) -> Iterator[np.ndarray]:
-    """Yield each frame's (6, h, w) float32 Plucker map, in order, computed into
-    one reused buffer, or with ``stack`` into its slot of one (n, 6, h, w) array.
-    :func:`convert_extrinsics` names the first frame whose camera center overflows
-    float64, before the buffer is allocated; an allocation failure names its shape."""
+def band_rows(height: int, width: int) -> int:
+    """Rows in each band of :func:`plucker_bands`: the fewest whole kernel bands that
+    hold ``_BAND_BYTES`` of float32 map, or the whole frame if it is smaller."""
+    rows = max(1, _BAND_PIXELS // width)
+    return min(height, rows * -(-_BAND_BYTES // (24 * rows * width)))
+
+
+def plucker_bands(traj: Trajectory, pixel_origin: str = "center",
+                  stack: bool = False) -> Iterator[np.ndarray]:
+    """Yield each frame's map in order, in bands of :func:`band_rows` rows (fewer at a
+    frame's end): (6, rows, w) float32 views of one reused buffer, or with ``stack`` of
+    one (n, 6, h, w) array. :func:`convert_extrinsics` names the first frame whose camera
+    center overflows float64, before the buffer is allocated; an allocation failure names
+    the map's shape."""
     off = _pixel_offset(pixel_origin)  # validate before any work
     r, c = convert_extrinsics(traj.rotations, traj.translations, traj.convention,
                               Convention.CAMERA_TO_WORLD, "camera center")
     shape = (len(traj), 6, traj.height, traj.width)
+    rows = band_rows(traj.height, traj.width)
     try:
-        buf = np.empty(shape if stack else shape[1:], dtype=np.float32)
+        buf = np.empty(shape if stack else (6, rows, traj.width), dtype=np.float32)
     except (MemoryError, ValueError):  # ValueError: past numpy's size limit
         raise CamTrajError(f"cannot allocate a float32 embedding of shape {shape}") from None
-    for i in range(len(traj)):
-        frame = buf[i] if stack else buf
+    for i, r0 in itertools.product(range(len(traj)), range(0, traj.height, rows)):
+        band = buf[i, :, r0:r0 + rows] if stack else buf[:, :min(rows, traj.height - r0)]
         try:
-            _fill_map(frame, traj.intrinsics[i], r[i], c[i], off)
+            _fill_map(band, traj.intrinsics[i], r[i], c[i], off, r0)
         except CamTrajError as e:
             raise CamTrajError(f"frame {i}: {e}") from None
-        yield frame
+        yield band
 
 
 def plucker_sequence(traj: Trajectory, pixel_origin: str = "center") -> np.ndarray:
     """Dense (n, 6, h, w) float32 Plucker maps, one per frame: row v, column u
     of channel block 3..5 holds the unit direction through pixel (u, v); block
     0..2 holds o x d, which is invariant to sliding the origin along the ray."""
-    return [*plucker_frames(traj, pixel_origin, stack=True)][-1].base
+    return [*plucker_bands(traj, pixel_origin, stack=True)][-1].base
 
 
-def _block_deviations(frame: np.ndarray) -> tuple[float, float]:
-    """max |norm(d) - 1| and max |m . d| / max(1, |m|) of one (6, h, w) block, in float64."""
-    f = np.asarray(frame, dtype=np.float64)
-    m, d = f[0:3], f[3:6]
-    s = d[0] * d[0]
-    s += d[1] * d[1]
-    s += d[2] * d[2]
-    np.sqrt(s, out=s)
+def _block_deviations(block: np.ndarray) -> tuple[float, float]:
+    """max |norm(d) - 1| and max |m . d| / max(1, |m|) of one (6, h, w) block, in float64
+    planes, each channel converted as a ufunc reads it."""
+    m, d = block[0:3], block[3:6]
+    s, m_norm, tmp = np.empty((3, *block.shape[1:]))
+
+    def dot(a, b, out):  # a[0]*b[0] + a[1]*b[1] + a[2]*b[2], summed left to right
+        np.multiply(a[0], b[0], out=out, dtype=np.float64)
+        for k in (1, 2):
+            out += np.multiply(a[k], b[k], out=tmp, dtype=np.float64)
+        return out
+
+    np.sqrt(dot(d, d, s), out=s)
     s -= 1.0
     norm_dev = np.abs(s, out=s).max()
-    m_norm = np.maximum(np.sqrt(m[0] * m[0] + m[1] * m[1] + m[2] * m[2]), 1.0)
-    np.multiply(m[0], d[0], out=s)
-    s += m[1] * d[1]
-    s += m[2] * d[2]
+    np.maximum(np.sqrt(dot(m, m, m_norm), out=m_norm), 1.0, out=m_norm)
+    dot(m, d, s)
     s /= m_norm
     return norm_dev, np.abs(s, out=s).max()
 
@@ -158,7 +173,7 @@ def verify_plucker(arr: np.ndarray) -> dict:
     whether both are below VERIFY_TOL. The moment term is |m . d| / max(1, |m|)
     per pixel, as float32 rounding of m leaves |m . d| near 2e-7 * |m|. Computed
     in float64 on blocks of rows of about 16K pixels, which stay in cache and
-    keep memory beyond ``arr`` near 1 MB; a NaN anywhere fails the check.
+    keep memory beyond ``arr`` near 0.4 MB; a NaN anywhere fails the check.
     """
     a = np.asarray(arr)
     if a.ndim < 3 or a.shape[-3] != 6 or a.size == 0:

@@ -16,7 +16,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from camtraj import cli, geometry, metrics, plucker, pose_io, synth
@@ -396,8 +396,37 @@ class TestEmbed:
         assert ", max |m.d|/max(1,|m|) = " in stdout
 
 
+def embed_and_expect(text, pixel_origin, **band_sizes):
+    """(code, stdout, file bytes) of ``embed --verify`` of trajectory JSON ``text``, run
+    in-process with ``band_sizes`` set in camtraj.plucker, and the (code, stdout, file
+    bytes) that the whole-array library path gives at the default sizes."""
+    whole = plucker_sequence(trajectory_from_json(text), pixel_origin)
+    expected = io.BytesIO()
+    write_npy(whole, expected)
+    report = verify_plucker(whole)
+    with tempfile.TemporaryDirectory() as tmp:
+        traj, out = os.path.join(tmp, "traj.json"), os.path.join(tmp, "p.npy")
+        with open(traj, "w", encoding="utf-8") as f:
+            f.write(text)
+        stdout = io.StringIO()
+        with (contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()),
+              pytest.MonkeyPatch.context() as mp):
+            for name, size in band_sizes.items():
+                mp.setattr(plucker, name, size)
+            code = main(["embed", "--traj", traj, "--out", out,
+                         "--pixel-origin", pixel_origin, "--verify"])
+        with open(out, "rb") as f:
+            written = f.read()
+    verify_line = (f"verify {'ok' if report['ok'] else 'FAILED'}: "
+                   f"max |norm(d)-1| = {report['direction_norm']:.3e}, "
+                   f"max |m.d|/max(1,|m|) = {report['moment_dot']:.3e}")
+    return ((code, stdout.getvalue(), written),
+            (0 if report["ok"] else 2, f"embedded {whole.shape} -> {out}\n{verify_line}\n",
+             expected.getvalue()))
+
+
 class TestEmbedStream:
-    """embed computes, writes and verifies one frame at a time: its file and
+    """embed computes, writes and verifies each frame in bands of rows: its file and
     its verify line are those of the whole-array library path."""
 
     @settings(max_examples=40, deadline=None, derandomize=True)
@@ -409,27 +438,23 @@ class TestEmbedStream:
                                         convention):
         text = trajectory_to_json(random_trajectory(np.random.default_rng(seed), frames,
                                                     convention, width, height))
-        whole = plucker_sequence(trajectory_from_json(text), pixel_origin)
-        expected = io.BytesIO()
-        write_npy(whole, expected)
-        report = verify_plucker(whole)
-        verify_line = (f"verify {'ok' if report['ok'] else 'FAILED'}: "
-                       f"max |norm(d)-1| = {report['direction_norm']:.3e}, "
-                       f"max |m.d|/max(1,|m|) = {report['moment_dot']:.3e}")
-        with tempfile.TemporaryDirectory() as tmp:
-            traj, out = os.path.join(tmp, "traj.json"), os.path.join(tmp, "p.npy")
-            with open(traj, "w", encoding="utf-8") as f:
-                f.write(text)
-            stdout = io.StringIO()
-            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-                code = main(["embed", "--traj", traj, "--out", out,
-                             "--pixel-origin", pixel_origin, "--verify"])
-            with open(out, "rb") as f:
-                written = f.read()
-        assert code == (0 if report["ok"] else 2)
-        assert written == expected.getvalue()
-        assert stdout.getvalue().splitlines() == [
-            f"embedded {whole.shape} -> {out}", verify_line]
+        got, want = embed_and_expect(text, pixel_origin)
+        assert got == want
+
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    @given(seed=st.integers(0, 2 ** 32 - 1), frames=st.integers(1, 3),
+           height=st.integers(1, 40), width=st.integers(1, 9),
+           pixel_origin=st.sampled_from(plucker.PIXEL_ORIGINS))
+    @example(seed=0, frames=2, height=1, width=9, pixel_origin="center")  # a 1-row frame
+    @example(seed=1, frames=2, height=40, width=1, pixel_origin="corner")  # a 1-column frame
+    @example(seed=2, frames=3, height=37, width=4, pixel_origin="center")  # a short last band
+    def test_band_boundaries_keep_the_bytes(self, seed, frames, height, width, pixel_origin):
+        # kernel bands of 8 pixels, and embed bands of the fewest whole kernel bands
+        # that hold 12 pixels, 2 to 16 rows: several bands to a frame, the last short
+        text = trajectory_to_json(random_trajectory(np.random.default_rng(seed), frames,
+                                                    Convention.CAMERA_TO_WORLD, width, height))
+        got, want = embed_and_expect(text, pixel_origin, _BAND_PIXELS=8, _BAND_BYTES=24 * 12)
+        assert got == want
 
     def test_memory_does_not_scale_with_frames(self, tmp_path, capsys):
         spec = {"frames": 16, "width": 256, "height": 160,
@@ -448,6 +473,45 @@ class TestEmbedStream:
         assert "verify ok" in capsys.readouterr().out
         # the whole map is 16 frames; one frame's float32 map and float64 planes are 3
         assert peak < out.stat().st_size / 4
+
+    def test_memory_does_not_scale_with_frame_size(self, tmp_path, capsys):
+        def peak(width, height):
+            spec = {"frames": 1, "width": width, "height": height,
+                    "intrinsics": {"fx": 32, "fy": 32, "cx": 32, "cy": height / 2},
+                    "motion": {"kind": "pan", "direction": [1, 0, 0], "interval": 0.1}}
+            traj = synth_traj_json(tmp_path, capsys, spec)
+            tracemalloc.start()
+            try:
+                code = main(["embed", "--traj", str(traj), "--out", str(tmp_path / "p.npy"),
+                             "--verify"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0
+            assert "verify ok" in capsys.readouterr().out
+            return peak
+
+        band = 24 * 64 * plucker.band_rows(4096, 64)  # one (6, rows, 64) float32 band: 1.2 MB
+        scratch = 5 * 8 * plucker._BAND_PIXELS  # the kernel's five float64 planes: 0.66 MB
+        # one tall frame's map is 6.3 MB: only the band and the kernel's planes, which
+        # hold 4K pixels of the 64x64 frame and 16K of the tall one, grow; verify's
+        # three float64 planes of one kernel band are fewer than the kernel's
+        assert peak(64, 4096) - peak(64, 64) < band + scratch
+
+    def test_large_frame_fits_memory_limit(self, tmp_path, capsys):
+        # a 100 MB one-frame map embeds and verifies in a child capped at 200 MB,
+        # which could not hold a whole frame of it beside the interpreter
+        spec = {"frames": 1, "width": 2048, "height": 2048,
+                "intrinsics": {"fx": 1024, "fy": 1024, "cx": 1024, "cy": 1024},
+                "motion": {"kind": "pan", "direction": [1, 0, 0], "interval": 0.1}}
+        traj = synth_traj_json(tmp_path, capsys, spec)
+        out = tmp_path / "p.npy"
+        got = run_limited("embed", "--traj", str(traj), "--out", str(out), "--verify",
+                          limit=200_000 << 10)
+        assert (got.returncode, got.stderr) == (0, "")
+        assert got.stdout.startswith(f"embedded (1, 6, 2048, 2048) -> {out}\nverify ok: ")
+        assert out.stat().st_size == 128 + 6 * 4 * 2048 * 2048
+        assert no_temp_litter(tmp_path)
 
     def test_failed_verify_exits_2(self, tmp_path, capsys, monkeypatch):
         real_fill = plucker._fill_map
@@ -934,7 +998,7 @@ class TestSigterm:
                     "--out-dir", str(out), *ENCODE_FLAGS)
         else:
             traj = synth_traj_json(tmp_path, capsys, {**PAN_SPEC, "frames": 2})
-            argv = ("write_npy_frames", "embed", "--traj", str(traj), "--out", str(out))
+            argv = ("write_npy_bands", "embed", "--traj", str(traj), "--out", str(out))
         watch = out if cmd == "encode" else tmp_path
         proc = subprocess.Popen([sys.executable, "-c", self.CHILD, *argv], env=child_env(),
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)

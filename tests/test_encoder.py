@@ -1130,7 +1130,8 @@ class TestInlineDraw:
 
     def test_heap_trimmed_between_the_halves(self, monkeypatch):
         # the heap's free pages go back to the OS after the last QKV/wo draw and
-        # before the first MLP draw, so the MLP's weights need no old holes
+        # before the first MLP draw, so the MLP's weights need no old holes, and
+        # again once the MLP half is dropped, so the next block starts without them
         log, real = [], enc._uniform
 
         def uniform(rng, shape, fan_in):
@@ -1140,7 +1141,7 @@ class TestInlineDraw:
         monkeypatch.setattr(enc, "_trim_heap", lambda: log.append("trim"))
         p = enc._attention_draw(np.random.default_rng(5), 8, 2)
         temporal_attention_block(rand(np.random.default_rng(6), (3, 4, 8)), p, heads=2)
-        assert log == [(8, 8)] * 4 + ["trim", (8, 16), (16, 8)]
+        assert log == [(8, 8)] * 4 + ["trim", (8, 16), (16, 8), "trim"]
 
     def test_cli_import_loads_no_thread_pool(self):
         src = str(Path(enc.__file__).resolve().parent.parent)

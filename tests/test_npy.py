@@ -13,8 +13,8 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from camtraj.errors import (BadMagic, ShapeMismatch, TruncatedPayload, UnsupportedDtype,
                             UnsupportedOrder)
 from camtraj import npyio
-from camtraj.npyio import (READ_CHUNK, read_npy, read_npy_file, read_npy_frames, write_npy,
-                           write_npy_file, write_npy_frames)
+from camtraj.npyio import (READ_CHUNK, read_npy, read_npy_bands, read_npy_file, write_npy,
+                           write_npy_bands, write_npy_file)
 
 
 def dumps(arr):
@@ -312,46 +312,61 @@ class TestHostileHeader:
         assert buf.read() == b"tail"
 
 
-class TestFrames:
-    """The frame-stream path writes write_npy's bytes and reads with read_npy's checks."""
+def bands_of(arr, rows):
+    """The bands of each frame of ``arr`` in order, ``rows`` rows along axis 2 at a time."""
+    return (frame[:, r0:r0 + rows] for frame in arr for r0 in range(0, arr.shape[2], rows))
 
-    @pytest.mark.parametrize("shape", [(3, 2, 5), (1, 4), (0, 3), (2,)])
+
+class TestFrames:
+    """Each frame moves in bands of rows: the band writer writes write_npy's bytes, and
+    the band reader reads them back with read_npy's checks."""
+
+    @pytest.mark.parametrize("shape", [(3, 2, 5, 4), (1, 6, 7, 3), (0, 6, 2, 2), (2, 1, 9)])
     def test_frames_round_trip(self, shape):
         arr = np.random.default_rng(0).standard_normal(shape).astype(np.float32)
-        buf = io.BytesIO()
-        write_npy_frames(iter(arr), shape, buf)
-        assert buf.getvalue() == dumps(arr)
-        for source in (io.BytesIO(buf.getvalue()), Unseekable(buf.getvalue())):
-            frames = [f.copy() for f in read_npy_frames(source)]
-            assert len(frames) == shape[0]
-            for got, want in zip(frames, arr):
-                assert got.tobytes() == want.tobytes() and got.shape == want.shape
+        for rows in (1, 2, 3, 100):  # one row; several bands, the last short; a whole frame
+            buf = io.BytesIO()
+            write_npy_bands(bands_of(arr, rows), shape, buf)
+            assert buf.getvalue() == dumps(arr)
+            got = read_npy_bands(io.BytesIO(buf.getvalue()), rows)
+            assert [(b.shape, b.tobytes()) for b in got] == \
+                [(b.shape, b.tobytes()) for b in bands_of(arr, rows)]
+        with pytest.raises(io.UnsupportedOperation):  # a band's slices are read at their offsets
+            next(read_npy_bands(Unseekable(dumps(arr)), 1))
 
     def test_short_reads(self):
-        class Trickle(Unseekable):  # a pipe that hands out at most `limit` bytes per read
+        class Trickle(io.BytesIO):  # a file that hands out at most `limit` bytes per read
+            def readinto(self, b):
+                return super().readinto(memoryview(b)[:limit])
+
+        class PipeTrickle(Unseekable):  # a pipe that does the same
             def readinto(self, b):
                 return self._src.readinto(memoryview(b)[:limit])
 
-        arr = np.arange(2400, dtype=np.float32).reshape(2, 30, 40)
+        arr = np.arange(2400, dtype=np.float32).reshape(2, 3, 10, 40)
         for limit in (7, 200):
-            frames = [f.copy() for f in read_npy_frames(Trickle(dumps(arr)))]
-            assert np.stack(frames).tobytes() == arr.tobytes()
-            assert read_npy(Trickle(dumps(arr))).tobytes() == arr.tobytes()
+            assert [b.tobytes() for b in read_npy_bands(Trickle(dumps(arr)), 4)] == \
+                [b.tobytes() for b in bands_of(arr, 4)]
+            for source in (Trickle(dumps(arr)), PipeTrickle(dumps(arr))):
+                assert read_npy(source).tobytes() == arr.tobytes()
 
     def test_short_writes(self):
-        class Dribble(io.RawIOBase):  # a raw sink that takes at most 7 bytes per write
+        class Dribble(io.RawIOBase):  # a raw file that takes at most 7 bytes per write
             def __init__(self):
                 self.out = io.BytesIO()
 
             def writable(self):
                 return True
 
+            def seek(self, pos, whence=io.SEEK_SET):
+                return self.out.seek(pos, whence)
+
             def write(self, b):
                 return self.out.write(memoryview(b)[:7])
 
-        arr = np.arange(48, dtype=np.float32).reshape(2, 3, 8)
+        arr = np.arange(96, dtype=np.float32).reshape(2, 3, 2, 8)
         for write in (lambda sink: write_npy(arr, sink),
-                      lambda sink: write_npy_frames(iter(arr), arr.shape, sink)):
+                      lambda sink: write_npy_bands(bands_of(arr, 1), arr.shape, sink)):
             sink = Dribble()
             write(sink)
             assert sink.out.getvalue() == dumps(arr)
@@ -363,32 +378,40 @@ class TestFrames:
             def writable(self):
                 return True
 
+            def seek(self, pos, whence=io.SEEK_SET):
+                return pos
+
             def write(self, b):
                 self.calls += 1
                 assert self.calls < 100, "writer kept calling a sink that takes nothing"
                 return 0
 
-        arr = np.ones((2, 3), dtype=np.float32)
+        arr = np.ones((2, 3, 1), dtype=np.float32)
         with pytest.raises(OSError):
             write_npy(arr, Stuck())
         with pytest.raises(OSError):
-            write_npy_frames(iter(arr), arr.shape, Stuck())
+            write_npy_bands(bands_of(arr, 1), arr.shape, Stuck())
 
     def test_one_reused_buffer(self):
-        arr = np.arange(12, dtype=np.float32).reshape(3, 4)
-        bases = {id(f.base) for f in read_npy_frames(io.BytesIO(dumps(arr)))}
+        arr = np.arange(60, dtype=np.float32).reshape(3, 2, 5, 2)
+        bases = {id(band.base) for band in read_npy_bands(io.BytesIO(dumps(arr)), 2)}
         assert len(bases) == 1
 
     def test_truncated_before_any_frame(self):
-        data = dumps(np.ones((3, 4), dtype=np.float32))[:-4]
-        frames = read_npy_frames(io.BytesIO(data))
-        with pytest.raises(TruncatedPayload) as exc:
-            next(frames)
+        data = dumps(np.ones((3, 1, 4), dtype=np.float32))[:-4]
+        with pytest.raises(TruncatedPayload) as exc:  # the header's check, before any band
+            next(read_npy_bands(io.BytesIO(data), 2))
         assert (exc.value.expected, exc.value.actual) == (48, 44)
-        frames = read_npy_frames(Unseekable(data))  # a pipe fails at the short frame
-        next(frames), next(frames)
-        with pytest.raises(TruncatedPayload) as exc:
-            next(frames)
+
+        class Shrunk(io.BytesIO):  # a file cut short once its length was read
+            def seek(self, pos, whence=io.SEEK_SET):
+                return super().seek(pos, whence) + 4 * (whence == io.SEEK_END)
+
+        bands = read_npy_bands(Shrunk(data), 2)
+        for _ in range(5):
+            next(bands)
+        with pytest.raises(TruncatedPayload) as exc:  # the band reader's own check
+            next(bands)
         assert (exc.value.expected, exc.value.actual) == (48, 44)
 
     @pytest.mark.parametrize("data, error", [
@@ -402,18 +425,33 @@ class TestFrames:
         (preamble((2 ** 60, 0)), ShapeMismatch),
         (preamble((3, 0)), ShapeMismatch),
         (preamble((2,)).replace(b"<f4", b"<f8"), UnsupportedDtype),
-        (preamble((2,)).replace(b"False", b"True "), UnsupportedOrder)])
+        (preamble((2,)).replace(b"False", b"True "), UnsupportedOrder),
+        (preamble((2, 3)) + b"\0" * 24, ShapeMismatch),
+        (preamble((3, 6, 0, 4)), ShapeMismatch)])
     def test_header_faults(self, data, error):
         with pytest.raises(error):
-            next(read_npy_frames(io.BytesIO(data)))
+            next(read_npy_bands(io.BytesIO(data), 1))
 
     def test_writer_checks_frames(self):
-        with pytest.raises(ShapeMismatch):
-            write_npy_frames([np.zeros((2, 3), np.float32)], (1, 3, 2), io.BytesIO())
-        with pytest.raises(ShapeMismatch):
-            write_npy_frames([np.zeros(3, np.float32)], (2, 3), io.BytesIO())
+        arr = np.zeros((2, 3, 4, 5), np.float32)
+        bands = list(bands_of(arr, 3))
+        for wrong in ([bands[0], bands[2]],  # a band left out: 3 rows where 1 is left
+                      bands[:3],  # too few rows
+                      [arr[0, :, :2], arr[0, :, :3]],  # past the frame's end
+                      [arr[0, :2]],  # too few channels
+                      [arr[0, :, :, :4]],  # too short rows
+                      [arr[0, :, :0]],  # no rows
+                      [arr[0, 0]]):  # a band of 2 dims
+            with pytest.raises(ShapeMismatch):
+                write_npy_bands(wrong, arr.shape, io.BytesIO())
+        sink = io.BytesIO()
+        with pytest.raises(ShapeMismatch):  # too many: refused before it is written
+            write_npy_bands([*bands, arr[0, :, :1]], arr.shape, sink)
+        assert sink.getvalue() == dumps(arr)
+        with pytest.raises(ShapeMismatch):  # an array of 2 dims has no bands of rows
+            write_npy_bands([], (2, 3), io.BytesIO())
         with pytest.raises(UnsupportedDtype):
-            write_npy_frames([np.zeros(3)], (1, 3), io.BytesIO())
+            write_npy_bands([np.zeros((3, 4, 5))], arr.shape, io.BytesIO())
 
 
 # Any 32-bit pattern as float32, drawn often from the quiet and signalling
